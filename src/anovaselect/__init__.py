@@ -10,14 +10,7 @@ detection boundaries.  See README.md for the command-line entry points.
 __version__ = "0.1.0"
 
 from .errors import CalibrationError, CapacityError
-from .lattice import (
-    DimensionSpec,
-    Subset,
-    active_count,
-    enumerate_subsets,
-    lattice_ball,
-    log_binomial,
-)
+from .lattice import DimensionSpec, Subset, active_count, log_binomial
 from .extremal import (
     ExtremalProfile,
     GridSpec,
@@ -40,17 +33,11 @@ from .signals import (
     fourier_coeff_1d,
     orthogonality_check,
     product_coeff,
-    sobolev_norm,
 )
 from .selector import (
-    Observation,
-    SelectionResult,
     SelectorConfig,
     build_selector_config,
     epsilon_hat,
-    select,
-    simulate_observations,
-    statistic_S,
     tail_bound_audit,
     threshold,
     truncation_radius,
@@ -58,11 +45,13 @@ from .selector import (
 from .risk import (
     RegimeVerdict,
     RiskReport,
+    SelectionResult,
     attenuation_experiment,
     boundary_sweep,
     classify_regime,
     estimate_risk,
     hamming_loss,
+    select,
 )
 
 __all__ = [
@@ -71,8 +60,6 @@ __all__ = [
     "DimensionSpec",
     "Subset",
     "active_count",
-    "enumerate_subsets",
-    "lattice_ball",
     "log_binomial",
     "ExtremalProfile",
     "GridSpec",
@@ -93,23 +80,19 @@ __all__ = [
     "fourier_coeff_1d",
     "orthogonality_check",
     "product_coeff",
-    "sobolev_norm",
-    "Observation",
-    "SelectionResult",
     "SelectorConfig",
     "build_selector_config",
     "epsilon_hat",
-    "select",
-    "simulate_observations",
-    "statistic_S",
     "tail_bound_audit",
     "threshold",
     "truncation_radius",
     "RegimeVerdict",
     "RiskReport",
+    "SelectionResult",
     "attenuation_experiment",
     "boundary_sweep",
     "classify_regime",
     "estimate_risk",
     "hamming_loss",
+    "select",
 ]

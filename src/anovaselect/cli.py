@@ -36,42 +36,46 @@ ENV_PREFIX = "ANOVASELECT_"
 # the documented seed for the shipped tables (see README on reproducibility).
 DEFAULT_SEED = 10
 
-# key -> (type tag, default); "flist"/"ilist" are comma-separated lists
-_KEY_SPECS: dict[str, tuple[str, object]] = {
-    "d": ("int", 50),
-    "s": ("int", 4),
-    "beta": ("float", 0.87),
-    "sigma": ("float", 1.0),
-    "epsilon": ("float", 5e-5),
-    "grid_m": ("int", 20),
-    "calibration": ("str", "exact"),
-    "truncation": ("str", "preset"),
-    "eps_hat_rule": ("str", "fixed"),
-    "seed": ("int", DEFAULT_SEED),
-    "out": ("str", "out"),
-    "mode": ("str", "pool"),
-    "pool_size": ("int", 2000),
-    "threads": ("int", 0),
-    "quiet": ("bool", False),
-    "cycles": ("int", 15),
-    "alpha": ("float", 1.0),
-    "alphas": ("flist", [0.0001, 0.0005, 0.0009, 0.001, 0.0011, 0.0012, 0.005, 0.5, 1.0]),
-    "pattern": ("str", "benchmark"),
-    "d_list": ("ilist", [50, 100, 200]),
-    "k_max": ("int", 4),
-    "k_list": ("ilist", []),  # empty = all orders 1..s
-    "beta_min": ("float", 0.05),
-    "beta_max": ("float", 0.95),
-    "beta_steps": ("int", 25),
-    "r_frac_min": ("float", 0.02),
-    "r_frac_max": ("float", 0.9),
-    "r_steps": ("int", 20),
-    "band": ("float", 0.05),
-    "audit_k": ("int", 1),
-    "audit_m": ("int", 0),  # 0 = middle of the grid
-    "trials_null": ("int", 100_000),
-    "trials_tail": ("int", 1_000_000),
-    "tail_t": ("float", 3.0),
+# key -> (type tag, default, allowed values).  "flist"/"ilist" are
+# comma-separated lists whose every element must be allowed.  Allowed values
+# are a tuple of choices, an interval in the usual notation whose bounds are
+# numbers, "inf" or the name of another key, or None for any value.
+_KEY_SPECS: dict[str, tuple[str, object, object]] = {
+    "d": ("int", 50, "[1, inf)"),
+    "s": ("int", 4, "[1, d]"),
+    "beta": ("float", 0.87, "(0, 1)"),
+    "sigma": ("float", 1.0, "(0, inf)"),
+    "epsilon": ("float", 5e-5, "(0, inf)"),
+    "grid_m": ("int", 20, "[2, inf)"),
+    "calibration": ("str", "exact", ("exact", "asymptotic")),
+    "truncation": ("str", "preset", ("preset", "rule")),
+    "eps_hat_rule": ("str", "fixed", ("fixed", "growing_s")),
+    "seed": ("int", DEFAULT_SEED, "[0, inf)"),
+    "out": ("str", "out", None),
+    "mode": ("str", "pool", ("full", "pool")),
+    "pool_size": ("int", 2000, "[0, inf)"),
+    "threads": ("int", 0, "[0, inf)"),
+    "quiet": ("bool", False, None),
+    "cycles": ("int", 15, "[1, inf)"),
+    "alpha": ("float", 1.0, "(0, inf)"),
+    "alphas": ("flist", [0.0001, 0.0005, 0.0009, 0.001, 0.0011, 0.0012, 0.005, 0.5, 1.0],
+               "(0, 1]"),
+    "pattern": ("str", "benchmark", ("benchmark", "none")),
+    "d_list": ("ilist", [50, 100, 200], "[1, inf)"),
+    "k_max": ("int", 4, "[1, inf)"),
+    "k_list": ("ilist", [], "[1, d]"),  # empty = all orders 1..s
+    "beta_min": ("float", 0.05, "(0, 1)"),
+    "beta_max": ("float", 0.95, "(0, 1)"),
+    "beta_steps": ("int", 25, "[1, inf)"),
+    "r_frac_min": ("float", 0.02, "(0, 1]"),
+    "r_frac_max": ("float", 0.9, "(0, 1]"),
+    "r_steps": ("int", 20, "[1, inf)"),
+    "band": ("float", 0.05, "[0, inf)"),
+    "audit_k": ("int", 1, "[1, s]"),
+    "audit_m": ("int", 0, "[0, grid_m]"),  # 0 = middle of the grid
+    "trials_null": ("int", 100_000, "[1, inf)"),
+    "trials_tail": ("int", 1_000_000, "[1, inf)"),
+    "tail_t": ("float", 3.0, "[0, inf)"),
 }
 
 # Manifest bookkeeping keys, ignored when a manifest is read back as a config.
@@ -83,7 +87,7 @@ _SUBCOMMAND_DEFAULTS = {"boundary": {"epsilon": 0.01}}
 
 
 def _parse_value(key: str, raw: str):
-    kind, _ = _KEY_SPECS[key]
+    kind = _KEY_SPECS[key][0]
     raw = raw.strip()
     try:
         if kind == "int":
@@ -124,9 +128,32 @@ def read_config_file(path: str) -> dict[str, object]:
     return out
 
 
+def _check_allowed(key: str, cfg: dict) -> None:
+    allowed = _KEY_SPECS[key][2]
+    value = cfg[key]
+    if allowed is None:
+        return
+    if isinstance(allowed, tuple):
+        if value not in allowed:
+            raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+        return
+    lo_name, hi_name = (part.strip() for part in allowed[1:-1].split(","))
+    lo, hi = (float(cfg[b]) if b in cfg else float(b) for b in (lo_name, hi_name))
+    named = ", ".join(f"{b} = {_fmt(cfg[b])}" for b in (lo_name, hi_name) if b in cfg)
+    for v in value if isinstance(value, list) else [value]:
+        above = lo < v if allowed[0] == "(" else lo <= v
+        below = v < hi if allowed[-1] == ")" else v <= hi
+        if not (above and below):
+            where = f" ({named})" if named else ""
+            raise ValueError(f"{key} = {_fmt(v)} lies outside {allowed}{where}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict[str, object]:
-    """Defaults < subcommand defaults < config file < environment < flags."""
-    cfg = {key: default for key, (_, default) in _KEY_SPECS.items()}
+    """Defaults < subcommand defaults < config file < environment < flags.
+
+    Every key is then checked against its allowed values in ``_KEY_SPECS``.
+    """
+    cfg = {key: default for key, (_, default, _) in _KEY_SPECS.items()}
     cfg.update(_SUBCOMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
         cfg.update(read_config_file(args.config))
@@ -140,8 +167,8 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
             cfg[flag] = value
     if getattr(args, "quiet", False):
         cfg["quiet"] = True
-    if cfg["mode"] not in ("full", "pool"):
-        raise ValueError(f"mode must be 'full' or 'pool', got {cfg['mode']!r}")
+    for key in _KEY_SPECS:
+        _check_allowed(key, cfg)
     return cfg
 
 
@@ -193,8 +220,6 @@ def _benchmark_bank_available(d: int, beta: float) -> bool:
 def _pattern_for(cfg: dict):
     if cfg["pattern"] == "none":
         return build_pattern(_dim(cfg), mode="explicit", components=[])
-    if cfg["pattern"] != "benchmark":
-        raise ValueError(f"pattern must be 'benchmark' or 'none', got {cfg['pattern']!r}")
     return build_pattern(_dim(cfg), mode="benchmark")
 
 

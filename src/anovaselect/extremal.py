@@ -29,7 +29,6 @@ import numpy as np
 from .errors import CalibrationError, CapacityError
 from .lattice import (
     DEFAULT_POINT_CAP,
-    ball_coords,
     ball_volume_estimate,
     log_binomial,
     shell_counts,
@@ -89,23 +88,6 @@ class ExtremalProfile:
     @property
     def support_size(self) -> int:
         return int(self.counts.sum())
-
-    def theta_sq_at(self, coords) -> float:
-        """theta*^2 at one lattice point (0.0 outside the support)."""
-        coords = tuple(int(v) for v in coords)
-        if len(coords) != self.k or any(v == 0 for v in coords):
-            raise ValueError(f"expected {self.k} nonzero coordinates, got {coords}")
-        rho = sum(v * v for v in coords)
-        pos = np.searchsorted(self.rho, rho)
-        if pos >= len(self.rho) or self.rho[pos] != rho:
-            return 0.0
-        return float(self.theta_sq[pos])
-
-    def support_table(self, cap: int = DEFAULT_POINT_CAP) -> dict[tuple[int, ...], float]:
-        """Materialise the support as {frequency index: theta*^2}."""
-        coords, rho = ball_coords(self.k, self.support_radius**2, cap=cap)
-        values = self.theta_sq[np.searchsorted(self.rho, rho)]
-        return {tuple(int(v) for v in row): float(t) for row, t in zip(coords, values)}
 
 
 def extremal_sequence(
@@ -306,21 +288,6 @@ class WeightProfile:
 
     def sum_sq(self) -> float:
         return float(np.dot(self.counts.astype(np.float64), self.values**2))
-
-    def weight_at(self, coords) -> float:
-        coords = tuple(int(v) for v in coords)
-        if len(coords) != self.k or any(v == 0 for v in coords):
-            raise ValueError(f"expected {self.k} nonzero coordinates, got {coords}")
-        rho = sum(v * v for v in coords)
-        pos = np.searchsorted(self.rho, rho)
-        if pos >= len(self.rho) or self.rho[pos] != rho:
-            return 0.0
-        return float(self.values[pos])
-
-    def as_table(self, cap: int = DEFAULT_POINT_CAP) -> dict[tuple[int, ...], float]:
-        coords, rho = ball_coords(self.k, float(self.rho[-1]) + 0.5, cap=cap)
-        vals = self.values[np.searchsorted(self.rho, rho)]
-        return {tuple(int(v) for v in row): float(w) for row, w in zip(coords, vals)}
 
 
 def weights(

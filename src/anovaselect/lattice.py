@@ -6,20 +6,19 @@ of Z^k with every coordinate nonzero.  This module provides
 
 * log-space binomial counts (stable up to d ~ 1e6),
 * the active-component count N = round(C(d,k)^(1-beta)),
-* enumeration of lattice balls {l : |l| < R, all l_j != 0} together with
-  their squared-norm shell structure (number of points per value of
-  sum l_j^2), which the extremal and selector machinery exploits because
-  every radial quantity is constant on a shell,
-* reproducible subset streams (full lexicographic or pooled sampling) and
-  lexicographic subset ranking so that per-subset random substreams agree
-  between full and pooled enumeration.
+* the squared-norm shell structure of the balls {l : |l| < R, all l_j != 0}:
+  one convolution over coordinates gives the point count, or the sum of any
+  per-coordinate product mass, on every shell (every radial quantity is
+  constant on a shell), plus the ball's points for callers that need them,
+* lexicographic subset ranking, which keys the per-subset random substreams
+  so that full and pooled enumeration agree on shared subsets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,10 +70,10 @@ class DimensionSpec:
             raise ValueError(f"s must satisfy 1 <= s <= d, got s={self.s}, d={self.d}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 def log_binomial(d: int, k: int) -> float:
@@ -123,6 +122,31 @@ def ball_volume_estimate(k: int, radius: float) -> float:
     return math.exp(min(log_vol, 700.0))
 
 
+def shell_convolve(masses: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Per-shell sums of a product mass over the punctured lattice Z^k.
+
+    ``masses[j][l - 1]`` is the mass of coordinate j at |l_j| = l, both signs
+    together.  Entry rho (0 <= rho < size) of the result is the sum, over the
+    points l with all l_j != 0 and sum l_j^2 = rho, of prod_j masses[j][|l_j| - 1].
+    Each coordinate is one pass over its roots, so the cost is
+    O(size * sum_j len(masses[j])) and no point is materialised.
+    """
+    first = np.asarray(masses[0])
+    acc = np.zeros(size, dtype=first.dtype)
+    roots = np.arange(1, len(first) + 1)
+    inside = roots * roots < size
+    acc[roots[inside] ** 2] = first[inside]
+    for mass in masses[1:]:
+        nxt = np.zeros_like(acc)
+        for l, weight in enumerate(mass, start=1):
+            sq = l * l
+            if sq >= size:
+                break
+            nxt[sq:] += weight * acc[: size - sq]
+        acc = nxt
+    return acc
+
+
 def _shell_array(k: int, m: int) -> np.ndarray:
     """Counts of all-nonzero lattice points per squared norm 0..m (k >= 2)."""
     cached = _SHELL_CACHE.get(k)
@@ -135,18 +159,8 @@ def _shell_array(k: int, m: int) -> np.ndarray:
         )
     size = max(m, 16) * 2 + 1  # grow geometrically to amortise recomputation
     size = min(size, MAX_SHELL_INDEX + 1)
-    one = np.zeros(size, dtype=np.int64)
-    roots = np.arange(1, math.isqrt(size - 1) + 1)
-    one[roots * roots] = 2  # +-l contribute two points each
-    acc = one.copy()
-    for _ in range(k - 1):
-        nxt = np.zeros(size, dtype=np.int64)
-        for l in roots:
-            sq = int(l * l)
-            if sq >= size:
-                break
-            nxt[sq:] += 2 * acc[: size - sq]
-        acc = nxt
+    two = np.full(math.isqrt(size - 1), 2, dtype=np.int64)  # +-l: two points each
+    acc = shell_convolve([two] * k, size)
     _SHELL_CACHE[k] = acc
     return acc
 
@@ -176,12 +190,6 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     acc = _shell_array(k, m)
     rho = np.nonzero(acc[: m + 1])[0]
     return rho.astype(np.int64), acc[rho]
-
-
-def ball_point_count(k: int, radius: float) -> int:
-    """Number of points of the punctured lattice inside the open ball."""
-    _, counts = shell_counts(k, radius * radius)
-    return int(counts.sum())
 
 
 def ball_coords(k: int, r2_max: float, cap: int = DEFAULT_POINT_CAP):
@@ -226,20 +234,6 @@ def ball_coords(k: int, r2_max: float, cap: int = DEFAULT_POINT_CAP):
     return coords, np.concatenate(out_rho)
 
 
-def lattice_ball(
-    k: int, radius: float, cap: int = DEFAULT_POINT_CAP
-) -> list[tuple[int, ...]]:
-    """Points of Z^k with all coordinates nonzero and Euclidean norm < radius.
-
-    Enumeration order is lexicographic.  Raises :class:`CapacityError` when the
-    predicted point count exceeds ``cap``.
-    """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    coords, _ = ball_coords(k, radius * radius, cap=cap)
-    return [tuple(int(v) for v in row) for row in coords]
-
-
 # ---------------------------------------------------------------------------
 # Subset enumeration, ranking, and pooled sampling
 # ---------------------------------------------------------------------------
@@ -257,65 +251,3 @@ def subset_rank(subset: Subset, d: int) -> int:
             rank += math.comb(d - b, k - pos - 1)
         prev = a
     return rank
-
-
-def subset_unrank(rank: int, d: int, k: int) -> Subset:
-    """Inverse of :func:`subset_rank`."""
-    total = math.comb(d, k)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank must lie in [0, {total}), got {rank}")
-    out = []
-    a = 1
-    remaining = rank
-    for pos in range(k):
-        while True:
-            block = math.comb(d - a, k - pos - 1)
-            if remaining < block:
-                break
-            remaining -= block
-            a += 1
-        out.append(a)
-        a += 1
-    return Subset(tuple(out))
-
-
-def _sample_ranks(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample without replacement from range(total), sorted ascending."""
-    if size > total:
-        raise ValueError(f"pool size {size} exceeds population {total}")
-    if total <= 4 * size or total <= 1_000_000:
-        return np.sort(rng.choice(total, size=size, replace=False))
-    chosen: set[int] = set()
-    while len(chosen) < size:
-        draw = rng.integers(0, total, size=2 * (size - len(chosen)))
-        for v in draw:
-            chosen.add(int(v))
-            if len(chosen) == size:
-                break
-    return np.array(sorted(chosen), dtype=np.int64)
-
-
-def enumerate_subsets(d: int, k: int, mode: str = "full", *, size: int | None = None,
-                      seed: int | None = None):
-    """Stream k-subsets of {1..d}.
-
-    ``mode="full"`` yields all C(d,k) subsets in lexicographic order.
-    ``mode="pool"`` yields a uniform without-replacement sample of ``size``
-    subsets, reproducible for a given ``seed`` (streamed in rank order).
-    """
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}], got {k}")
-    if mode == "full":
-        for combo in itertools.combinations(range(1, d + 1), k):
-            yield Subset(combo)
-        return
-    if mode != "pool":
-        raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
-    if size is None or seed is None:
-        raise ValueError("pool mode requires both size and seed")
-    total = math.comb(d, k)
-    if size > total:
-        raise ValueError(f"pool size {size} exceeds C({d},{k}) = {total}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    for rank in _sample_ranks(total, size, rng):
-        yield subset_unrank(int(rank), d, k)

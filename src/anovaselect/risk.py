@@ -1,22 +1,27 @@
-"""Monte Carlo Hamming-risk estimation, the attenuation experiment, and
-classification against the selection and detection boundaries.
+"""The adaptive selector, Monte Carlo Hamming-risk estimation, the
+attenuation experiment, and classification against the selection and
+detection boundaries.
 
-The estimator runs J independent simulate/select/loss cycles.  Because every
-weight is radial, a null subset's statistics depend on the noise only through
-per-shell sums of xi^2, which are sampled directly as chi-square variates;
-active subsets are materialised point-by-point on the weight-support ball so
-their means enter exactly.  Both paths draw from the same per-(cycle, order,
-subset-rank) substreams, so results are bit-reproducible, full and pooled
-enumeration agree on shared subsets, and re-running a single subset (as the
-attenuation experiment does) reproduces exactly what a full rerun would see.
+One engine evaluates the statistics S_{u,m} for :func:`select` and the risk
+estimators alike.  Because every weight is radial, a null subset's statistics
+depend on the noise only through per-shell sums of xi^2, which are sampled
+directly as chi-square variates; active subsets are materialised
+point-by-point on the weight-support ball so their means enter exactly.  Both
+paths draw from the same per-(cycle, order, subset-rank) substreams, so
+results are bit-reproducible, full and pooled enumeration agree on shared
+subsets, :func:`select` sees exactly the draws of the matching risk cycle, and
+re-running a single subset (as the attenuation experiment does) reproduces
+exactly what a full rerun would see.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,28 +35,15 @@ from .lattice import (
     log_binomial,
     subset_rank,
 )
-from .selector import (
-    SelectionResult,
-    SelectorConfig,
-    null_shell_draw,
-    observation_stream,
-    pool_stream,
-)
+from .selector import SelectorConfig, null_shell_draw, observation_stream, pool_stream
 from .signals import ComponentSpec, SparsityPattern, coeff_vector
 
 SQRT2 = math.sqrt(2.0)
 
-# Cached active-subset lattice balls per (order, max squared norm).
+# Cached active-subset lattice balls per (order, max squared norm).  Worker
+# threads get-or-build under the lock, so each ball is built once.
 _BALL_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def hamming_loss(estimate: SelectionResult, truth: SparsityPattern) -> int:
-    """Number of evaluated subsets where the selector and the truth disagree."""
-    loss = 0
-    for subset, decision in estimate.decisions.items():
-        eta = truth.eta(subset)  # raises on universe mismatch
-        loss += abs(int(decision.selected) - eta)
-    return loss
+_BALL_LOCK = threading.Lock()
 
 
 class _OrderEngine:
@@ -65,6 +57,11 @@ class _OrderEngine:
         self.threshold = config.thresholds[k]
         self.truncation = config.truncation[k]
         longest = max(profiles, key=lambda p: len(p.rho))
+        if longest.max_abs_coord > self.truncation:
+            raise ValueError(
+                f"truncation n={self.truncation} at k={k} does not cover the weight "
+                f"support, which reaches |l|={longest.max_abs_coord}"
+            )
         self.rho = longest.rho
         self.counts = longest.counts.astype(np.float64)
         self.W = np.zeros((len(profiles), len(self.rho)))
@@ -77,16 +74,21 @@ class _OrderEngine:
     def ball(self) -> tuple[np.ndarray, np.ndarray]:
         """(coords, shell index) for the union weight support."""
         if self._ball is None:
-            key = (self.k, int(self.rho[-1]))
-            cached = _BALL_CACHE.get(key)
-            if cached is None:
-                coords, rho = ball_coords(self.k, float(self.rho[-1]) + 0.5, cap=self.cap)
-                shell_idx = np.searchsorted(self.rho, rho).astype(np.int32)
-                cached = (coords.astype(np.int16), shell_idx)
-                _BALL_CACHE.clear()  # keep at most one heavyweight ball per process
-                _BALL_CACHE[key] = cached
-            self._ball = cached
+            with _BALL_LOCK:
+                if self._ball is None:  # another worker may have set it meanwhile
+                    self._ball = self._cached_ball()
         return self._ball
+
+    def _cached_ball(self) -> tuple[np.ndarray, np.ndarray]:
+        key = (self.k, int(self.rho[-1]))
+        cached = _BALL_CACHE.get(key)
+        if cached is None:
+            coords, rho = ball_coords(self.k, float(self.rho[-1]) + 0.5, cap=self.cap)
+            shell_idx = np.searchsorted(self.rho, rho).astype(np.int32)
+            cached = (coords.astype(np.int16), shell_idx)
+            _BALL_CACHE.clear()  # keep at most one heavyweight ball per process
+            _BALL_CACHE[key] = cached
+        return cached
 
     def component_means(self, comp: ComponentSpec) -> np.ndarray:
         """theta_l / eps over the ball, from the factored coefficient vectors."""
@@ -114,6 +116,82 @@ class _OrderEngine:
         _, shell_idx = self.ball()
         q = np.bincount(shell_idx, weights=mu**2, minlength=len(self.rho))
         return self.W @ q
+
+
+@dataclass(frozen=True)
+class SubsetDecision:
+    stats: tuple[float, ...]
+    selected: bool
+    argmax: int | None  # 1-based grid index m of the largest statistic
+
+
+@dataclass(eq=False)
+class SelectionResult:
+    """Selector output: per-subset indicators with all M statistics recorded."""
+
+    decisions: dict[Subset, SubsetDecision]
+    thresholds: Mapping[int, float]
+
+    def eta_hat(self, subset: Subset) -> int:
+        return int(self.decisions[subset].selected)
+
+    def selected_subsets(self) -> list[Subset]:
+        return [u for u, dec in self.decisions.items() if dec.selected]
+
+
+def hamming_loss(estimate: SelectionResult, truth: SparsityPattern) -> int:
+    """Number of evaluated subsets where the selector and the truth disagree."""
+    loss = 0
+    for subset, decision in estimate.decisions.items():
+        eta = truth.eta(subset)  # raises on universe mismatch
+        loss += abs(int(decision.selected) - eta)
+    return loss
+
+
+def _check_pattern(pattern: SparsityPattern, config: SelectorConfig) -> None:
+    if pattern.d != config.dim.d or pattern.s > config.dim.s:
+        raise ValueError("pattern dimensions do not match the selector configuration")
+
+
+def select(
+    pattern: SparsityPattern,
+    config: SelectorConfig,
+    subsets: Iterable[Subset],
+    seed: int,
+    cycle: int = 0,
+) -> SelectionResult:
+    """Simulate one cycle of the sequence model and apply the adaptive selector.
+
+    eta_hat(u) = 1 iff max_m S_{u,m} > t_k.  Subset u of order k draws its
+    noise from the (seed, cycle, k, rank) substream, through the same engine
+    and the same draws as :func:`estimate_risk`; over all subsets of orders
+    1..pattern.s, ``hamming_loss`` of the result is that cycle's loss under
+    ``estimate_risk(mode="full")``.
+    """
+    _check_pattern(pattern, config)
+    components = {c.subset: c for k in range(1, pattern.s + 1) for c in pattern.active(k)}
+    engines: dict[int, _OrderEngine] = {}
+    decisions: dict[Subset, SubsetDecision] = {}
+    for subset in subsets:
+        k = subset.k
+        if k not in engines:
+            if k not in config.profiles:
+                raise ValueError(f"config carries no grid for order k={k}")
+            engines[k] = _OrderEngine(config, k)
+        engine = engines[k]
+        rng = observation_stream(seed, cycle, k, subset_rank(subset, config.dim.d))
+        comp = components.get(subset)
+        if comp is None:
+            stats = engine.null_stats(rng)
+        else:
+            stats = engine.active_stats(rng, engine.component_means(comp))
+        selected = bool(stats.max() > engine.threshold)
+        decisions[subset] = SubsetDecision(
+            stats=tuple(float(v) for v in stats),
+            selected=selected,
+            argmax=int(np.argmax(stats)) + 1 if selected else None,
+        )
+    return SelectionResult(decisions=decisions, thresholds=dict(config.thresholds))
 
 
 @dataclass(eq=False)
@@ -157,11 +235,12 @@ def _inactive_ranks(
 
 
 def _resolve_threads(threads: int) -> int:
+    """Worker count; 0 means the CPUs this process may run on, at most 8."""
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     if threads == 0:
-        import os
-
+        if hasattr(os, "sched_getaffinity"):
+            return min(8, len(os.sched_getaffinity(0)))
         return min(8, os.cpu_count() or 1)
     return threads
 
@@ -209,8 +288,7 @@ def _run_cycles(
 ) -> tuple[np.ndarray, np.ndarray, dict[int, int], dict[int, int]]:
     """Shared cycle driver: (miss_per_cycle, fp_per_cycle, n_inactive, fp_by_k)."""
     d = config.dim.d
-    if pattern.d != d or pattern.s > config.dim.s:
-        raise ValueError("pattern dimensions do not match the selector configuration")
+    _check_pattern(pattern, config)
     if mode not in ("full", "pool"):
         raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
 

@@ -1,5 +1,5 @@
-"""Sequence-space observation model, weighted chi-square statistics,
-thresholds, and the adaptive selector.
+"""Selector calibration: the sequence-space statistics' weights, thresholds,
+truncation and random substreams, plus null shell sampling and tail audits.
 
 Observations per candidate subset u of order k are X_l = eta_u theta_l + eps xi_l
 on the punctured lattice.  For each grid point m the statistic
@@ -12,27 +12,20 @@ selected when max_m S_{u,m} exceeds t_k = sqrt((2 + eps_hat)(log C(d,k) + log M)
 Randomness is organised as counter-based substreams: every (cycle, order,
 subset-rank) owns a Philox stream spawned from the master seed, so full and
 pooled enumeration agree on shared subsets and reruns are bit-identical.
+The statistics themselves are evaluated per shell by ``risk.select`` and the
+risk estimators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
 from .extremal import GridSpec, WeightProfile, calibrate_radii, weights
-from .lattice import (
-    DEFAULT_POINT_CAP,
-    DimensionSpec,
-    Subset,
-    ball_coords,
-    log_binomial,
-    subset_rank,
-)
-from .signals import CoefficientTable, SparsityPattern
+from .lattice import DEFAULT_POINT_CAP, DimensionSpec, log_binomial
 
 # Stream phase tags keep independent uses of the master seed disjoint.
 _PHASE_OBS = 1
@@ -195,137 +188,6 @@ def build_selector_config(
 
 
 # ---------------------------------------------------------------------------
-# Observations
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class Observation:
-    """Observed values X_l on the generated index set of one subset."""
-
-    owner: Subset
-    values: dict[tuple[int, ...], float]
-    epsilon: float
-    truncation_n: int
-
-
-def _signal_table(
-    pattern: SparsityPattern, subset: Subset, n: int
-) -> CoefficientTable | None:
-    comp = pattern.component_for(subset)
-    if comp is None:
-        return None
-    return CoefficientTable.from_component(comp, n)
-
-
-def simulate_observations(
-    pattern: SparsityPattern,
-    config: SelectorConfig,
-    subsets: Iterable[Subset],
-    seed: int,
-    cycle: int = 0,
-    cap: int = DEFAULT_POINT_CAP,
-) -> Iterator[Observation]:
-    """Generate X_l = eta theta_l + eps xi_l per subset, deterministically.
-
-    Noise is drawn only on indices actually read downstream: the union of the
-    grid's weight supports, plus the truncated signal box when the subset is
-    active.  Each subset owns a substream keyed by (seed, cycle, k, rank), so
-    the values do not depend on which other subsets are in the stream.
-    """
-    dim = config.dim
-    for subset in subsets:
-        k = subset.k
-        if k not in config.profiles:
-            raise ValueError(f"config carries no grid for order k={k}")
-        n = config.truncation[k]
-        r2_union = max(float(p.rho[-1]) for p in config.profiles[k]) + 0.5
-        coords, _ = ball_coords(k, r2_union, cap=cap)
-        table = _signal_table(pattern, subset, n)
-        index_list: list[tuple[int, ...]] = [tuple(int(v) for v in row) for row in coords]
-        if table is not None:
-            box = table.box_size()
-            if box > cap:
-                raise CapacityError(
-                    f"signal box for {subset} holds {box} indices, exceeding cap {cap}"
-                )
-            ball_set = set(index_list)
-            extras = [c for c, _ in table.items(cap=cap) if c not in ball_set]
-            index_list = sorted(index_list + extras)
-        rng = observation_stream(seed, cycle, k, subset_rank(subset, dim.d))
-        noise = rng.standard_normal(len(index_list))
-        values: dict[tuple[int, ...], float] = {}
-        if table is None:
-            for coords_i, xi in zip(index_list, noise):
-                values[coords_i] = dim.epsilon * float(xi)
-        else:
-            for coords_i, xi in zip(index_list, noise):
-                values[coords_i] = table.value(coords_i) + dim.epsilon * float(xi)
-        yield Observation(owner=subset, values=values, epsilon=dim.epsilon, truncation_n=n)
-
-
-def statistic_S(obs: Observation, w: WeightProfile) -> float:
-    """Weighted chi-square statistic sum omega_l ((X_l/eps)^2 - 1)."""
-    inv_eps = 1.0 / obs.epsilon
-    table = w.as_table()
-    x = np.empty(len(table))
-    wv = np.empty(len(table))
-    for i, (coords, omega) in enumerate(table.items()):
-        try:
-            x[i] = obs.values[coords]
-        except KeyError:
-            raise ValueError(
-                f"observation for {obs.owner} is missing index {coords}; "
-                f"truncation n={obs.truncation_n} does not cover the weight support"
-            ) from None
-        wv[i] = omega
-    return float(np.dot(wv, (x * inv_eps) ** 2 - 1.0))
-
-
-@dataclass(frozen=True)
-class SubsetDecision:
-    stats: tuple[float, ...]
-    selected: bool
-    argmax: int | None  # 1-based grid index m of the largest statistic
-
-
-@dataclass(eq=False)
-class SelectionResult:
-    """Selector output: per-subset indicators with all M statistics recorded."""
-
-    decisions: dict[Subset, SubsetDecision]
-    thresholds: Mapping[int, float]
-
-    def eta_hat(self, subset: Subset) -> int:
-        return int(self.decisions[subset].selected)
-
-    def selected_subsets(self) -> list[Subset]:
-        return [u for u, dec in self.decisions.items() if dec.selected]
-
-
-def select(
-    observations: Iterable[Observation],
-    config: SelectorConfig,
-) -> SelectionResult:
-    """Apply the adaptive selector to a stream of observations.
-
-    eta_hat(u) = 1 iff max_m S_{u,m} > t_k.  An empty grid selects nothing.
-    """
-    decisions: dict[Subset, SubsetDecision] = {}
-    for obs in observations:
-        k = obs.owner.k
-        profiles = config.profiles.get(k, ())
-        stats = tuple(statistic_S(obs, p) for p in profiles)
-        t_k = config.thresholds.get(k, math.inf)
-        if stats and max(stats) > t_k:
-            decisions[obs.owner] = SubsetDecision(
-                stats=stats, selected=True, argmax=int(np.argmax(stats)) + 1
-            )
-        else:
-            decisions[obs.owner] = SubsetDecision(stats=stats, selected=False, argmax=None)
-    return SelectionResult(decisions=decisions, thresholds=dict(config.thresholds))
-
-
-# ---------------------------------------------------------------------------
 # Shell-level sampling (sufficient statistics for radial weights)
 # ---------------------------------------------------------------------------
 
@@ -348,7 +210,7 @@ def null_shell_draw(rng: np.random.Generator, counts: np.ndarray, size: int) -> 
 
 @dataclass(frozen=True)
 class TailAudit:
-    """Empirical tail frequencies of a null statistic against exp(-T^2/2)."""
+    """Empirical tail frequency of a null statistic against exp(-T^2/2)."""
 
     T: float
     trials: int
@@ -356,8 +218,6 @@ class TailAudit:
     reference: float
     max_weight: float
     regime_ok: bool
-    empirical_lower: float | None = None
-    signal_mean: float | None = None
 
 
 def tail_bound_audit(
@@ -365,64 +225,32 @@ def tail_bound_audit(
     trials: int,
     seed: int,
     w: WeightProfile,
-    signal: CoefficientTable | None = None,
     chunk: int = 20_000,
 ) -> TailAudit:
     """Estimate P0(S > T) and compare with exp(-T^2/2).
 
     The bound is asymptotic and only meaningful while T * max omega stays
     small; outside that regime the report carries a warning flag rather than
-    failing.  With a signal table supplied, the lower-tail analogue
-    P_theta(S - E S <= -T) is estimated as well.
+    failing.
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    regime_ok = T * w.max_weight <= 0.1
-    reference = math.exp(-T * T / 2.0)
-
-    mu = None
-    shell_pos = None
-    signal_mean = None
-    counts = w.counts
-    if signal is not None:
-        coords, rho = ball_coords(w.k, float(w.rho[-1]) + 0.5)
-        theta = np.array([signal.value(tuple(int(v) for v in row)) for row in coords])
-        nz = theta != 0.0
-        coords, rho, theta = coords[nz], rho[nz], theta[nz]
-        shell_pos = np.searchsorted(w.rho, rho)
-        mu = theta / w.epsilon
-        counts = w.counts.copy()
-        np.subtract.at(counts, shell_pos, 1)  # remove signal points from null shells
-        if np.any(counts < 0):
-            raise ValueError("signal table repeats lattice points")
-        signal_mean = float(np.dot(w.values[shell_pos], mu**2))
-
     upper_hits = 0
-    lower_hits = 0
     done = 0
     idx = 0
     while done < trials:
         size = min(chunk, trials - done)
-        rng = audit_stream(seed, idx)
-        q = null_shell_draw(rng, counts, size)
-        s = q @ w.values
-        if mu is not None:
-            xi = rng.standard_normal(size=(size, len(mu)))
-            contrib = (mu[None, :] + xi) ** 2 - 1.0
-            s = s + contrib @ w.values[shell_pos]
-            lower_hits += int(np.count_nonzero(s - signal_mean <= -T))
-        upper_hits += int(np.count_nonzero(s > T))
+        q = null_shell_draw(audit_stream(seed, idx), w.counts, size)
+        upper_hits += int(np.count_nonzero(q @ w.values > T))
         done += size
         idx += 1
     return TailAudit(
         T=T,
         trials=trials,
         empirical_upper=upper_hits / trials,
-        reference=reference,
+        reference=math.exp(-T * T / 2.0),
         max_weight=w.max_weight,
-        regime_ok=regime_ok,
-        empirical_lower=(lower_hits / trials) if mu is not None else None,
-        signal_mean=signal_mean,
+        regime_ok=T * w.max_weight <= 0.1,
     )

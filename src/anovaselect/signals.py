@@ -8,23 +8,20 @@ the trigonometric basis
 
 are computed by composite Gauss-Legendre quadrature (the integrands are smooth
 but not periodic, so panel quadrature beats trapezoid here) and cached per
-(function, truncation, rule).  Product tables are kept in factored form: a
-k-variate table stores its k coefficient vectors and evaluates entries on
-demand, which keeps order-4 boxes (72^4 entries) out of memory.
+(function, truncation, rule).  Coefficient tables are kept in factored form: a
+k-variate table stores its k coefficient vectors, and its norms are summed per
+squared-norm shell, so order-4 boxes (72^4 entries) never enter memory.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import CapacityError
-from .lattice import DEFAULT_POINT_CAP, DimensionSpec, Subset
+from .lattice import DimensionSpec, Subset, shell_convolve
 
 SQRT2 = math.sqrt(2.0)
 
@@ -268,40 +265,20 @@ def product_coeff(spec: ComponentSpec, coords, quad: QuadratureSpec | None = Non
 
 @dataclass(eq=False)
 class CoefficientTable:
-    """Fourier coefficients of one component over the box |l_j| <= n, l_j != 0.
-
-    Product components are stored in factored form (one vector per coordinate);
-    explicit tables carry a plain dict.  Entry iteration materialises points
-    lazily and is guarded by a point budget.
-    """
+    """Fourier coefficients of one component over the box |l_j| <= n, l_j != 0,
+    stored in factored form: amplitude * prod_j factors[j][l_j + n]."""
 
     owner: Subset
     n: int
+    factors: tuple[np.ndarray, ...]
     amplitude: float = 1.0
-    factors: tuple[np.ndarray, ...] | None = None
-    entries: dict[tuple[int, ...], float] | None = None
 
     @classmethod
     def from_component(
         cls, comp: ComponentSpec, n: int, quad: QuadratureSpec | None = None
     ) -> "CoefficientTable":
         vecs = tuple(coeff_vector(fid, n, quad=quad) for fid in comp.factor_ids)
-        return cls(owner=comp.subset, n=n, amplitude=comp.amplitude, factors=vecs)
-
-    @classmethod
-    def from_entries(
-        cls, owner: Subset, entries: dict[tuple[int, ...], float], n: int | None = None
-    ) -> "CoefficientTable":
-        clean = {}
-        for coords, theta in entries.items():
-            coords = tuple(int(v) for v in coords)
-            if len(coords) != owner.k or any(v == 0 for v in coords):
-                raise ValueError(f"invalid frequency index {coords} for subset {owner}")
-            clean[coords] = float(theta)
-        box = n if n is not None else max(
-            (max(abs(v) for v in c) for c in clean), default=1
-        )
-        return cls(owner=owner, n=box, amplitude=1.0, entries=clean)
+        return cls(owner=comp.subset, n=n, factors=vecs, amplitude=comp.amplitude)
 
     @property
     def k(self) -> int:
@@ -313,91 +290,28 @@ class CoefficientTable:
             raise ValueError(f"invalid frequency index {coords}")
         if any(abs(v) > self.n for v in coords):
             return 0.0
-        if self.entries is not None:
-            return self.entries.get(coords, 0.0)
         value = self.amplitude
         for vec, l in zip(self.factors, coords):
             value *= vec[l + self.n]
         return float(value)
 
-    def box_size(self) -> int:
-        return (2 * self.n) ** self.k if self.factors is not None else len(self.entries)
-
-    def items(self, cap: int = DEFAULT_POINT_CAP) -> Iterator[tuple[tuple[int, ...], float]]:
-        if self.entries is not None:
-            yield from self.entries.items()
-            return
-        if self.box_size() > cap:
-            raise CapacityError(
-                f"coefficient box for {self.owner} holds {self.box_size()} entries, "
-                f"exceeding cap {cap}"
-            )
-        axis = [l for l in range(-self.n, self.n + 1) if l != 0]
-        for coords in itertools.product(axis, repeat=self.k):
-            yield coords, self.value(coords)
-
-    def _masked_factors(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for vec in self.factors:
-            v = vec.copy()
-            v[self.n] = 0.0  # exclude l = 0 from lattice sums
-            out.append(v)
-        return tuple(out)
-
     def l2_norm_sq(self) -> float:
         """sum theta^2 over the table."""
-        if self.entries is not None:
-            return float(sum(t * t for t in self.entries.values()))
-        total = self.amplitude**2
-        for v in self._masked_factors():
-            total *= float(np.dot(v, v))
-        return total
+        return self.sobolev_norm(0.0)
 
-    def sobolev_norm(self, sigma: float, cap: int = DEFAULT_POINT_CAP) -> float:
+    def sobolev_norm(self, sigma: float) -> float:
         """Truncated squared semi-norm sum theta^2 c^2, c^2 = (sum (2 pi l_j)^2)^sigma.
 
-        For factored tables with sigma = 1 the sum separates across coordinates
-        and is evaluated in closed form; other cases iterate entries.
+        c^2 is constant on each squared-norm shell rho, and theta^2 factorises
+        over coordinates, so the squared coefficients are summed per shell by
+        convolving each factor's mass c_j(l)^2 + c_j(-l)^2 over l^2; the sum
+        is then weighted by (4 pi^2 rho)^sigma.  Exact for every sigma.
         """
-        if self.entries is not None or sigma != 1.0:
-            return float(
-                sum(t * t * sobolev_coeff_sq(c, sigma) for c, t in self.items(cap=cap))
-            )
-        masked = self._masked_factors()
-        ls = np.arange(-self.n, self.n + 1, dtype=np.float64)
-        w2 = (2.0 * math.pi * ls) ** 2
-        mass = [float(np.dot(v, v)) for v in masked]
-        bent = [float(np.dot(w2, v * v)) for v in masked]
-        total = 0.0
-        for j in range(self.k):
-            term = bent[j]
-            for i in range(self.k):
-                if i != j:
-                    term *= mass[i]
-            total += term
-        return self.amplitude**2 * total
-
-    def export(self, fp: TextIO, min_abs: float = 0.0, cap: int = DEFAULT_POINT_CAP) -> int:
-        """Write text records ``subset; l_1 .. l_k; theta``; returns row count."""
-        written = 0
-        subset_txt = " ".join(str(i) for i in self.owner.indices)
-        for coords, theta in self.items(cap=cap):
-            if abs(theta) < min_abs:
-                continue
-            coord_txt = " ".join(str(v) for v in coords)
-            fp.write(f"{subset_txt}; {coord_txt}; {theta:.12g}\n")
-            written += 1
-        return written
-
-
-def sobolev_coeff_sq(coords, sigma: float) -> float:
-    rho = sum(int(v) * int(v) for v in coords)
-    return (4.0 * math.pi * math.pi * rho) ** sigma
-
-
-def sobolev_norm(table: CoefficientTable, sigma: float) -> float:
-    """Module-level alias for :meth:`CoefficientTable.sobolev_norm`."""
-    return table.sobolev_norm(sigma)
+        n = self.n
+        masses = [vec[n + 1 :] ** 2 + vec[:n][::-1] ** 2 for vec in self.factors]
+        per_shell = shell_convolve(masses, self.k * n * n + 1)
+        rho = np.arange(len(per_shell), dtype=np.float64)
+        return self.amplitude**2 * float(np.dot(per_shell, (4.0 * math.pi**2 * rho) ** sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +352,6 @@ class SparsityPattern:
 
     def counts(self) -> dict[int, int]:
         return {k: len(self.components.get(k, ())) for k in range(1, self.s + 1)}
-
-    def component_for(self, subset: Subset) -> ComponentSpec | None:
-        for comp in self.components.get(subset.k, ()):
-            if comp.subset == subset:
-                return comp
-        return None
 
     def with_attenuated(self, alpha: float, subset: Subset | None = None) -> "SparsityPattern":
         """Copy with one first-order component scaled by alpha (default: first)."""

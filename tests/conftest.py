@@ -1,8 +1,56 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from anovaselect.extremal import GridSpec, weights
-from anovaselect.lattice import DimensionSpec
-from anovaselect.selector import SelectorConfig, build_selector_config, epsilon_hat, threshold
+from anovaselect.lattice import DimensionSpec, ball_coords
+from anovaselect.selector import (
+    SelectorConfig,
+    build_selector_config,
+    epsilon_hat,
+    observation_stream,
+    threshold,
+)
+from anovaselect.signals import product_coeff, quadrature_for
+
+
+def brute_ball(k, radius):
+    """Independent oracle: scan the integer box and keep all-nonzero points."""
+    limit = int(math.ceil(radius))
+    pts = []
+    for coords in itertools.product(range(-limit, limit + 1), repeat=k):
+        if any(v == 0 for v in coords):
+            continue
+        if sum(v * v for v in coords) < radius * radius:
+            pts.append(coords)
+    return pts
+
+
+def dense_active_stats(config, comp, seed, cycle, rank):
+    """Per-point reference for the statistics of one active subset.
+
+    X_l = theta_l + eps xi_l on the union of the weight supports, with theta_l
+    from ``product_coeff`` and xi from the subset's (seed, cycle, k, rank)
+    substream in lexicographic point order; then, per grid point,
+    S_m = sum over that profile's own support of omega_l ((X_l / eps)^2 - 1).
+    """
+    k = comp.subset.k
+    eps = config.dim.epsilon
+    quad = quadrature_for(config.truncation[k])
+    union = max(float(p.rho[-1]) for p in config.profiles[k]) + 0.5
+    coords, _ = ball_coords(k, union)
+    xi = observation_stream(seed, cycle, k, rank).standard_normal(len(coords))
+    theta = np.array([product_coeff(comp, c, quad=quad) for c in coords])
+    x = dict(zip(map(tuple, coords.tolist()), theta + eps * xi))
+    stats = []
+    for prof in config.profiles[k]:
+        pts, rho = ball_coords(k, float(prof.rho[-1]) + 0.5)
+        omega = prof.values[np.searchsorted(prof.rho, rho)]
+        y = np.array([(x[p] / eps) ** 2 - 1.0 for p in map(tuple, pts.tolist())])
+        stats.append(float(omega @ y))
+    return np.array(stats)
 
 
 @pytest.fixture(scope="session")

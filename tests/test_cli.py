@@ -1,6 +1,6 @@
 import pytest
 
-from anovaselect.cli import main, read_config_file, write_csv
+from anovaselect.cli import build_parser, main, read_config_file, resolve_config, write_csv
 
 
 def run(args):
@@ -76,6 +76,55 @@ class TestConfigHandling:
             == 0
         )
         assert "seed = 4" in (out_flag / "risk_manifest.txt").read_text()
+
+
+TINY_AUDIT_CFG = """
+d = 12
+s = 2
+beta = 0.6
+epsilon = 0.01
+grid_m = 3
+truncation = rule
+"""
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "audit_m = -1",
+            "audit_m = 99",
+            "audit_k = 7",
+            "pool_size = -5",
+            "epsilon = nan",
+            "sigma = inf",
+            "beta = 1.5",
+            "s = 13",
+            "grid_m = 1",
+            "cycles = 0",
+            "threads = -1",
+            "seed = -3",
+            "mode = everything",
+            "calibration = fast",
+            "pattern = random",
+            "alphas = 0.5,0",
+            "k_list = 1,13",
+            "trials_tail = 0",
+            "tail_t = -1",
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, TINY_AUDIT_CFG + line + "\n")
+        assert run(["audit", "--config", path, "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + line.split()[0])
+        assert not (tmp_path / "audit.csv").exists()
+
+    def test_range_edges_accepted(self, tmp_path):
+        path = write_config(tmp_path, TINY_AUDIT_CFG + "audit_k = 2\naudit_m = 3\n")
+        args = build_parser().parse_args(["audit", "--config", path])
+        cfg = resolve_config(args)
+        assert (cfg["audit_k"], cfg["audit_m"]) == (2, 3)
 
 
 class TestTable1:

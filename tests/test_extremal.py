@@ -18,7 +18,9 @@ from anovaselect.extremal import (
     solve_r_star,
     weights,
 )
-from anovaselect.lattice import lattice_ball, log_binomial
+from anovaselect.lattice import ball_coords, log_binomial
+
+from conftest import brute_ball
 
 PI = math.pi
 
@@ -63,16 +65,19 @@ class TestExtremalSequence:
     def test_support_is_lattice_ball(self):
         prof = extremal_sequence(0.1, 1, 1.0)
         assert prof.support_radius == pytest.approx(math.sqrt(5) / (2 * PI * 0.1), rel=1e-12)
-        assert set(prof.support_table()) == {(-3,), (-2,), (-1,), (1,), (2,), (3,)}
+        assert prof.rho.tolist() == [1, 4, 9] and prof.counts.tolist() == [2, 2, 2]
 
     def test_value_at_one(self):
         prof = extremal_sequence(0.1, 1, 1.0)
-        assert prof.theta_sq_at((1,)) == pytest.approx(profile_oracle((1,), 0.1, 1, 1.0), rel=1e-12)
-        assert prof.theta_sq_at((1,)) == pytest.approx(1.9409e-3, rel=1e-4)
+        theta_sq = prof.theta_sq[prof.rho == 1][0]
+        assert theta_sq == pytest.approx(profile_oracle((1,), 0.1, 1, 1.0), rel=1e-12)
+        assert theta_sq == pytest.approx(1.9409e-3, rel=1e-4)
 
     def test_outside_support_clamps_to_zero(self):
+        # |l| = 4 lies outside the support: no shell, and the oracle clamps to 0
         prof = extremal_sequence(0.1, 1, 1.0)
-        assert prof.theta_sq_at((4,)) == 0.0
+        assert 16 not in prof.rho
+        assert profile_oracle((4,), 0.1, 1, 1.0) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="admissible"):
@@ -81,15 +86,17 @@ class TestExtremalSequence:
             extremal_sequence(-0.1, 1, 1.0)
 
     def test_radial_symmetry(self):
+        # the per-shell profile matches the pointwise closed form at every point
         prof = extremal_sequence(0.1, 2, 1.0)
-        base = prof.theta_sq_at((1, 2))
-        for perm in [(2, 1), (-1, 2), (1, -2), (-2, -1), (-1, -2)]:
-            assert prof.theta_sq_at(perm) == base
+        coords, rho = ball_coords(2, prof.support_radius**2)
+        per_point = prof.theta_sq[np.searchsorted(prof.rho, rho)]
+        oracle = [profile_oracle(c, 0.1, 2, 1.0) for c in coords.tolist()]
+        assert np.allclose(per_point, oracle, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("r,k", [(0.12, 1), (0.08, 2), (0.05, 3)])
     def test_support_count_matches_ball(self, r, k):
         prof = extremal_sequence(r, k, 1.0)
-        assert prof.support_size == len(lattice_ball(k, prof.support_radius))
+        assert prof.support_size == len(brute_ball(k, prof.support_radius))
 
 
 class TestAExact:
@@ -226,9 +233,10 @@ class TestBetaGrid:
 class TestWeights:
     def test_example_values(self):
         w = weights(0.1, 1, 1.0, 0.01)
-        assert w.weight_at((1,)) == pytest.approx(0.3891, abs=2e-4)
-        assert w.weight_at((2,)) == pytest.approx(0.2891, abs=2e-4)
-        assert w.weight_at((3,)) == pytest.approx(0.1223, abs=2e-4)
+        assert w.rho.tolist() == [1, 4, 9]
+        assert w.values[0] == pytest.approx(0.3891, abs=2e-4)
+        assert w.values[1] == pytest.approx(0.2891, abs=2e-4)
+        assert w.values[2] == pytest.approx(0.1223, abs=2e-4)
 
     def test_normalisation_identity(self):
         for r, k in [(0.1, 1), (0.05, 1), (0.08, 2), (0.05, 3)]:
@@ -236,9 +244,12 @@ class TestWeights:
             assert abs(w.sum_sq() - 0.5) <= 1e-10 * 0.5
 
     def test_sum_sq_oracle(self):
+        # per-point sum over the support, not the per-shell count product
         w = weights(0.1, 1, 1.0, 0.01)
-        table = w.as_table()
-        assert sum(v * v for v in table.values()) == pytest.approx(0.5, rel=1e-12)
+        _, rho = ball_coords(1, float(w.rho[-1]) + 0.5)
+        per_point = w.values[np.searchsorted(w.rho, rho)]
+        assert len(per_point) == 6
+        assert sum(v * v for v in per_point) == pytest.approx(0.5, rel=1e-12)
 
     def test_nonnegative(self):
         w = weights(0.07, 2, 1.0, 0.01)
@@ -246,8 +257,8 @@ class TestWeights:
 
     def test_max_abs_coord_matches_table(self):
         w = weights(0.08, 2, 1.0, 0.01)
-        table_max = max(max(abs(v) for v in coords) for coords in w.as_table())
-        assert w.max_abs_coord == table_max
+        coords, _ = ball_coords(2, float(w.rho[-1]) + 0.5)
+        assert w.max_abs_coord == int(np.abs(coords).max())
 
 
 class TestCalibrateRadii:

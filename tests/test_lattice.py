@@ -4,31 +4,26 @@ import math
 import numpy as np
 import pytest
 
+from conftest import brute_ball
+
 from anovaselect.errors import CapacityError
 from anovaselect.lattice import (
     DimensionSpec,
     Subset,
     active_count,
     ball_coords,
-    enumerate_subsets,
-    lattice_ball,
     log_binomial,
     shell_counts,
     subset_rank,
-    subset_unrank,
 )
+from anovaselect.risk import _inactive_ranks, estimate_risk
+from anovaselect.signals import ComponentSpec, build_pattern
 
 
-def brute_ball(k, radius):
-    """Independent oracle: scan the integer box and keep all-nonzero points."""
-    limit = int(math.ceil(radius))
-    pts = []
-    for coords in itertools.product(range(-limit, limit + 1), repeat=k):
-        if any(v == 0 for v in coords):
-            continue
-        if sum(v * v for v in coords) < radius * radius:
-            pts.append(coords)
-    return pts
+def ball_points(k, radius, cap=10_000_000):
+    """ball_coords of the open ball of the given radius, as a list of tuples."""
+    coords, _ = ball_coords(k, radius * radius, cap=cap)
+    return [tuple(int(v) for v in row) for row in coords]
 
 
 class TestLogBinomial:
@@ -85,29 +80,31 @@ class TestActiveCount:
 
 class TestLatticeBall:
     def test_one_dim(self):
-        assert lattice_ball(1, 2.5) == [(-2,), (-1,), (1,), (2,)]
+        assert ball_points(1, 2.5) == [(-2,), (-1,), (1,), (2,)]
 
     def test_smallest_two_dim(self):
-        assert set(lattice_ball(2, 1.5)) == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
+        assert set(ball_points(2, 1.5)) == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
 
     def test_count_example(self):
-        assert len(lattice_ball(2, 2.3)) == 12  # brute-forced below as well
+        assert len(ball_points(2, 2.3)) == 12  # brute-forced below as well
 
     @pytest.mark.parametrize("k,radius", [(1, 7.2), (2, 2.3), (2, 5.7), (3, 3.9), (3, 5.0)])
     def test_matches_bruteforce(self, k, radius):
-        assert lattice_ball(k, radius) == sorted(brute_ball(k, radius))
+        assert ball_points(k, radius) == sorted(brute_ball(k, radius))
 
     def test_lexicographic_order(self):
-        pts = lattice_ball(2, 3.2)
+        pts = ball_points(2, 3.2)
         assert pts == sorted(pts)
 
     def test_capacity_guard_names_cap(self):
         with pytest.raises(CapacityError, match="cap of 10"):
-            lattice_ball(2, 4.0, cap=10)
+            ball_points(2, 4.0, cap=10)
 
     def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            lattice_ball(2, -1.0)
+        # no admissible point below the smallest shell: an empty (0, k) array
+        for r2 in (-1.0, 0.0, 2.0):
+            coords, rho = ball_coords(3, r2)
+            assert coords.shape == (0, 3) and len(rho) == 0
 
 
 class TestShellCounts:
@@ -127,45 +124,55 @@ class TestShellCounts:
 
     def test_ball_coords_agree(self):
         coords, rho = ball_coords(2, 30.0)
-        assert len(coords) == len(lattice_ball(2, math.sqrt(30.0)))
+        assert len(coords) == len(brute_ball(2, math.sqrt(30.0)))
         assert np.all((coords.astype(np.int64) ** 2).sum(axis=1) == rho)
 
 
 class TestSubsets:
     def test_full_enumeration_small(self):
-        subs = list(enumerate_subsets(3, 2))
-        assert [s.indices for s in subs] == [(1, 2), (1, 3), (2, 3)]
+        combos = list(itertools.combinations(range(1, 4), 2))
+        assert [subset_rank(Subset(c), 3) for c in combos] == [0, 1, 2]
 
-    def test_full_count(self):
-        assert sum(1 for _ in enumerate_subsets(50, 1)) == 50
-        assert sum(1 for _ in enumerate_subsets(12, 4)) == math.comb(12, 4)
+    def test_full_count(self, tiny_config):
+        # full mode evaluates every inactive subset of every order
+        pattern = build_pattern(
+            tiny_config.dim, mode="explicit",
+            components=[ComponentSpec(Subset((4,)), (1,)), ComponentSpec(Subset((2, 5)), (1, 2))],
+        )
+        rep = estimate_risk(pattern, tiny_config, J=1, seed=0, mode="full")
+        assert rep.evaluated_inactive == {1: 12 - 1, 2: math.comb(12, 2) - 1}
 
     def test_count_matches_log_binomial(self):
+        # the last subset in lexicographic order closes the rank range
         for d, k in [(9, 3), (14, 5), (30, 2)]:
-            n = sum(1 for _ in enumerate_subsets(d, k))
-            assert round(math.exp(log_binomial(d, k))) == n
+            last = Subset(tuple(range(d - k + 1, d + 1)))
+            assert subset_rank(last, d) + 1 == round(math.exp(log_binomial(d, k)))
 
     def test_pool_reproducible_and_distinct(self):
-        first = list(enumerate_subsets(50, 4, "pool", size=1000, seed=7))
-        second = list(enumerate_subsets(50, 4, "pool", size=1000, seed=7))
-        assert first == second
-        assert len(set(first)) == 1000
-        assert all(s.k == 4 and s.indices[-1] <= 50 for s in first)
+        active = {3, 17}
+        first = _inactive_ranks(50, 4, active, 1000, seed=7)
+        second = _inactive_ranks(50, 4, active, 1000, seed=7)
+        assert np.array_equal(first, second)
+        assert len(set(first.tolist())) == 1000
+        assert np.all(np.diff(first) > 0)
+        assert first.min() >= 0 and first.max() < math.comb(50, 4)
+        assert not active & set(first.tolist())
 
     def test_pool_different_seed_differs(self):
-        a = list(enumerate_subsets(50, 4, "pool", size=50, seed=1))
-        b = list(enumerate_subsets(50, 4, "pool", size=50, seed=2))
-        assert a != b
+        a = _inactive_ranks(50, 4, set(), 50, seed=1)
+        b = _inactive_ranks(50, 4, set(), 50, seed=2)
+        assert not np.array_equal(a, b)
 
     def test_pool_size_exceeds_population(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            list(enumerate_subsets(5, 2, "pool", size=11, seed=0))
+        # a pool larger than the inactive population takes every inactive rank
+        ranks = _inactive_ranks(5, 2, {0, 4}, 11, seed=0)
+        assert ranks.tolist() == [r for r in range(10) if r not in (0, 4)]
 
     def test_rank_roundtrip_matches_lexicographic(self):
         d, k = 12, 4
-        for rank, subset in enumerate(enumerate_subsets(d, k)):
-            assert subset_rank(subset, d) == rank
-            assert subset_unrank(rank, d, k) == subset
+        combos = itertools.combinations(range(1, d + 1), k)
+        for rank, combo in enumerate(combos):
+            assert subset_rank(Subset(combo), d) == rank
 
     def test_subset_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +199,11 @@ class TestDimensionSpec:
             dict(d=5, s=2, beta=1.0, sigma=1.0, epsilon=0.1),
             dict(d=5, s=2, beta=0.5, sigma=0.0, epsilon=0.1),
             dict(d=5, s=2, beta=0.5, sigma=1.0, epsilon=0.0),
+            dict(d=5, s=2, beta=0.5, sigma=1.0, epsilon=math.nan),
+            dict(d=5, s=2, beta=0.5, sigma=1.0, epsilon=math.inf),
+            dict(d=5, s=2, beta=0.5, sigma=math.nan, epsilon=0.1),
+            dict(d=5, s=2, beta=0.5, sigma=math.inf, epsilon=0.1),
+            dict(d=5, s=2, beta=math.nan, sigma=1.0, epsilon=0.1),
         ],
     )
     def test_invalid(self, kwargs):

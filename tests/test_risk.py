@@ -1,23 +1,30 @@
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import manual_config
 
+from anovaselect import risk
 from anovaselect.lattice import DimensionSpec, Subset
 from anovaselect.risk import (
     DETECTION_BOUNDARY,
+    SelectionResult,
+    SubsetDecision,
+    _OrderEngine,
+    _resolve_threads,
     attenuation_experiment,
     boundary_sweep,
     classify_regime,
     estimate_risk,
     hamming_loss,
+    select,
     selection_boundary,
 )
 from anovaselect.extremal import a_exact, admissible_r_max, solve_r_star
 from anovaselect.lattice import log_binomial
-from anovaselect.selector import SelectionResult, SubsetDecision
 from anovaselect.signals import ComponentSpec, build_pattern
 
 
@@ -123,6 +130,72 @@ class TestEstimateRisk:
         pattern = explicit_pattern(13, 2, [])
         with pytest.raises(ValueError, match="dimensions"):
             estimate_risk(pattern, tiny_config, J=1, seed=0)
+
+
+class TestSelectMatchesRisk:
+    def test_per_cycle_losses_equal(self, tiny_config):
+        # select over every subset sees exactly the draws of estimate_risk(full);
+        # amplitudes near the boundary make the two cycles' losses differ
+        pattern = explicit_pattern(12, 2, [
+            ComponentSpec(Subset((1,)), (1,), amplitude=0.05),
+            ComponentSpec(Subset((1, 2)), (1, 2), amplitude=0.3),
+        ])
+        rep = estimate_risk(pattern, tiny_config, J=2, seed=41, mode="full")
+        subsets = [
+            Subset(c) for k in (1, 2) for c in itertools.combinations(range(1, 13), k)
+        ]
+        losses = tuple(
+            hamming_loss(select(pattern, tiny_config, subsets, seed=41, cycle=j), pattern)
+            for j in range(2)
+        )
+        assert losses == rep.per_cycle_losses
+        assert len(set(losses)) == 2
+
+    def test_rejects_mismatched_pattern(self, tiny_config):
+        with pytest.raises(ValueError, match="dimensions"):
+            select(explicit_pattern(13, 2, []), tiny_config, [Subset((1,))], seed=0)
+
+
+class TestThreadsAndBallCache:
+    def test_auto_threads_follow_affinity(self, monkeypatch):
+        monkeypatch.setattr(risk.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(risk.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _resolve_threads(0) == 3
+        monkeypatch.setattr(risk.os, "sched_getaffinity", lambda pid: set(range(32)),
+                            raising=False)
+        assert _resolve_threads(0) == 8
+        monkeypatch.delattr(risk.os, "sched_getaffinity", raising=False)
+        assert _resolve_threads(0) == 8
+        monkeypatch.setattr(risk.os, "cpu_count", lambda: None)
+        assert _resolve_threads(0) == 1
+        assert _resolve_threads(5) == 5
+        with pytest.raises(ValueError):
+            _resolve_threads(-1)
+
+    def test_ball_built_once_across_threads(self, tiny_config, monkeypatch):
+        calls = []
+        real = risk.ball_coords
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "ball_coords", counting)
+        monkeypatch.setattr(risk, "_BALL_CACHE", {})
+        engines = [_OrderEngine(tiny_config, 2) for _ in range(4)]
+        start = threading.Barrier(len(engines))
+
+        def build(engine):
+            start.wait()
+            engine.ball()
+
+        workers = [threading.Thread(target=build, args=(e,)) for e in engines]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert len(calls) == 1
+        assert all(e.ball() is engines[0].ball() for e in engines)
 
 
 class TestAttenuation:

@@ -3,23 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import manual_config
+from conftest import dense_active_stats, manual_config
 
 from anovaselect.extremal import weights
-from anovaselect.lattice import DimensionSpec, Subset
+from anovaselect.lattice import DimensionSpec, Subset, ball_coords, subset_rank
+from anovaselect.risk import _OrderEngine, select
 from anovaselect.selector import (
-    Observation,
+    SelectorConfig,
     epsilon_hat,
     null_shell_draw,
-    select,
-    simulate_observations,
-    statistic_S,
+    observation_stream,
     substream,
     tail_bound_audit,
     threshold,
     truncation_radius,
 )
-from anovaselect.signals import CoefficientTable, ComponentSpec, build_pattern
+from anovaselect.signals import ComponentSpec, build_pattern, product_coeff
 
 
 def explicit_pattern(d, s, components, epsilon, beta=0.5):
@@ -82,64 +81,83 @@ class TestTruncation:
         for k, profiles in tiny_config.profiles.items():
             n = truncation_radius(k, profiles, mode="rule")
             for prof in profiles:
-                coords_max = max(
-                    max(abs(v) for v in coords) for coords in prof.as_table()
-                )
-                assert coords_max <= n
+                coords, _ = ball_coords(k, float(prof.rho[-1]) + 0.5)
+                assert int(np.abs(coords).max()) <= n
+
+
+def pinned_xi(k, rank, size, seed=0, cycle=0):
+    """The standard normals an active subset draws from its substream."""
+    return observation_stream(seed, cycle, k, rank).standard_normal(size)
 
 
 class TestSimulateObservations:
     def test_bit_identical_reruns(self, tiny_config, tiny_dim):
         pattern = explicit_pattern(12, 2, [ComponentSpec(Subset((1,)), (1,))], 0.01)
         subsets = [Subset((1,)), Subset((5,)), Subset((2, 7))]
-        first = list(simulate_observations(pattern, tiny_config, subsets, seed=3))
-        second = list(simulate_observations(pattern, tiny_config, subsets, seed=3))
-        for a, b in zip(first, second):
-            assert a.values == b.values
+        first = select(pattern, tiny_config, subsets, seed=3)
+        second = select(pattern, tiny_config, subsets, seed=3)
+        for u in subsets:
+            assert first.decisions[u] == second.decisions[u]
+        assert select(pattern, tiny_config, subsets, seed=4).decisions != first.decisions
 
     def test_stream_independent_of_companions(self, tiny_config):
-        pattern = explicit_pattern(12, 2, [], 0.01)
-        solo = next(iter(simulate_observations(pattern, tiny_config, [Subset((4,))], seed=9)))
-        both = list(
-            simulate_observations(pattern, tiny_config, [Subset((2,)), Subset((4,))], seed=9)
-        )
-        assert solo.values == both[1].values
+        pattern = explicit_pattern(12, 2, [ComponentSpec(Subset((2,)), (1,))], 0.01)
+        for u in (Subset((4,)), Subset((2,))):
+            solo = select(pattern, tiny_config, [u], seed=9, cycle=1)
+            both = select(pattern, tiny_config, [Subset((3, 5)), Subset((1,)), u],
+                          seed=9, cycle=1)
+            assert solo.decisions[u] == both.decisions[u]
 
-    def test_pure_noise_moments(self):
-        # inactive subset: values are iid N(0, eps^2) on the generated index set
-        epsilon = 0.5
-        config = manual_config(12, {2: (0.005,)}, epsilon)
-        pattern = explicit_pattern(12, 2, [], epsilon)
-        obs = next(iter(simulate_observations(pattern, config, [Subset((3, 7))], seed=1)))
-        x = np.array(list(obs.values.values()))
-        n = len(x)
-        assert n > 5000
-        assert abs(x.mean()) <= 3.3 * epsilon / math.sqrt(n)
-        assert abs((x / epsilon).var() - 1.0) <= 4 * math.sqrt(2.0 / n)
+    def test_pure_noise_moments(self, tiny_config):
+        # noise-only statistics are standardised: mean 0, variance 1 at every m
+        pattern = explicit_pattern(12, 2, [], 0.01)
+        subsets = [Subset((i, j)) for i in range(1, 13) for j in range(i + 1, 13)]
+        stats = np.array([
+            dec.stats
+            for cycle in range(30)
+            for dec in select(pattern, tiny_config, subsets, seed=1, cycle=cycle)
+            .decisions.values()
+        ])
+        n = stats.shape[0]
+        assert n == 30 * 66
+        assert np.all(np.abs(stats.mean(axis=0)) <= 4.0 / math.sqrt(n))
+        assert np.all(np.abs(stats.var(axis=0) - 1.0) <= 0.15)
 
     def test_vanishing_noise_limit(self):
+        # the active means are the coefficients over eps at every ball point
         epsilon = 1e-12
         config = manual_config(20, {1: (0.1,)}, epsilon)
         comp = ComponentSpec(Subset((1,)), (1,))
-        pattern = explicit_pattern(20, 1, [comp], epsilon)
-        obs = next(iter(simulate_observations(pattern, config, [Subset((1,))], seed=5)))
-        table = CoefficientTable.from_component(comp, config.truncation[1])
-        for coords, value in obs.values.items():
-            assert abs(value - table.value(coords)) <= 1e-9
+        engine = _OrderEngine(config, 1)
+        coords, _ = engine.ball()
+        mu = engine.component_means(comp)
+        for row, m in zip(coords.tolist(), mu):
+            assert m * epsilon == pytest.approx(product_coeff(comp, row), abs=1e-11)
 
 
 class TestStatistic:
-    def test_constant_epsilon_values_give_zero(self):
-        w = weights(0.1, 1, 1.0, 0.01)
-        values = {coords: 0.01 for coords in w.as_table()}
-        obs = Observation(Subset((1,)), values, epsilon=0.01, truncation_n=4)
-        assert statistic_S(obs, w) == pytest.approx(0.0, abs=1e-14)
+    def test_constant_epsilon_values_give_zero(self, tiny_config):
+        # |X_l| = eps at every point: each term (X/eps)^2 - 1 vanishes
+        engine = _OrderEngine(tiny_config, 2)
+        n = engine.ball()[0].shape[0]
+        mu = 1.0 - pinned_xi(2, 7, n)
+        stats = engine.active_stats(observation_stream(0, 0, 2, 7), mu)
+        assert np.allclose(stats, 0.0, atol=1e-12)
 
-    def test_missing_index_raises(self):
-        w = weights(0.1, 1, 1.0, 0.01)
-        obs = Observation(Subset((1,)), {(1,): 0.0}, epsilon=0.01, truncation_n=1)
-        with pytest.raises(ValueError, match="missing index"):
-            statistic_S(obs, w)
+    def test_missing_index_raises(self, tiny_config):
+        # a truncation box that misses weight points is rejected before any draw
+        short = SelectorConfig(
+            dim=tiny_config.dim,
+            grid=tiny_config.grid,
+            profiles=tiny_config.profiles,
+            thresholds=tiny_config.thresholds,
+            truncation={**tiny_config.truncation, 2: 1},
+            truncation_mode="rule",
+            eps_hat_rule="fixed",
+        )
+        pattern = explicit_pattern(12, 2, [], 0.01)
+        with pytest.raises(ValueError, match="does not cover the weight support"):
+            select(pattern, short, [Subset((1, 2))], seed=0)
 
     def test_null_moments_small_mc(self, bench_k1_config):
         prof = bench_k1_config.profiles[1][9]
@@ -154,8 +172,9 @@ class TestStatistic:
         epsilon = 0.01
         w = weights(0.1, 1, 1.0, epsilon)
         table = {(-2,): 0.004, (-1,): -0.006, (1,): 0.008, (2,): 0.002, (3,): 0.001}
-        coords = list(w.as_table())
-        omega = np.array([w.weight_at(c) for c in coords])
+        coords, rho = ball_coords(1, float(w.rho[-1]) + 0.5)
+        coords = [tuple(row) for row in coords.tolist()]
+        omega = w.values[np.searchsorted(w.rho, rho)]
         mu = np.array([table.get(c, 0.0) / epsilon for c in coords])
         expected = float(omega @ mu**2)
         rng = np.random.default_rng(42)
@@ -167,70 +186,51 @@ class TestStatistic:
 
 
 class TestSelect:
-    def planted_obs(self, w, epsilon, scale):
-        values = {}
-        for coords, omega in w.as_table().items():
-            values[coords] = scale if coords[0] > 0 else 0.0
-        return Observation(Subset((2,)), values, epsilon=epsilon, truncation_n=8)
-
     def test_planted_signal_selected_with_argmax(self):
-        epsilon = 0.01
+        epsilon = 0.001
         config = manual_config(20, {1: (0.1,)}, epsilon)
         t = config.thresholds[1]
-        # choose the planted level so the statistic lands near 10 t
-        scale = epsilon * math.sqrt(20.0 * t)
-        obs = self.planted_obs(config.profiles[1][0], epsilon, scale)
-        result = select([obs], config)
-        decision = result.decisions[obs.owner]
+        u = Subset((2,))
+        pattern = explicit_pattern(20, 1, [ComponentSpec(u, (3,))], epsilon)
+        decision = select(pattern, config, [u, Subset((5,))], seed=0).decisions[u]
         assert decision.selected and decision.argmax == 1
         assert max(decision.stats) > 5 * t
 
-    def test_empty_grid_selects_nothing(self):
-        epsilon = 0.01
-        config = manual_config(20, {1: (0.1,)}, epsilon)
-        object.__setattr__(config, "profiles", {1: ()})
-        obs = Observation(Subset((2,)), {(1,): 1.0}, epsilon=epsilon, truncation_n=8)
-        result = select([obs], config)
-        assert not result.decisions[obs.owner].selected
-        assert result.decisions[obs.owner].stats == ()
+    def test_monotone_in_single_coordinate(self, tiny_config):
+        # pushing any one X_l away from zero never lowers a statistic
+        engine = _OrderEngine(tiny_config, 2)
+        comp = ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.3)
+        mu = engine.component_means(comp)
+        x = mu + pinned_xi(2, 11, len(mu))
+        base = engine.active_stats(observation_stream(0, 0, 2, 11), mu)
+        for i in range(0, len(mu), 7):
+            bumped = mu.copy()
+            bumped[i] += 2.0 * x[i] + np.sign(x[i]) * 5.0
+            stats = engine.active_stats(observation_stream(0, 0, 2, 11), bumped)
+            assert np.all(stats >= base - 1e-12)
 
-    def test_monotone_in_single_coordinate(self):
-        epsilon = 0.01
-        config = manual_config(20, {1: (0.1,)}, epsilon)
-        w = config.profiles[1][0]
-        scale = epsilon * math.sqrt(20.0 * config.thresholds[1])
-        obs = self.planted_obs(w, epsilon, scale)
-        assert select([obs], config).decisions[obs.owner].selected
-        for coords in w.as_table():
-            bumped = dict(obs.values)
-            bumped[coords] = 3.0 * bumped[coords] + 5.0 * epsilon
-            obs2 = Observation(obs.owner, bumped, epsilon, obs.truncation_n)
-            assert select([obs2], config).decisions[obs.owner].selected
-            assert statistic_S(obs2, w) >= statistic_S(obs, w)
-
-    def test_scaling_all_values_never_decreases_stats(self):
-        epsilon = 0.01
-        config = manual_config(20, {1: (0.1, 0.05)}, epsilon)
-        rng = np.random.default_rng(0)
-        w_big = config.profiles[1][1]
-        values = {c: epsilon * rng.standard_normal() * 2 for c in w_big.as_table()}
-        obs = Observation(Subset((1,)), values, epsilon, 40)
-        scaled = Observation(
-            Subset((1,)), {c: 1.7 * v for c, v in values.items()}, epsilon, 40
-        )
-        for prof in config.profiles[1]:
-            assert statistic_S(scaled, prof) >= statistic_S(obs, prof)
+    def test_scaling_all_values_never_decreases_stats(self, tiny_config):
+        # X -> 1.7 X at every point raises every statistic (weights are >= 0)
+        engine = _OrderEngine(tiny_config, 2)
+        comp = ComponentSpec(Subset((1, 4)), (6, 7))
+        mu = engine.component_means(comp)
+        xi = pinned_xi(2, 4, len(mu))
+        base = engine.active_stats(observation_stream(0, 0, 2, 4), mu)
+        scaled = engine.active_stats(observation_stream(0, 0, 2, 4), 1.7 * mu + 0.7 * xi)
+        assert np.all(scaled >= base)
 
     def test_threshold_identity(self, tiny_config, tiny_dim):
         for k, t in tiny_config.thresholds.items():
             rebuilt = threshold(tiny_dim.d, k, tiny_config.grid.M, tiny_config.grid.eps_hat[k])
             assert abs(t - rebuilt) <= 1e-12 * rebuilt
 
+    def test_order_without_grid_rejected(self, tiny_config):
+        pattern = explicit_pattern(12, 2, [], 0.01)
+        with pytest.raises(ValueError, match="no grid for order k=3"):
+            select(pattern, tiny_config, [Subset((1, 2, 3))], seed=0)
+
     def test_null_selection_frequency(self, bench_k1_config):
         # noise-only false-selection rate at the d = 50 first-order configuration
-        from anovaselect.risk import _OrderEngine
-        from anovaselect.selector import observation_stream
-
         engine = _OrderEngine(bench_k1_config, 1)
         t = bench_k1_config.thresholds[1]
         hits = 0
@@ -264,47 +264,26 @@ class TestTailAudit:
         audit = tail_bound_audit(3.0, 1000, seed=1, w=w)
         assert not audit.regime_ok
 
-    def test_lower_tail_with_signal(self, bench_k1_config):
-        prof = bench_k1_config.profiles[1][9]
-        epsilon = prof.epsilon
-        entries = {(l,): epsilon for l in range(-20, 21) if l != 0}
-        table = CoefficientTable.from_entries(Subset((1,)), entries)
-        audit = tail_bound_audit(3.0, 50_000, seed=13, w=prof, signal=table)
-        assert audit.signal_mean == pytest.approx(
-            sum(prof.weight_at((l,)) for l in range(-20, 21) if l != 0), rel=1e-10
-        )
-        assert audit.empirical_lower <= math.exp(-(3.0**2) / 2.0 * 0.8)
-
 
 class TestShellFastPathConsistency:
     def test_engine_stats_match_dense_statistic(self, tiny_config):
-        # same observed values, statistic computed per index vs per shell
-        from anovaselect.risk import _OrderEngine
-
-        pattern = explicit_pattern(12, 2, [ComponentSpec(Subset((1, 2)), (1, 2))], 0.01)
-        obs = next(
-            iter(simulate_observations(pattern, tiny_config, [Subset((1, 2))], seed=21))
-        )
-        engine = _OrderEngine(tiny_config, 2)
-        coords, shell_idx = engine.ball()
-        y = np.array(
-            [(obs.values[tuple(int(v) for v in row)] / 0.01) ** 2 - 1.0 for row in coords]
-        )
-        q = np.bincount(shell_idx, weights=y, minlength=len(engine.rho))
-        fast = engine.W @ q
-        dense = [statistic_S(obs, p) for p in tiny_config.profiles[2]]
-        assert np.allclose(fast, dense, atol=1e-10)
+        # same substream, statistic computed per point vs per shell
+        comp = ComponentSpec(Subset((1, 2)), (1, 2))
+        pattern = explicit_pattern(12, 2, [comp], 0.01)
+        rank = subset_rank(comp.subset, 12)
+        for cycle in (0, 3):
+            fast = select(pattern, tiny_config, [comp.subset], seed=21, cycle=cycle)
+            dense = dense_active_stats(tiny_config, comp, 21, cycle, rank)
+            assert np.allclose(fast.decisions[comp.subset].stats, dense, rtol=1e-12, atol=1e-10)
 
     def test_mean_stats_identity(self, tiny_config):
-        from anovaselect.risk import _OrderEngine
-
         comp = ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.7)
         engine = _OrderEngine(tiny_config, 2)
         mu = engine.component_means(comp)
         means = engine.mean_stats(mu)
-        table = CoefficientTable.from_component(comp, tiny_config.truncation[2])
         for m, prof in enumerate(tiny_config.profiles[2]):
-            expected = sum(
-                omega * (table.value(c) / 0.01) ** 2 for c, omega in prof.as_table().items()
-            )
+            coords, rho = ball_coords(2, float(prof.rho[-1]) + 0.5)
+            omega = prof.values[np.searchsorted(prof.rho, rho)]
+            theta = np.array([product_coeff(comp, c) for c in coords.tolist()])
+            expected = float(omega @ (theta / 0.01) ** 2)
             assert means[m] == pytest.approx(expected, rel=1e-10)

@@ -1,4 +1,4 @@
-import io
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +17,6 @@ from anovaselect.signals import (
     orthogonality_check,
     product_coeff,
     quadrature_for,
-    sobolev_norm,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -151,52 +150,51 @@ class TestCoefficientTable:
             )
         assert table.value((13, 1)) == 0.0  # outside the box
 
-    def test_explicit_entries(self):
-        table = CoefficientTable.from_entries(Subset((2,)), {(1,): 0.5, (-3,): -0.25})
-        assert table.value((1,)) == 0.5
-        assert table.value((2,)) == 0.0
-        with pytest.raises(ValueError):
-            CoefficientTable.from_entries(Subset((2,)), {(0,): 1.0})
-
     def test_l2_norm_matches_bruteforce(self):
         comp = ComponentSpec(Subset((1, 2)), (4, 6))
         table = CoefficientTable.from_component(comp, 8)
-        brute = sum(t * t for _, t in table.items())
+        brute = sum(table.value(c) ** 2 for c in box_points(2, 8))
         assert table.l2_norm_sq() == pytest.approx(brute, rel=1e-12)
 
     def test_sobolev_norm_examples(self):
-        empty = CoefficientTable.from_entries(Subset((1,)), {})
-        assert empty.sobolev_norm(1.0) == 0.0
-        single = CoefficientTable.from_entries(Subset((1,)), {(1,): 1.0})
-        assert single.sobolev_norm(1.0) == pytest.approx(4 * math.pi**2, rel=1e-12)
-        doubled = CoefficientTable.from_entries(Subset((1,)), {(1,): 2.0})
+        comp = ComponentSpec(Subset((3,)), (4,))
+        single = CoefficientTable.from_component(comp, 5)
+        doubled = CoefficientTable.from_component(comp.scaled(2.0), 5)
         assert doubled.sobolev_norm(1.0) == pytest.approx(
             4 * single.sobolev_norm(1.0), rel=1e-12
         )
+        assert single.sobolev_norm(0.0) == pytest.approx(single.l2_norm_sq(), rel=1e-15)
+        # g4 = t - 1/2 has only sine coefficients -sqrt(2)/(2 pi l), so each
+        # frequency contributes (4 pi^2 l^2) * 2 / (4 pi^2 l^2) = 2 at sigma = 1
+        assert single.sobolev_norm(1.0) == pytest.approx(2.0 * 5, rel=1e-9)
 
     def test_sobolev_separable_path_matches_bruteforce(self):
-        comp = ComponentSpec(Subset((1, 2)), (4, 6), amplitude=0.7)
-        table = CoefficientTable.from_component(comp, 6)
-        brute = sum(
-            t * t * (4 * math.pi**2 * sum(v * v for v in coords)) ** 1.0
-            for coords, t in table.items()
-        )
-        assert table.sobolev_norm(1.0) == pytest.approx(brute, rel=1e-10)
-        assert sobolev_norm(table, 1.0) == table.sobolev_norm(1.0)
+        cases = [
+            (ComponentSpec(Subset((2,)), (3,), amplitude=1.3), 40),
+            (ComponentSpec(Subset((1, 2)), (4, 6), amplitude=0.7), 6),
+            (ComponentSpec(Subset((1, 2, 5)), (1, 8, 3)), 4),
+        ]
+        for comp, n in cases:
+            table = CoefficientTable.from_component(comp, n)
+            for sigma in (0.5, 1.0, 2.0):
+                brute = sum(
+                    table.value(c) ** 2 * (4 * math.pi**2 * sum(v * v for v in c)) ** sigma
+                    for c in box_points(comp.subset.k, n)
+                )
+                assert table.sobolev_norm(sigma) == pytest.approx(brute, rel=1e-12)
 
-    def test_export_round_trip(self):
-        table = CoefficientTable.from_entries(
-            Subset((1, 4)), {(1, 2): 0.5, (-1, 3): -0.125}
-        )
-        buf = io.StringIO()
-        assert table.export(buf) == 2
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].startswith("1 4; ")
-        parsed = {}
-        for line in lines:
-            subset_txt, coords_txt, theta_txt = line.split("; ")
-            parsed[tuple(int(v) for v in coords_txt.split())] = float(theta_txt)
-        assert parsed == {(1, 2): 0.5, (-1, 3): -0.125}
+    def test_sobolev_norm_order_four_box(self):
+        # the k = 4, n = 36 box holds 26.9M entries; the shell sum never builds it
+        comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
+        table = CoefficientTable.from_component(comp, 36)
+        value = table.sobolev_norm(2.0)
+        assert math.isfinite(value) and value > table.sobolev_norm(1.0) > 0.0
+
+
+def box_points(k, n):
+    """Every index of the box |l_j| <= n, l_j != 0."""
+    axis = [l for l in range(-n, n + 1) if l != 0]
+    return itertools.product(axis, repeat=k)
 
 
 class TestSparsityPattern:
