@@ -20,7 +20,6 @@ from .extremal import (
     beta_grid,
     calibration_target,
     extremal_sequence,
-    sobolev_coeff,
     solve_r_star,
     weights,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "beta_grid",
     "calibration_target",
     "extremal_sequence",
-    "sobolev_coeff",
     "solve_r_star",
     "weights",
     "CoefficientTable",

@@ -24,9 +24,8 @@ from . import __version__
 from .errors import CalibrationError, CapacityError
 from .lattice import DimensionSpec, active_count
 from .risk import attenuation_experiment, boundary_sweep, estimate_risk
-from .selector import build_selector_config, tail_bound_audit
+from .selector import build_selector_config, null_stat_batches, tail_bound_audit
 from .signals import CoefficientTable, build_pattern
-from . import selector as _selector
 
 import numpy as np
 
@@ -381,21 +380,13 @@ def run_audit(cfg: dict):
     return header, rows
 
 
-def _null_moments(profile, trials: int, seed: int, chunk: int = 20_000):
+def _null_moments(profile, trials: int, seed: int):
     """Sample mean and variance of the null statistic over `trials` draws."""
     total = 0.0
     total_sq = 0.0
-    done = 0
-    idx = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        rng = _selector.audit_stream(seed, 1_000_000 + idx)
-        q = _selector.null_shell_draw(rng, profile.counts.astype(np.float64), size)
-        s = q @ profile.values
+    for s in null_stat_batches(profile, trials, seed, offset=1_000_000):
         total += float(s.sum())
         total_sq += float((s * s).sum())
-        done += size
-        idx += 1
     mean = total / trials
     var = total_sq / trials - mean * mean
     return mean, var

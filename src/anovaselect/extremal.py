@@ -37,15 +37,6 @@ from .lattice import (
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
 
-def sobolev_coeff(coords, sigma: float) -> float:
-    """Smoothness coefficient c_l = (sum_j (2 pi l_j)^2)^(sigma/2)."""
-    coords = tuple(int(v) for v in coords)
-    if any(v == 0 for v in coords):
-        raise ValueError(f"frequency index must have all coordinates nonzero, got {coords}")
-    rho = sum(v * v for v in coords)
-    return (FOUR_PI_SQ * rho) ** (sigma / 2.0)
-
-
 def admissible_r_max(k: int, sigma: float) -> float:
     """Upper endpoint of the admissible radius interval, (2 pi)^-sigma k^(-sigma/2)."""
     return (2.0 * math.pi) ** (-sigma) * float(k) ** (-sigma / 2.0)

@@ -9,13 +9,17 @@ of Z^k with every coordinate nonzero.  This module provides
 * the squared-norm shell structure of the balls {l : |l| < R, all l_j != 0}:
   one convolution over coordinates gives the point count, or the sum of any
   per-coordinate product mass, on every shell (every radial quantity is
-  constant on a shell), plus the ball's points for callers that need them,
+  constant on a shell), plus the ball's points for callers that need them;
+  the point-count table is a pure function of (k, size), memoised with
+  ``functools.cache`` as a read-only array, with power-of-two sizes so one
+  table serves every smaller ball,
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,9 +109,6 @@ def active_count(d: int, k: int, beta: float) -> int:
 # Shell structure of the punctured lattice
 # ---------------------------------------------------------------------------
 
-# Cached per k: count array c[rho] = #{l in Z^k : all l_j != 0, sum l_j^2 = rho}.
-_SHELL_CACHE: dict[int, np.ndarray] = {}
-
 # Resource guard for the dense shell tables (entries are 8-byte counts).
 MAX_SHELL_INDEX = 50_000_000
 
@@ -147,22 +148,24 @@ def shell_convolve(masses: Sequence[np.ndarray], size: int) -> np.ndarray:
     return acc
 
 
+@functools.cache
+def _shell_table(k: int, size: int) -> np.ndarray:
+    """c[rho] = #{l in Z^k : all l_j != 0, sum l_j^2 = rho} for 0 <= rho < size."""
+    two = np.full(math.isqrt(size - 1), 2, dtype=np.int64)  # +-l: two points each
+    table = shell_convolve([two] * k, size)
+    table.setflags(write=False)
+    return table
+
+
 def _shell_array(k: int, m: int) -> np.ndarray:
     """Counts of all-nonzero lattice points per squared norm 0..m (k >= 2)."""
-    cached = _SHELL_CACHE.get(k)
-    if cached is not None and len(cached) > m:
-        return cached
     if m > MAX_SHELL_INDEX:
         raise CapacityError(
             f"shell table for k={k} needs {m} entries, exceeding the table "
             f"limit of {MAX_SHELL_INDEX}"
         )
-    size = max(m, 16) * 2 + 1  # grow geometrically to amortise recomputation
-    size = min(size, MAX_SHELL_INDEX + 1)
-    two = np.full(math.isqrt(size - 1), 2, dtype=np.int64)  # +-l: two points each
-    acc = shell_convolve([two] * k, size)
-    _SHELL_CACHE[k] = acc
-    return acc
+    size = max(32, 1 << m.bit_length())  # power of two above m
+    return _shell_table(k, min(size, MAX_SHELL_INDEX + 1))
 
 
 def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:

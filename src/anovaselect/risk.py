@@ -12,13 +12,16 @@ results are bit-reproducible, full and pooled enumeration agree on shared
 subsets, :func:`select` sees exactly the draws of the matching risk cycle, and
 re-running a single subset (as the attenuation experiment does) reproduces
 exactly what a full rerun would see.
+
+There is no module-level cache: pure inputs (coefficient vectors, shell
+tables) are memoised where they are computed, and each :class:`_OrderEngine`
+owns its lattice ball for the lifetime of the run that created it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -28,7 +31,6 @@ import numpy as np
 from .errors import CapacityError
 from .extremal import a_exact, admissible_r_max
 from .lattice import (
-    DEFAULT_POINT_CAP,
     DimensionSpec,
     Subset,
     ball_coords,
@@ -40,19 +42,16 @@ from .signals import ComponentSpec, SparsityPattern, coeff_vector
 
 SQRT2 = math.sqrt(2.0)
 
-# Cached active-subset lattice balls per (order, max squared norm).  Worker
-# threads get-or-build under the lock, so each ball is built once.
-_BALL_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_BALL_LOCK = threading.Lock()
+# Largest number of subsets of one order that full enumeration will visit.
+MAX_FULL_SUBSETS = 500_000
 
 
 class _OrderEngine:
     """Shell-compressed statistics for one interaction order."""
 
-    def __init__(self, config: SelectorConfig, k: int, cap: int = DEFAULT_POINT_CAP):
+    def __init__(self, config: SelectorConfig, k: int):
         profiles = config.profiles[k]
         self.k = k
-        self.cap = cap
         self.epsilon = config.dim.epsilon
         self.threshold = config.thresholds[k]
         self.truncation = config.truncation[k]
@@ -72,23 +71,17 @@ class _OrderEngine:
         self._ball: tuple[np.ndarray, np.ndarray] | None = None
 
     def ball(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coords, shell index) for the union weight support."""
-        if self._ball is None:
-            with _BALL_LOCK:
-                if self._ball is None:  # another worker may have set it meanwhile
-                    self._ball = self._cached_ball()
-        return self._ball
+        """(coords, shell index) for the union weight support, built on first use.
 
-    def _cached_ball(self) -> tuple[np.ndarray, np.ndarray]:
-        key = (self.k, int(self.rho[-1]))
-        cached = _BALL_CACHE.get(key)
-        if cached is None:
-            coords, rho = ball_coords(self.k, float(self.rho[-1]) + 0.5, cap=self.cap)
+        The first call builds the ball and is not safe to race: callers that
+        share an engine between threads (``_run_cycles``) call it once on the
+        main thread before the workers start, so the workers only read it.
+        """
+        if self._ball is None:
+            coords, rho = ball_coords(self.k, float(self.rho[-1]) + 0.5)
             shell_idx = np.searchsorted(self.rho, rho).astype(np.int32)
-            cached = (coords.astype(np.int16), shell_idx)
-            _BALL_CACHE.clear()  # keep at most one heavyweight ball per process
-            _BALL_CACHE[key] = cached
-        return cached
+            self._ball = (coords.astype(np.int16), shell_idx)
+        return self._ball
 
     def component_means(self, comp: ComponentSpec) -> np.ndarray:
         """theta_l / eps over the ball, from the factored coefficient vectors."""
@@ -132,12 +125,6 @@ class SelectionResult:
     decisions: dict[Subset, SubsetDecision]
     thresholds: Mapping[int, float]
 
-    def eta_hat(self, subset: Subset) -> int:
-        return int(self.decisions[subset].selected)
-
-    def selected_subsets(self) -> list[Subset]:
-        return [u for u, dec in self.decisions.items() if dec.selected]
-
 
 def hamming_loss(estimate: SelectionResult, truth: SparsityPattern) -> int:
     """Number of evaluated subsets where the selector and the truth disagree."""
@@ -162,7 +149,7 @@ def select(
 ) -> SelectionResult:
     """Simulate one cycle of the sequence model and apply the adaptive selector.
 
-    eta_hat(u) = 1 iff max_m S_{u,m} > t_k.  Subset u of order k draws its
+    u is selected iff max_m S_{u,m} > t_k.  Subset u of order k draws its
     noise from the (seed, cycle, k, rank) substream, through the same engine
     and the same draws as :func:`estimate_risk`; over all subsets of orders
     1..pattern.s, ``hamming_loss`` of the result is that cycle's loss under
@@ -221,8 +208,8 @@ def _inactive_ranks(
     rng = pool_stream(seed, k)
     if total <= 4 * size or total <= 1_000_000:
         candidates = rng.permutation(total)
-        out = [int(r) for r in candidates if int(r) not in active_ranks][:size]
-        return np.array(sorted(out), dtype=np.int64)
+        active = np.fromiter(active_ranks, dtype=np.int64, count=len(active_ranks))
+        return np.sort(candidates[~np.isin(candidates, active)][:size])
     chosen: set[int] = set()
     while len(chosen) < size:
         for v in rng.integers(0, total, size=2 * (size - len(chosen))):
@@ -284,9 +271,16 @@ def _run_cycles(
     pool_inactive: int,
     threads: int,
     skip_subsets: frozenset[Subset] = frozenset(),
-    max_full_subsets: int = 500_000,
-) -> tuple[np.ndarray, np.ndarray, dict[int, int], dict[int, int]]:
-    """Shared cycle driver: (miss_per_cycle, fp_per_cycle, n_inactive, fp_by_k)."""
+) -> tuple[
+    np.ndarray, np.ndarray, dict[int, int], dict[int, int], dict[int, _OrderEngine]
+]:
+    """Shared cycle driver.
+
+    Returns (miss_per_cycle, fp_per_cycle, n_inactive, fp_by_k, engines).  The
+    ball of every order with an active task is built here, on the calling
+    thread, before any draw: workers only read it, and a ``CapacityError``
+    surfaces before the pool starts.
+    """
     d = config.dim.d
     _check_pattern(pattern, config)
     if mode not in ("full", "pool"):
@@ -299,15 +293,17 @@ def _run_cycles(
     for k in range(1, pattern.s + 1):
         engines[k] = _OrderEngine(config, k)
         actives = [c for c in pattern.active(k) if c.subset not in skip_subsets]
+        if actives:
+            engines[k].ball()  # before the pool starts, so workers only read it
         active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
         for comp in actives:
             tasks.append(("active", k, comp, subset_rank(comp.subset, d)))
         total = math.comb(d, k)
         if mode == "full":
-            if total > max_full_subsets:
+            if total > MAX_FULL_SUBSETS:
                 raise CapacityError(
                     f"full enumeration at k={k} needs {total} subsets, "
-                    f"exceeding the cap of {max_full_subsets}"
+                    f"exceeding the cap of {MAX_FULL_SUBSETS}"
                 )
             ranks = np.array(
                 sorted(set(range(total)) - active_ranks), dtype=np.int64
@@ -342,7 +338,7 @@ def _run_cycles(
         else:
             fp += counts
             fp_by_k[k] += counts
-    return miss, fp, n_inactive, {k: int(v.sum()) for k, v in fp_by_k.items()}
+    return miss, fp, n_inactive, {k: int(v.sum()) for k, v in fp_by_k.items()}, engines
 
 
 def _echo(config: SelectorConfig, J: int, seed: int, mode: str, pool_inactive: int) -> dict:
@@ -397,7 +393,7 @@ def estimate_risk(
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    miss, fp, n_inactive, fp_by_k = _run_cycles(
+    miss, fp, n_inactive, fp_by_k, _ = _run_cycles(
         pattern, config, J, seed, mode, pool_inactive, threads
     )
     losses = miss + fp
@@ -440,7 +436,7 @@ def attenuation_experiment(
         raise ValueError("pattern has no first-order component to attenuate")
     designated = firsts[0]
     rank = subset_rank(designated.subset, pattern.d)
-    base_miss, base_fp, n_inactive, fp_by_k = _run_cycles(
+    base_miss, base_fp, n_inactive, fp_by_k, engines = _run_cycles(
         pattern,
         config,
         J,
@@ -450,10 +446,9 @@ def attenuation_experiment(
         threads,
         skip_subsets=frozenset({designated.subset}),
     )
-    engine = _OrderEngine(config, 1)
     reports = []
     for alpha in alphas:
-        miss_extra = _active_block(engine, designated.scaled(alpha), rank, J, seed)
+        miss_extra = _active_block(engines[1], designated.scaled(alpha), rank, J, seed)
         losses = base_miss + base_fp + miss_extra
         reports.append(
             RiskReport(

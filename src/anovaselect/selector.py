@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -208,6 +208,20 @@ def null_shell_draw(rng: np.random.Generator, counts: np.ndarray, size: int) -> 
     return q - df
 
 
+def null_stat_batches(
+    w: WeightProfile, trials: int, seed: int, offset: int, chunk: int = 20_000
+) -> Iterator[np.ndarray]:
+    """Yield ``trials`` null draws of S = sum omega Q, in batches of <= ``chunk``.
+
+    Batch idx draws from the audit substream ``offset + idx``, so callers with
+    disjoint offsets get independent samples and reruns are bit-identical.
+    """
+    for idx, start in enumerate(range(0, trials, chunk)):
+        size = min(chunk, trials - start)
+        q = null_shell_draw(audit_stream(seed, offset + idx), w.counts, size)
+        yield q @ w.values
+
+
 @dataclass(frozen=True)
 class TailAudit:
     """Empirical tail frequency of a null statistic against exp(-T^2/2)."""
@@ -238,14 +252,8 @@ def tail_bound_audit(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     upper_hits = 0
-    done = 0
-    idx = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        q = null_shell_draw(audit_stream(seed, idx), w.counts, size)
-        upper_hits += int(np.count_nonzero(q @ w.values > T))
-        done += size
-        idx += 1
+    for stats in null_stat_batches(w, trials, seed, offset=0, chunk=chunk):
+        upper_hits += int(np.count_nonzero(stats > T))
     return TailAudit(
         T=T,
         trials=trials,

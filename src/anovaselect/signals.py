@@ -7,16 +7,21 @@ the trigonometric basis
     phi_0 = 1,  phi_l = sqrt(2) cos(2 pi l t),  phi_{-l} = sqrt(2) sin(2 pi l t)
 
 are computed by composite Gauss-Legendre quadrature (the integrands are smooth
-but not periodic, so panel quadrature beats trapezoid here) and cached per
-(function, truncation, rule).  Coefficient tables are kept in factored form: a
-k-variate table stores its k coefficient vectors, and its norms are summed per
-squared-norm shell, so order-4 boxes (72^4 entries) never enter memory.
+but not periodic, so panel quadrature beats trapezoid here).  Quadrature grids
+and coefficients are pure functions of (function, frequency or truncation,
+rule), so private helpers memoise them with ``functools.cache`` and hand out
+read-only arrays (two threads that miss at once may both compute a value,
+which is harmless for a pure result); the public functions validate and
+resolve the rule, then delegate.  Coefficient tables are kept in factored
+form: a k-variate table stores its k coefficient vectors, and its norms are
+summed per squared-norm shell, so order-4 boxes (72^4 entries) never enter
+memory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,26 +118,20 @@ class QuadratureSpec:
         return f"gl{self.nodes}x{self.panels}"
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights on [0, 1]; memoised per rule and read-only."""
         return _quad_grid(self)
 
 
-_GRID_CACHE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _quad_grid(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    cached = _GRID_CACHE.get(spec.signature)
-    if cached is not None:
-        return cached
     xg, wg = np.polynomial.legendre.leggauss(spec.nodes)
     width = 1.0 / spec.panels
     starts = np.arange(spec.panels) * width
     x = (starts[:, None] + (xg[None, :] + 1.0) * (width / 2.0)).ravel()
     w = np.tile(wg * (width / 2.0), spec.panels)
-    _GRID_CACHE[spec.signature] = (x, w)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def quadrature_for(max_abs_l: int) -> QuadratureSpec:
@@ -141,9 +140,24 @@ def quadrature_for(max_abs_l: int) -> QuadratureSpec:
     return QuadratureSpec(panels=need, nodes=16)
 
 
-_COEFF_LOCK = threading.Lock()
-_SCALAR_CACHE: dict[tuple[int, int, str], float] = {}
-_VECTOR_CACHE: dict[tuple[int, int, str], np.ndarray] = {}
+@functools.cache
+def _coeff_1d(i: int, l: int, quad: QuadratureSpec) -> float:
+    x, w = quad.grid()
+    return float(np.dot(w, eval_g(i, x) * basis_phi(l, x)))
+
+
+@functools.cache
+def _coeff_vector(i: int, n: int, quad: QuadratureSpec) -> np.ndarray:
+    x, w = quad.grid()
+    g = eval_g(i, x) * w
+    ls = np.arange(1, n + 1)
+    phase = 2.0 * math.pi * np.outer(ls, x)
+    out = np.empty(2 * n + 1, dtype=np.float64)
+    out[n] = float(g.sum())
+    out[n + 1 :] = SQRT2 * (np.cos(phase) @ g)
+    out[n - 1 :: -1] = SQRT2 * (np.sin(phase) @ g)
+    out.setflags(write=False)
+    return out
 
 
 def fourier_coeff_1d(i: int, l: int, quad: QuadratureSpec | None = None) -> float:
@@ -159,22 +173,14 @@ def fourier_coeff_1d(i: int, l: int, quad: QuadratureSpec | None = None) -> floa
             f"quadrature {quad.signature} has {quad.total_nodes} nodes; "
             f"frequency l={l} needs at least {2 * abs(l) + 16}"
         )
-    key = (i, l, quad.signature)
-    hit = _SCALAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    x, w = quad.grid()
-    value = float(np.dot(w, eval_g(i, x) * basis_phi(l, x)))
-    with _COEFF_LOCK:
-        _SCALAR_CACHE[key] = value
-    return value
+    return _coeff_1d(i, l, quad)
 
 
 def coeff_vector(i: int, n: int, quad: QuadratureSpec | None = None) -> np.ndarray:
     """All coefficients (g_i, phi_l) for l = -n..n, as an array indexed by l + n.
 
     The l = 0 slot holds the mean residual of g_i; lattice consumers mask it.
-    Results are cached per (i, n, rule signature).
+    The array is memoised per (i, n, rule) and read-only.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -185,22 +191,7 @@ def coeff_vector(i: int, n: int, quad: QuadratureSpec | None = None) -> np.ndarr
             f"quadrature {quad.signature} has {quad.total_nodes} nodes; "
             f"truncation n={n} needs at least {2 * n + 16}"
         )
-    key = (i, n, quad.signature)
-    hit = _VECTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    x, w = quad.grid()
-    g = eval_g(i, x) * w
-    ls = np.arange(1, n + 1)
-    phase = 2.0 * math.pi * np.outer(ls, x)
-    out = np.empty(2 * n + 1, dtype=np.float64)
-    out[n] = float(g.sum())
-    out[n + 1 :] = SQRT2 * (np.cos(phase) @ g)
-    out[n - 1 :: -1] = SQRT2 * (np.sin(phase) @ g)
-    out.setflags(write=False)
-    with _COEFF_LOCK:
-        _VECTOR_CACHE[key] = out
-    return out
+    return _coeff_vector(i, n, quad)
 
 
 @dataclass(frozen=True)
@@ -283,17 +274,6 @@ class CoefficientTable:
     @property
     def k(self) -> int:
         return self.owner.k
-
-    def value(self, coords) -> float:
-        coords = tuple(int(v) for v in coords)
-        if len(coords) != self.k or any(v == 0 for v in coords):
-            raise ValueError(f"invalid frequency index {coords}")
-        if any(abs(v) > self.n for v in coords):
-            return 0.0
-        value = self.amplitude
-        for vec, l in zip(self.factors, coords):
-            value *= vec[l + self.n]
-        return float(value)
 
     def l2_norm_sq(self) -> float:
         """sum theta^2 over the table."""

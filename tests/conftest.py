@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anovaselect.extremal import GridSpec, weights
-from anovaselect.lattice import DimensionSpec, ball_coords
+from anovaselect.lattice import DimensionSpec, ball_coords, shell_convolve
 from anovaselect.selector import (
     SelectorConfig,
     build_selector_config,
@@ -13,7 +13,7 @@ from anovaselect.selector import (
     observation_stream,
     threshold,
 )
-from anovaselect.signals import product_coeff, quadrature_for
+from anovaselect.signals import coeff_vector, product_coeff, quadrature_for
 
 
 def brute_ball(k, radius):
@@ -51,6 +51,26 @@ def dense_active_stats(config, comp, seed, cycle, rank):
         y = np.array([(x[p] / eps) ** 2 - 1.0 for p in map(tuple, pts.tolist())])
         stats.append(float(omega @ y))
     return np.array(stats)
+
+
+def shell_active_stats(engine, comp, rng, size):
+    """Per-shell reference for ``size`` draws of one active subset's statistics.
+
+    Weights are constant on each squared-norm shell, so the shell sum of
+    (mu_l + xi_l)^2 is noncentral chi2(N_rho, lam_rho) with lam_rho the shell
+    sum of mu_l^2 = (theta_l / eps)^2.  theta^2 factorises over coordinates,
+    so lam is the shell convolution of each factor's mass c(l)^2 + c(-l)^2.
+    """
+    n = engine.truncation
+    masses = []
+    for fid in comp.factor_ids:
+        vec = coeff_vector(fid, n)
+        masses.append(vec[n + 1 :] ** 2 + vec[:n][::-1] ** 2)
+    per_shell = shell_convolve(masses, int(engine.rho[-1]) + 1)[engine.rho]
+    lam = (comp.amplitude / engine.epsilon) ** 2 * per_shell
+    counts = engine.counts
+    q = rng.noncentral_chisquare(counts, lam, size=(size, len(counts))) - counts
+    return q @ engine.W.T
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from anovaselect.extremal import (
     calibrate_radii,
     calibration_target,
     extremal_sequence,
-    sobolev_coeff,
     solve_r_star,
     weights,
 )
@@ -48,17 +47,6 @@ def a_oracle(r, k, sigma, epsilon, scan=25):
             continue
         total += profile_oracle(coords, r, k, sigma) ** 2
     return math.sqrt(total / (2 * epsilon**4))
-
-
-class TestSobolevCoeff:
-    def test_values(self):
-        assert sobolev_coeff((1,), 1.0) ** 2 == pytest.approx(4 * PI**2, rel=1e-12)
-        assert sobolev_coeff((1, 1), 1.0) ** 2 == pytest.approx(8 * PI**2, rel=1e-12)
-        assert sobolev_coeff((1,), 2.0) ** 2 == pytest.approx((4 * PI**2) ** 2, rel=1e-12)
-
-    def test_zero_coordinate_rejected(self):
-        with pytest.raises(ValueError):
-            sobolev_coeff((1, 0), 1.0)
 
 
 class TestExtremalSequence:

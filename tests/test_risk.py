@@ -1,6 +1,5 @@
 import itertools
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -172,30 +171,25 @@ class TestThreadsAndBallCache:
         with pytest.raises(ValueError):
             _resolve_threads(-1)
 
-    def test_ball_built_once_across_threads(self, tiny_config, monkeypatch):
+    def test_one_ball_per_active_order(self, tiny_config, monkeypatch):
+        # the attenuated k = 1 subset reuses the k = 1 ball built for the cycles
         calls = []
         real = risk.ball_coords
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(k, *args, **kwargs):
+            calls.append(k)
+            return real(k, *args, **kwargs)
 
         monkeypatch.setattr(risk, "ball_coords", counting)
-        monkeypatch.setattr(risk, "_BALL_CACHE", {})
-        engines = [_OrderEngine(tiny_config, 2) for _ in range(4)]
-        start = threading.Barrier(len(engines))
-
-        def build(engine):
-            start.wait()
-            engine.ball()
-
-        workers = [threading.Thread(target=build, args=(e,)) for e in engines]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert len(calls) == 1
-        assert all(e.ball() is engines[0].ball() for e in engines)
+        pattern = explicit_pattern(12, 2, [
+            ComponentSpec(Subset((1,)), (1,)),
+            ComponentSpec(Subset((2,)), (2,)),
+            ComponentSpec(Subset((1, 2)), (1, 2)),
+        ])
+        attenuation_experiment(
+            [0.5, 1.0], pattern, tiny_config, J=3, seed=5, pool_inactive=20, threads=4
+        )
+        assert sorted(calls) == [1, 2]
 
 
 class TestAttenuation:

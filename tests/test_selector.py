@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_active_stats, manual_config
+from conftest import dense_active_stats, manual_config, shell_active_stats
 
 from anovaselect.extremal import weights
 from anovaselect.lattice import DimensionSpec, Subset, ball_coords, subset_rank
@@ -287,3 +287,22 @@ class TestShellFastPathConsistency:
             theta = np.array([product_coeff(comp, c) for c in coords.tolist()])
             expected = float(omega @ (theta / 0.01) ** 2)
             assert means[m] == pytest.approx(expected, rel=1e-10)
+
+    def test_point_path_matches_shell_oracle_in_distribution(self, bench_k1_config):
+        # per-point active draws against noncentral chi-square draws per shell
+        comp = ComponentSpec(Subset((1,)), (1,), amplitude=0.001)
+        engine = _OrderEngine(bench_k1_config, 1)
+        mu = engine.component_means(comp)
+        n = 2000
+        point = np.array([
+            engine.active_stats(observation_stream(3, j, 1, 0), mu) for j in range(n)
+        ])
+        shell = shell_active_stats(engine, comp, np.random.default_rng(3), n)
+        miss_point = float(np.mean(point.max(axis=1) <= engine.threshold))
+        miss_shell = float(np.mean(shell.max(axis=1) <= engine.threshold))
+        pooled = 0.5 * (miss_point + miss_shell)
+        assert 0.1 < pooled < 0.9  # the miss frequency is informative here
+        se_miss = math.sqrt(pooled * (1 - pooled) * 2 / n)
+        assert abs(miss_point - miss_shell) <= 5.0 * se_miss
+        se = np.sqrt((point.var(axis=0) + shell.var(axis=0)) / n)
+        assert np.all(np.abs(point.mean(axis=0) - shell.mean(axis=0)) <= 5.0 * se)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from anovaselect.lattice import DimensionSpec, Subset
+from anovaselect.lattice import DimensionSpec, Subset, _shell_array
 from anovaselect.signals import (
     CoefficientTable,
     ComponentSpec,
@@ -86,6 +86,15 @@ class TestFourierCoeff:
                 np.abs(vec[mask_all]) <= 1.05 * K / np.abs(ls[mask_all])
             ), f"decay envelope violated for g{i}"
 
+    def test_memoised_arrays_are_read_only(self):
+        vec = coeff_vector(3, 20)
+        assert coeff_vector(3, 20) is vec
+        x, w = QuadratureSpec(panels=8, nodes=4).grid()
+        table = _shell_array(2, 100)
+        for arr in (vec, x, w, table):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
     def test_vector_matches_scalar(self):
         vec = coeff_vector(2, 40)
         for l in (-40, -3, 0, 5, 40):
@@ -145,15 +154,16 @@ class TestCoefficientTable:
         comp = ComponentSpec(Subset((1, 3)), (2, 7), amplitude=0.8)
         table = CoefficientTable.from_component(comp, 12)
         for coords in [(1, 1), (-5, 9), (12, -12)]:
-            assert table.value(coords) == pytest.approx(
-                product_coeff(comp, coords), rel=1e-12
+            factored = table.amplitude * math.prod(
+                vec[l + table.n] for vec, l in zip(table.factors, coords)
             )
-        assert table.value((13, 1)) == 0.0  # outside the box
+            assert factored == pytest.approx(product_coeff(comp, coords), rel=1e-12)
 
     def test_l2_norm_matches_bruteforce(self):
         comp = ComponentSpec(Subset((1, 2)), (4, 6))
         table = CoefficientTable.from_component(comp, 8)
-        brute = sum(table.value(c) ** 2 for c in box_points(2, 8))
+        quad = quadrature_for(8)
+        brute = sum(product_coeff(comp, c, quad=quad) ** 2 for c in box_points(2, 8))
         assert table.l2_norm_sq() == pytest.approx(brute, rel=1e-12)
 
     def test_sobolev_norm_examples(self):
@@ -176,9 +186,11 @@ class TestCoefficientTable:
         ]
         for comp, n in cases:
             table = CoefficientTable.from_component(comp, n)
+            quad = quadrature_for(n)
             for sigma in (0.5, 1.0, 2.0):
                 brute = sum(
-                    table.value(c) ** 2 * (4 * math.pi**2 * sum(v * v for v in c)) ** sigma
+                    product_coeff(comp, c, quad=quad) ** 2
+                    * (4 * math.pi**2 * sum(v * v for v in c)) ** sigma
                     for c in box_points(comp.subset.k, n)
                 )
                 assert table.sobolev_norm(sigma) == pytest.approx(brute, rel=1e-12)
