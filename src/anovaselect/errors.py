@@ -7,7 +7,7 @@ resource guards tripping and calibration targets that cannot be reached.
 
 
 class CapacityError(RuntimeError):
-    """A lattice or enumeration request exceeded its configured point budget."""
+    """A per-shell array, lattice ball or full enumeration exceeded its bound."""
 
 
 class CalibrationError(ArithmeticError):

@@ -26,13 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, CapacityError
-from .lattice import (
-    DEFAULT_POINT_CAP,
-    ball_volume_estimate,
-    log_binomial,
-    shell_counts,
-)
+from .errors import CalibrationError
+from .lattice import log_binomial, shell_counts
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -81,26 +76,17 @@ class ExtremalProfile:
         return int(self.counts.sum())
 
 
-def extremal_sequence(
-    r: float, k: int, sigma: float, cap: int = DEFAULT_POINT_CAP
-) -> ExtremalProfile:
-    """Extremal profile theta*^2 at radius r (positive part, radial)."""
+def extremal_sequence(r: float, k: int, sigma: float) -> ExtremalProfile:
+    """Extremal profile theta*^2 at radius r (positive part, radial).
+
+    Only per-shell arrays are built, so the one capacity guard is
+    ``shell_counts``'s bound on their length.
+    """
     _check_r(r, k, sigma)
     bound = 1.0 + 4.0 * sigma / k
     # support: (4 pi^2 rho)^sigma r^2 < bound  <=>  rho < r2_support
     r2_support = bound ** (1.0 / sigma) / (FOUR_PI_SQ * r ** (2.0 / sigma))
-    estimate = ball_volume_estimate(k, math.sqrt(r2_support))
-    if estimate > 8.0 * cap:  # coarse early exit before any table is built
-        raise CapacityError(
-            f"extremal support at r={r}, k={k} holds roughly {estimate:.3g} "
-            f"points, exceeding cap {cap}"
-        )
     rho, counts = shell_counts(k, r2_support)
-    total = int(counts.sum())
-    if total > cap:
-        raise CapacityError(
-            f"extremal support at r={r}, k={k} holds {total} points, exceeding cap {cap}"
-        )
     amp = math.exp(_log_amplitude(r, k, sigma))
     bracket = 1.0 - (FOUR_PI_SQ * rho.astype(np.float64)) ** sigma * (r * r / bound)
     keep = bracket > 0.0
@@ -121,13 +107,12 @@ def a_exact(
     sigma: float,
     epsilon: float,
     profile: ExtremalProfile | None = None,
-    cap: int = DEFAULT_POINT_CAP,
 ) -> float:
     """a(r) from the exact lattice sum: sqrt(sum theta*^4 / (2 eps^4))."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if profile is None:
-        profile = extremal_sequence(r, k, sigma, cap=cap)
+        profile = extremal_sequence(r, k, sigma)
     quartic = float(np.dot(profile.counts.astype(np.float64), profile.theta_sq**2))
     return math.sqrt(quartic / 2.0) / (epsilon * epsilon)
 
@@ -174,7 +159,6 @@ def solve_r_star(
     epsilon: float,
     mode: str = "exact",
     rtol: float = 1e-8,
-    cap: int = DEFAULT_POINT_CAP,
 ) -> float:
     """Solve a(r*) = target_a for r*.
 
@@ -195,7 +179,7 @@ def solve_r_star(
     r_hi_bound = admissible_r_max(k, sigma) * (1.0 - 1e-12)
 
     def residual(r: float) -> float:
-        return a_exact(r, k, sigma, epsilon, cap=cap) - target_a
+        return a_exact(r, k, sigma, epsilon) - target_a
 
     hi = min(r_guess, r_hi_bound)
     f_hi = residual(hi)
@@ -281,15 +265,9 @@ class WeightProfile:
         return float(np.dot(self.counts.astype(np.float64), self.values**2))
 
 
-def weights(
-    r_star: float,
-    k: int,
-    sigma: float,
-    epsilon: float,
-    cap: int = DEFAULT_POINT_CAP,
-) -> WeightProfile:
+def weights(r_star: float, k: int, sigma: float, epsilon: float) -> WeightProfile:
     """Weight profile omega = theta*^2 / (2 eps^2 a(r*)); sum omega^2 = 1/2."""
-    profile = extremal_sequence(r_star, k, sigma, cap=cap)
+    profile = extremal_sequence(r_star, k, sigma)
     a_value = a_exact(r_star, k, sigma, epsilon, profile=profile)
     scale = 1.0 / (2.0 * epsilon * epsilon * a_value)
     return WeightProfile(
@@ -327,14 +305,13 @@ def calibrate_radii(
     epsilon: float,
     M: int,
     mode: str = "exact",
-    cap: int = DEFAULT_POINT_CAP,
 ) -> tuple[list[float], list[float], list[float], list[float]]:
     """Per-order grid calibration: betas, targets, radii, and a(r*) values."""
     betas = beta_grid(M)
     targets = [calibration_target(d, k, b) for b in betas]
-    r_stars = [solve_r_star(t, k, sigma, epsilon, mode=mode, cap=cap) for t in targets]
+    r_stars = [solve_r_star(t, k, sigma, epsilon, mode=mode) for t in targets]
     if mode == "exact":
-        a_vals = [a_exact(r, k, sigma, epsilon, cap=cap) for r in r_stars]
+        a_vals = [a_exact(r, k, sigma, epsilon) for r in r_stars]
     else:
         a_vals = [a_asymp(r, k, sigma, epsilon) for r in r_stars]
     return betas, targets, r_stars, a_vals

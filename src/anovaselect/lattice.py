@@ -13,6 +13,10 @@ of Z^k with every coordinate nonzero.  This module provides
   the point-count table is a pure function of (k, size), memoised with
   ``functools.cache`` as a read-only array, with power-of-two sizes so one
   table serves every smaller ball,
+* the two capacity guards of the package, each checked where its array is
+  allocated: ``MAX_SHELL_INDEX`` bounds every per-shell array that
+  :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds the one array
+  of lattice points, built by :func:`ball_coords`,
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
@@ -27,11 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError
-
-# Hard ceiling on materialised lattice points; generous for every benchmark
-# configuration (the largest support used anywhere is ~7e6 points at k=4).
-DEFAULT_POINT_CAP = 10_000_000
-
 
 @dataclass(frozen=True, order=True)
 class Subset:
@@ -109,18 +108,13 @@ def active_count(d: int, k: int, beta: float) -> int:
 # Shell structure of the punctured lattice
 # ---------------------------------------------------------------------------
 
-# Resource guard for the dense shell tables (entries are 8-byte counts).
-MAX_SHELL_INDEX = 50_000_000
+# Largest per-shell array: the dense table of a k >= 2 ball (m + 1 entries
+# for squared norms up to m) and the shell list of a k = 1 ball (isqrt(m)).
+MAX_SHELL_INDEX = 5_000_000
 
-
-def ball_volume_estimate(k: int, radius: float) -> float:
-    """Continuum volume of the k-ball; the lattice count is below this."""
-    if radius <= 0:
-        return 0.0
-    log_vol = 0.5 * k * math.log(math.pi) + k * math.log(radius) - math.lgamma(
-        0.5 * k + 1.0
-    )
-    return math.exp(min(log_vol, 700.0))
+# Largest number of lattice points ball_coords materialises; generous for
+# every benchmark configuration (the largest ball built is ~7e6 points, k=4).
+MAX_BALL_POINTS = 10_000_000
 
 
 def shell_convolve(masses: Sequence[np.ndarray], size: int) -> np.ndarray:
@@ -174,6 +168,7 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(rho, counts)`` where ``rho`` lists the attained squared norms in
     increasing order and ``counts[i]`` is the number of lattice points on shell
     ``rho[i]``.  Empty arrays when the ball contains no admissible point.
+    Raises ``CapacityError`` when an array would exceed ``MAX_SHELL_INDEX``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -185,7 +180,7 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
         limit = math.isqrt(m)
         if limit > MAX_SHELL_INDEX:
             raise CapacityError(
-                f"one-dimensional ball holds {2 * limit} points, exceeding the "
+                f"one-dimensional ball has {limit} shells, exceeding the "
                 f"table limit of {MAX_SHELL_INDEX}"
             )
         roots = np.arange(1, limit + 1, dtype=np.int64)
@@ -195,17 +190,18 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     return rho.astype(np.int64), acc[rho]
 
 
-def ball_coords(k: int, r2_max: float, cap: int = DEFAULT_POINT_CAP):
+def ball_coords(k: int, r2_max: float):
     """All-nonzero lattice points with squared norm < r2_max, as arrays.
 
     Returns ``(coords, rho)``: an (n, k) int32 array in lexicographic order
-    and the squared norm of each row.  Guarded by ``cap``.
+    and the squared norm of each row.  Guarded by ``MAX_BALL_POINTS``.
     """
     rho_vals, counts = shell_counts(k, r2_max)
     total = int(counts.sum())
-    if total > cap:
+    if total > MAX_BALL_POINTS:
         raise CapacityError(
-            f"lattice ball for k={k} holds {total} points, exceeding the cap of {cap}"
+            f"lattice ball for k={k} holds {total} points, exceeding the cap "
+            f"of {MAX_BALL_POINTS}"
         )
     if total == 0:
         return np.empty((0, k), dtype=np.int32), np.empty(0, dtype=np.int64)

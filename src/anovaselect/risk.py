@@ -201,24 +201,20 @@ class RiskReport:
 def _inactive_ranks(
     d: int, k: int, active_ranks: set[int], size: int, seed: int
 ) -> np.ndarray:
-    """Uniform sample of inactive subset ranks, fixed across cycles."""
+    """Sorted uniform sample of ``size`` inactive subset ranks, fixed across cycles.
+
+    When ``size`` covers the inactive population, every inactive rank.
+    Otherwise the first ``size`` inactive ranks of a uniformly ordered sample
+    of ``size + len(active_ranks)`` distinct ranks: the sample holds at least
+    ``size`` of them, and the first ``size`` inactive entries of a uniform
+    ordering form a uniform ``size``-subset of the inactive ranks.
+    """
     total = math.comb(d, k)
-    n_inactive = total - len(active_ranks)
-    size = min(size, n_inactive)
-    rng = pool_stream(seed, k)
-    if total <= 4 * size or total <= 1_000_000:
-        candidates = rng.permutation(total)
-        active = np.fromiter(active_ranks, dtype=np.int64, count=len(active_ranks))
-        return np.sort(candidates[~np.isin(candidates, active)][:size])
-    chosen: set[int] = set()
-    while len(chosen) < size:
-        for v in rng.integers(0, total, size=2 * (size - len(chosen))):
-            v = int(v)
-            if v not in active_ranks:
-                chosen.add(v)
-                if len(chosen) == size:
-                    break
-    return np.array(sorted(chosen), dtype=np.int64)
+    active = np.fromiter(active_ranks, dtype=np.int64, count=len(active_ranks))
+    if size >= total - len(active):
+        return np.setdiff1d(np.arange(total, dtype=np.int64), active)
+    candidates = pool_stream(seed, k).choice(total, size + len(active), replace=False)
+    return np.sort(candidates[~np.isin(candidates, active)][:size])
 
 
 def _resolve_threads(threads: int) -> int:
@@ -299,17 +295,13 @@ def _run_cycles(
         for comp in actives:
             tasks.append(("active", k, comp, subset_rank(comp.subset, d)))
         total = math.comb(d, k)
-        if mode == "full":
-            if total > MAX_FULL_SUBSETS:
-                raise CapacityError(
-                    f"full enumeration at k={k} needs {total} subsets, "
-                    f"exceeding the cap of {MAX_FULL_SUBSETS}"
-                )
-            ranks = np.array(
-                sorted(set(range(total)) - active_ranks), dtype=np.int64
+        if mode == "full" and total > MAX_FULL_SUBSETS:
+            raise CapacityError(
+                f"full enumeration at k={k} needs {total} subsets, "
+                f"exceeding the cap of {MAX_FULL_SUBSETS}"
             )
-        else:
-            ranks = _inactive_ranks(d, k, active_ranks, pool_inactive, seed)
+        size = total if mode == "full" else pool_inactive
+        ranks = _inactive_ranks(d, k, active_ranks, size, seed)
         n_inactive[k] = len(ranks)
         fp_by_k[k] = np.zeros(J, dtype=np.int64)
         chunk = max(64, len(ranks) // 32 or 1)

@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .extremal import GridSpec, WeightProfile, calibrate_radii, weights
-from .lattice import DEFAULT_POINT_CAP, DimensionSpec, log_binomial
+from .lattice import DimensionSpec, log_binomial
 
 # Stream phase tags keep independent uses of the master seed disjoint.
 _PHASE_OBS = 1
@@ -132,7 +132,6 @@ def build_selector_config(
     calibration: str = "exact",
     truncation: str = "preset",
     eps_hat_rule: str = "fixed",
-    cap: int = DEFAULT_POINT_CAP,
 ) -> SelectorConfig:
     """Calibrate the full per-order grid for a problem configuration.
 
@@ -151,14 +150,14 @@ def build_selector_config(
     betas: tuple[float, ...] = ()
     for k in range(1, dim.s + 1):
         blist, tlist, rlist, alist = calibrate_radii(
-            dim.d, k, dim.sigma, dim.epsilon, M, mode=calibration, cap=cap
+            dim.d, k, dim.sigma, dim.epsilon, M, mode=calibration
         )
         betas = tuple(blist)
         targets[k] = tuple(tlist)
         r_stars[k] = tuple(rlist)
         a_values[k] = tuple(alist)
         eps_hats[k] = epsilon_hat(dim.d, k, rule=eps_hat_rule, s=dim.s)
-        profiles[k] = tuple(weights(r, k, dim.sigma, dim.epsilon, cap=cap) for r in rlist)
+        profiles[k] = tuple(weights(r, k, dim.sigma, dim.epsilon) for r in rlist)
         thresholds_map[k] = threshold(dim.d, k, M, eps_hats[k])
         n_k = truncation_radius(k, profiles[k], mode=truncation)
         covered = max(p.max_abs_coord for p in profiles[k])
@@ -197,14 +196,16 @@ def null_shell_draw(rng: np.random.Generator, counts: np.ndarray, size: int) -> 
     Because every weight is constant on a squared-norm shell, the statistic
     depends on the noise only through per-shell sums of xi^2; sampling those
     directly is distributionally identical to per-index noise and far cheaper.
+    Every shell holds at least one point (``shell_counts`` returns occupied
+    shells only).  k = 1 shells hold two points each, and chi2(2) is a doubled
+    exponential: numpy draws the same bytes either way, and the exponential
+    path is about twice as fast (one-row draw of 620 shells).
     """
     df = counts.astype(np.float64)
-    if np.all(counts == 2):  # k = 1 shells; chi2_2 is a doubled exponential
+    if np.all(counts == 2):
         q = 2.0 * rng.standard_exponential(size=(size, len(counts)))
     else:
-        q = np.zeros((size, len(counts)))
-        pos = df > 0  # shells fully occupied by signal points have no null mass
-        q[:, pos] = rng.chisquare(df[pos], size=(size, int(pos.sum())))
+        q = rng.chisquare(df, size=(size, len(counts)))
     return q - df
 
 

@@ -57,7 +57,7 @@ class TestConfigHandling:
         capsys.readouterr()
 
     def test_capacity_error_exits_3(self, tmp_path):
-        # a tiny noise level pushes the calibrated support past the point budget
+        # a tiny noise level pushes the k = 1 shell list past MAX_SHELL_INDEX entries
         path = write_config(
             tmp_path, "d = 10\ns = 1\nepsilon = 1e-12\ngrid_m = 2\ntruncation = rule\n"
         )
@@ -158,6 +158,14 @@ class TestCalibrate:
         assert len(lines) == 21
         idx = header.index("residual")
         assert all(float(line.split(",")[idx]) <= 1e-8 for line in lines[1:])
+
+    def test_order_five_calibrates(self, tmp_path):
+        # calibration builds per-shell arrays only: the k = 5 support of about
+        # 2.2e7 points lies on a few hundred shells, so no point cap applies
+        cfg = write_config(tmp_path, "d = 50\ns = 5\ntruncation = rule\n")
+        assert run(["calibrate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        lines = (tmp_path / "calibrate.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 5 * 20
 
 
 class TestRiskAndReproducibility:

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import brute_ball
 
+from anovaselect import lattice
 from anovaselect.errors import CapacityError
 from anovaselect.lattice import (
+    MAX_SHELL_INDEX,
     DimensionSpec,
     Subset,
     active_count,
@@ -20,9 +22,9 @@ from anovaselect.risk import _inactive_ranks, estimate_risk
 from anovaselect.signals import ComponentSpec, build_pattern
 
 
-def ball_points(k, radius, cap=10_000_000):
+def ball_points(k, radius):
     """ball_coords of the open ball of the given radius, as a list of tuples."""
-    coords, _ = ball_coords(k, radius * radius, cap=cap)
+    coords, _ = ball_coords(k, radius * radius)
     return [tuple(int(v) for v in row) for row in coords]
 
 
@@ -96,9 +98,10 @@ class TestLatticeBall:
         pts = ball_points(2, 3.2)
         assert pts == sorted(pts)
 
-    def test_capacity_guard_names_cap(self):
+    def test_capacity_guard_names_cap(self, monkeypatch):
+        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 10)
         with pytest.raises(CapacityError, match="cap of 10"):
-            ball_points(2, 4.0, cap=10)
+            ball_points(2, 4.0)
 
     def test_radius_validation(self):
         # no admissible point below the smallest shell: an empty (0, k) array
@@ -121,6 +124,14 @@ class TestShellCounts:
     def test_empty_ball(self):
         rho, counts = shell_counts(3, 2.0)  # smallest norm^2 is 3
         assert len(rho) == 0 and len(counts) == 0
+
+    def test_one_dim_shell_bound(self):
+        # k = 1 lists isqrt(r2) shells: the last admitted list is MAX_SHELL_INDEX long
+        top = (MAX_SHELL_INDEX + 1) ** 2
+        rho, counts = shell_counts(1, top)
+        assert len(rho) == MAX_SHELL_INDEX and rho[-1] == MAX_SHELL_INDEX**2
+        with pytest.raises(CapacityError, match="shells"):
+            shell_counts(1, top + 1)
 
     def test_ball_coords_agree(self):
         coords, rho = ball_coords(2, 30.0)
@@ -167,6 +178,18 @@ class TestSubsets:
         # a pool larger than the inactive population takes every inactive rank
         ranks = _inactive_ranks(5, 2, {0, 4}, 11, seed=0)
         assert ranks.tolist() == [r for r in range(10) if r not in (0, 4)]
+
+    def test_pool_uniform_over_inactive_ranks(self):
+        # every inactive rank of C(8, 2) = 28 enters a 5-pool with frequency 5/26
+        active, size, seeds = {3, 10}, 5, 4000
+        hits = np.zeros(math.comb(8, 2))
+        for seed in range(seeds):
+            hits[_inactive_ranks(8, 2, active, size, seed)] += 1
+        assert hits[sorted(active)].sum() == 0
+        p = size / (len(hits) - len(active))
+        inactive = np.setdiff1d(np.arange(len(hits)), sorted(active))
+        z = (hits[inactive] / seeds - p) / math.sqrt(p * (1 - p) / seeds)
+        assert np.abs(z).max() < 5
 
     def test_rank_roundtrip_matches_lexicographic(self):
         d, k = 12, 4

@@ -1,0 +1,71 @@
+"""Property tests: lattice shells, shell convolution and the inactive-rank pool
+against brute force over generated inputs."""
+
+import itertools
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import brute_ball
+
+from anovaselect.lattice import shell_convolve, shell_counts
+from anovaselect.risk import _inactive_ranks
+
+FAST = settings(max_examples=60, deadline=None)
+
+
+@FAST
+@given(k=st.integers(1, 3), radius=st.floats(0.0, math.sqrt(40.0)))
+def test_shell_counts_match_bruteforce(k, radius):
+    rho, counts = shell_counts(k, radius * radius)
+    expected = {}
+    for p in brute_ball(k, radius):
+        r2 = sum(v * v for v in p)
+        expected[r2] = expected.get(r2, 0) + 1
+    assert rho.tolist() == sorted(expected)
+    assert counts.tolist() == [expected[r] for r in sorted(expected)]
+
+
+@FAST
+@given(
+    masses=st.lists(
+        st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=3
+    ),
+    size=st.integers(1, 60),
+)
+def test_shell_convolve_matches_bruteforce(masses, size):
+    # masses[j][l - 1] is coordinate j's mass at |l_j| = l
+    expected = np.zeros(size, dtype=np.int64)
+    for ls in itertools.product(*(range(1, len(m) + 1) for m in masses)):
+        r2 = sum(l * l for l in ls)
+        if r2 < size:
+            expected[r2] += math.prod(m[l - 1] for m, l in zip(masses, ls))
+    got = shell_convolve([np.array(m, dtype=np.int64) for m in masses], size)
+    assert got.tolist() == expected.tolist()
+
+
+@st.composite
+def pool_requests(draw):
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(d, 4)))
+    total = math.comb(d, k)
+    active = draw(st.sets(st.integers(0, total - 1), max_size=min(total, 6)))
+    size = draw(st.integers(0, total + 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, k, active, size, seed
+
+
+@FAST
+@given(pool_requests())
+def test_inactive_ranks_properties(request):
+    d, k, active, size, seed = request
+    ranks = _inactive_ranks(d, k, active, size, seed).tolist()
+    inactive = [r for r in range(math.comb(d, k)) if r not in active]
+    assert all(a < b for a, b in zip(ranks, ranks[1:]))  # sorted and distinct
+    assert not active & set(ranks)
+    assert set(ranks) <= set(inactive)
+    assert len(ranks) == min(size, len(inactive))
+    if size >= len(inactive):
+        assert ranks == inactive

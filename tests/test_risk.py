@@ -7,6 +7,7 @@ import pytest
 from conftest import manual_config
 
 from anovaselect import risk
+from anovaselect.errors import CapacityError
 from anovaselect.lattice import DimensionSpec, Subset
 from anovaselect.risk import (
     DETECTION_BOUNDARY,
@@ -24,6 +25,7 @@ from anovaselect.risk import (
 )
 from anovaselect.extremal import a_exact, admissible_r_max, solve_r_star
 from anovaselect.lattice import log_binomial
+from anovaselect.selector import build_selector_config
 from anovaselect.signals import ComponentSpec, build_pattern
 
 
@@ -129,6 +131,16 @@ class TestEstimateRisk:
         pattern = explicit_pattern(13, 2, [])
         with pytest.raises(ValueError, match="dimensions"):
             estimate_risk(pattern, tiny_config, J=1, seed=0)
+
+    def test_active_order_five_exceeds_ball_cap(self):
+        # calibration at s = 5 runs, but an active k = 5 component needs its
+        # support's points, which the ball guard refuses before any draw
+        dim = DimensionSpec(d=50, s=5, beta=0.87, sigma=1.0, epsilon=5e-5)
+        config = build_selector_config(dim, M=20, truncation="rule")
+        comp = ComponentSpec(Subset((1, 2, 3, 4, 5)), (1, 2, 3, 4, 5))
+        pattern = build_pattern(dim, mode="explicit", components=[comp])
+        with pytest.raises(CapacityError, match="lattice ball for k=5"):
+            estimate_risk(pattern, config, J=1, seed=0)
 
 
 class TestSelectMatchesRisk:
