@@ -9,7 +9,8 @@ of Z^k with every coordinate nonzero.  This module provides
 * the squared-norm shell structure of the balls {l : |l| < R, all l_j != 0}:
   one convolution over coordinates gives the point count, or the sum of any
   per-coordinate product mass, on every shell (every radial quantity is
-  constant on a shell), plus the ball's points for callers that need them;
+  constant on a shell), plus the ball's points for callers that need them,
+  as compact coordinates with each point's shell index;
   the point-count table is a pure function of (k, size), memoised with
   ``functools.cache`` as a read-only array, with power-of-two sizes so one
   table serves every smaller ball,
@@ -113,7 +114,8 @@ def active_count(d: int, k: int, beta: float) -> int:
 MAX_SHELL_INDEX = 5_000_000
 
 # Largest number of lattice points ball_coords materialises; generous for
-# every benchmark configuration (the largest ball built is ~7e6 points, k=4).
+# every benchmark configuration (the largest ball built is ~6.4e6 points at
+# k = 4, 8 bytes a point: int8 coordinates and an int32 shell index).
 MAX_BALL_POINTS = 10_000_000
 
 
@@ -190,11 +192,16 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     return rho.astype(np.int64), acc[rho]
 
 
-def ball_coords(k: int, r2_max: float):
-    """All-nonzero lattice points with squared norm < r2_max, as arrays.
+def ball_coords(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """All-nonzero lattice points with squared norm < r2_max, as compact arrays.
 
-    Returns ``(coords, rho)``: an (n, k) int32 array in lexicographic order
-    and the squared norm of each row.  Guarded by ``MAX_BALL_POINTS``.
+    Returns ``(coords, shell)``: an (n, k) array in lexicographic order, of
+    the smallest signed integer dtype that holds every coordinate (int8 up
+    to |l| = 127), and the int32 index of each row's shell in
+    ``shell_counts(k, r2_max)[0]``.  Both are allocated once at their final
+    size from the shell counts and filled one leading coordinate at a time,
+    so the build holds no per-point temporary larger than one slab of the
+    remaining k - 1 coordinates.  Guarded by ``MAX_BALL_POINTS``.
     """
     rho_vals, counts = shell_counts(k, r2_max)
     total = int(counts.sum())
@@ -204,33 +211,34 @@ def ball_coords(k: int, r2_max: float):
             f"of {MAX_BALL_POINTS}"
         )
     if total == 0:
-        return np.empty((0, k), dtype=np.int32), np.empty(0, dtype=np.int64)
+        return np.empty((0, k), dtype=np.int8), np.empty(0, dtype=np.int32)
     limit = math.isqrt(int(rho_vals[-1]) - (k - 1))
-    axis = np.concatenate([np.arange(-limit, 0), np.arange(1, limit + 1)]).astype(np.int32)
+    dtype = np.min_scalar_type(-limit - 1)  # signed, holds -limit..limit
+    axis = np.concatenate([np.arange(-limit, 0), np.arange(1, limit + 1)]).astype(dtype)
+    coords = np.empty((total, k), dtype=dtype)
     if k == 1:
-        coords = axis.reshape(-1, 1)
-        rho = (axis.astype(np.int64)) ** 2
-        keep = rho < r2_max
-        return coords[keep], rho[keep]
-    # chunk over the leading coordinate to bound transient memory
+        # shell l^2 is the (|l| - 1)-th; every |l| <= limit lies inside
+        coords[:, 0] = axis
+        return coords, (np.abs(axis).astype(np.int32) - 1)
+    shell = np.empty(total, dtype=np.int32)
+    shell_of = np.zeros(int(rho_vals[-1]) + 1, dtype=np.int32)
+    shell_of[rho_vals] = np.arange(len(rho_vals), dtype=np.int32)
     tail = np.stack(
         np.meshgrid(*([axis] * (k - 1)), indexing="ij"), axis=-1
     ).reshape(-1, k - 1)
     tail_rho = (tail.astype(np.int64) ** 2).sum(axis=1)
-    out_coords = []
-    out_rho = []
+    inside = tail_rho < r2_max - 1  # room left for l1^2 >= 1
+    tail, tail_rho = tail[inside], tail_rho[inside]
+    start = 0
     for l1 in axis:
         rho = tail_rho + int(l1) * int(l1)
         keep = rho < r2_max
-        if not keep.any():
-            continue
-        block = np.empty((int(keep.sum()), k), dtype=np.int32)
-        block[:, 0] = l1
-        block[:, 1:] = tail[keep]
-        out_coords.append(block)
-        out_rho.append(rho[keep])
-    coords = np.concatenate(out_coords, axis=0)
-    return coords, np.concatenate(out_rho)
+        stop = start + int(np.count_nonzero(keep))
+        coords[start:stop, 0] = l1
+        coords[start:stop, 1:] = tail[keep]
+        shell[start:stop] = shell_of[rho[keep]]
+        start = stop
+    return coords, shell
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ detection boundaries.
 One engine evaluates the statistics S_{u,m} for :func:`select` and the risk
 estimators alike.  Because every weight is radial, a null subset's statistics
 depend on the noise only through per-shell sums of xi^2, which are sampled
-directly as chi-square variates; active subsets are materialised
-point-by-point on the weight-support ball so their means enter exactly.  Both
+directly as chi-square variates; active subsets are drawn point-by-point on
+the weight-support ball so their means enter exactly.  The ball is stored
+once per engine as compact coordinates and shell indices, and each active
+draw walks it in ``_CHUNK``-point chunks: means, normals and shell sums are
+formed chunk by chunk, in point order, so no per-point float array of the
+ball's size exists and the statistic is the unchunked one, bit for bit.  Both
 paths draw from the same per-(cycle, order, subset-rank) substreams, so
 results are bit-reproducible, full and pooled enumeration agree on shared
 subsets, :func:`select` sees exactly the draws of the matching risk cycle, and
@@ -24,7 +28,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +48,10 @@ SQRT2 = math.sqrt(2.0)
 
 # Largest number of subsets of one order that full enumeration will visit.
 MAX_FULL_SUBSETS = 500_000
+
+# Ball points per active-path chunk: each per-point temporary of a chunk
+# (means, normals, gather indices) is at most 512 kB, so it stays in cache.
+_CHUNK = 1 << 16
 
 
 class _OrderEngine:
@@ -71,43 +79,70 @@ class _OrderEngine:
         self._ball: tuple[np.ndarray, np.ndarray] | None = None
 
     def ball(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coords, shell index) for the union weight support, built on first use.
+        """(coords, shell index) of the union weight support, built on first use.
 
-        The first call builds the ball and is not safe to race: callers that
-        share an engine between threads (``_run_cycles``) call it once on the
-        main thread before the workers start, so the workers only read it.
+        The shell index points into ``self.rho``, the shells of the union
+        support.  The first call builds the ball and is not safe to race:
+        callers that share an engine between threads (``_run_cycles``) call it
+        once on the main thread before the workers start, so the workers only
+        read it.
         """
         if self._ball is None:
-            coords, rho = ball_coords(self.k, float(self.rho[-1]) + 0.5)
-            shell_idx = np.searchsorted(self.rho, rho).astype(np.int32)
-            self._ball = (coords.astype(np.int16), shell_idx)
+            self._ball = ball_coords(self.k, float(self.rho[-1]) + 0.5)
         return self._ball
 
-    def component_means(self, comp: ComponentSpec) -> np.ndarray:
-        """theta_l / eps over the ball, from the factored coefficient vectors."""
+    def component_means(self, comp: ComponentSpec) -> Iterator[np.ndarray]:
+        """theta_l / eps over the ball, in ball order, ``_CHUNK`` points at a time."""
         coords, _ = self.ball()
         n = self.truncation
-        mu = np.full(coords.shape[0], comp.amplitude / self.epsilon)
-        for p, fid in enumerate(comp.factor_ids):
-            vec = coeff_vector(fid, n)
-            mu *= vec[coords[:, p].astype(np.int64) + n]
-        return mu
+        vecs = [coeff_vector(fid, n) for fid in comp.factor_ids]
+        for start in range(0, coords.shape[0], _CHUNK):
+            block = coords[start : start + _CHUNK]
+            mu = np.full(block.shape[0], comp.amplitude / self.epsilon)
+            for p, vec in enumerate(vecs):
+                mu *= vec[block[:, p].astype(np.intp) + n]
+            yield mu
+
+    def _with_shells(
+        self, means: Iterable[np.ndarray]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Pair each chunk of means with the shell indices of its points."""
+        _, shell = self.ball()
+        start = 0
+        for mu in means:
+            yield shell[start : start + len(mu)], mu
+            start += len(mu)
 
     def null_stats(self, rng: np.random.Generator) -> np.ndarray:
         q = null_shell_draw(rng, self.counts, 1)[0]
         return self.W @ q
 
-    def active_stats(self, rng: np.random.Generator, mu: np.ndarray) -> np.ndarray:
-        _, shell_idx = self.ball()
-        xi = rng.standard_normal(mu.shape[0])
-        y = (mu + xi) ** 2 - 1.0
-        q = np.bincount(shell_idx, weights=y, minlength=len(self.rho))
-        return self.W @ q
+    def active_stats(
+        self, rngs: Sequence[np.random.Generator], means: Iterable[np.ndarray]
+    ) -> np.ndarray:
+        """One row of S_m per stream, from one pass over the chunks of ``means``.
 
-    def mean_stats(self, mu: np.ndarray) -> np.ndarray:
+        Stream j draws its normals chunk by chunk, which is the sequence one
+        call of ``len(ball)`` normals gives, and ``np.add.at`` adds the chunk
+        into the shell sums in point order, as ``np.bincount`` over the whole
+        ball would: each row is bit-identical to the unchunked statistic.
+        """
+        q = np.zeros((len(rngs), len(self.rho)))
+        for idx, mu in self._with_shells(means):
+            for rng, acc in zip(rngs, q):
+                y = rng.standard_normal(len(mu))
+                y += mu
+                y *= y
+                y -= 1.0
+                np.add.at(acc, idx, y)
+        # one gemv per row: a blocked matrix product would change the last bits
+        return np.array([self.W @ acc for acc in q])
+
+    def mean_stats(self, means: Iterable[np.ndarray]) -> np.ndarray:
         """Deterministic statistic means E S_m = sum omega (theta/eps)^2."""
-        _, shell_idx = self.ball()
-        q = np.bincount(shell_idx, weights=mu**2, minlength=len(self.rho))
+        q = np.zeros(len(self.rho))
+        for idx, mu in self._with_shells(means):
+            np.add.at(q, idx, mu * mu)
         return self.W @ q
 
 
@@ -171,7 +206,7 @@ def select(
         if comp is None:
             stats = engine.null_stats(rng)
         else:
-            stats = engine.active_stats(rng, engine.component_means(comp))
+            stats = engine.active_stats([rng], engine.component_means(comp))[0]
         selected = bool(stats.max() > engine.threshold)
         decisions[subset] = SubsetDecision(
             stats=tuple(float(v) for v in stats),
@@ -246,16 +281,10 @@ def _null_block(
 def _active_block(
     engine: _OrderEngine, comp: ComponentSpec, rank: int, J: int, seed: int
 ) -> np.ndarray:
-    """Miss indicators per cycle for one active component."""
-    mu = engine.component_means(comp)
-    miss = np.zeros(J, dtype=np.int64)
-    t = engine.threshold
-    for j in range(J):
-        rng = observation_stream(seed, j, engine.k, rank)
-        stats = engine.active_stats(rng, mu)
-        if not stats.max() > t:
-            miss[j] += 1
-    return miss
+    """Miss indicators per cycle for one active component, in one ball pass."""
+    rngs = [observation_stream(seed, j, engine.k, rank) for j in range(J)]
+    stats = engine.active_stats(rngs, engine.component_means(comp))
+    return (~(stats.max(axis=1) > engine.threshold)).astype(np.int64)
 
 
 def _run_cycles(

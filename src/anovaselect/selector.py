@@ -206,7 +206,8 @@ def null_shell_draw(rng: np.random.Generator, counts: np.ndarray, size: int) -> 
         q = 2.0 * rng.standard_exponential(size=(size, len(counts)))
     else:
         q = rng.chisquare(df, size=(size, len(counts)))
-    return q - df
+    q -= df
+    return q
 
 
 def null_stat_batches(

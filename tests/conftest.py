@@ -46,8 +46,8 @@ def dense_active_stats(config, comp, seed, cycle, rank):
     x = dict(zip(map(tuple, coords.tolist()), theta + eps * xi))
     stats = []
     for prof in config.profiles[k]:
-        pts, rho = ball_coords(k, float(prof.rho[-1]) + 0.5)
-        omega = prof.values[np.searchsorted(prof.rho, rho)]
+        pts, shell = ball_coords(k, float(prof.rho[-1]) + 0.5)
+        omega = prof.values[shell]
         y = np.array([(x[p] / eps) ** 2 - 1.0 for p in map(tuple, pts.tolist())])
         stats.append(float(omega @ y))
     return np.array(stats)

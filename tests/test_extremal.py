@@ -76,8 +76,8 @@ class TestExtremalSequence:
     def test_radial_symmetry(self):
         # the per-shell profile matches the pointwise closed form at every point
         prof = extremal_sequence(0.1, 2, 1.0)
-        coords, rho = ball_coords(2, prof.support_radius**2)
-        per_point = prof.theta_sq[np.searchsorted(prof.rho, rho)]
+        coords, shell = ball_coords(2, prof.support_radius**2)
+        per_point = prof.theta_sq[shell]
         oracle = [profile_oracle(c, 0.1, 2, 1.0) for c in coords.tolist()]
         assert np.allclose(per_point, oracle, rtol=1e-12, atol=0.0)
 
@@ -234,8 +234,8 @@ class TestWeights:
     def test_sum_sq_oracle(self):
         # per-point sum over the support, not the per-shell count product
         w = weights(0.1, 1, 1.0, 0.01)
-        _, rho = ball_coords(1, float(w.rho[-1]) + 0.5)
-        per_point = w.values[np.searchsorted(w.rho, rho)]
+        _, shell = ball_coords(1, float(w.rho[-1]) + 0.5)
+        per_point = w.values[shell]
         assert len(per_point) == 6
         assert sum(v * v for v in per_point) == pytest.approx(0.5, rel=1e-12)
 

@@ -106,8 +106,8 @@ class TestLatticeBall:
     def test_radius_validation(self):
         # no admissible point below the smallest shell: an empty (0, k) array
         for r2 in (-1.0, 0.0, 2.0):
-            coords, rho = ball_coords(3, r2)
-            assert coords.shape == (0, 3) and len(rho) == 0
+            coords, shell = ball_coords(3, r2)
+            assert coords.shape == (0, 3) and len(shell) == 0
 
 
 class TestShellCounts:
@@ -134,9 +134,10 @@ class TestShellCounts:
             shell_counts(1, top + 1)
 
     def test_ball_coords_agree(self):
-        coords, rho = ball_coords(2, 30.0)
+        coords, shell = ball_coords(2, 30.0)
         assert len(coords) == len(brute_ball(2, math.sqrt(30.0)))
-        assert np.all((coords.astype(np.int64) ** 2).sum(axis=1) == rho)
+        rho = (coords.astype(np.int64) ** 2).sum(axis=1)
+        assert np.all(shell_counts(2, 30.0)[0][shell] == rho)
 
 
 class TestSubsets:

@@ -1,16 +1,17 @@
-"""Property tests: lattice shells, shell convolution and the inactive-rank pool
-against brute force over generated inputs."""
+"""Property tests: lattice shells, lattice balls, shell convolution and the
+inactive-rank pool against brute force over generated inputs."""
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_ball
 
-from anovaselect.lattice import shell_convolve, shell_counts
+from anovaselect.lattice import ball_coords, shell_convolve, shell_counts
 from anovaselect.risk import _inactive_ranks
 
 FAST = settings(max_examples=60, deadline=None)
@@ -26,6 +27,27 @@ def test_shell_counts_match_bruteforce(k, radius):
         expected[r2] = expected.get(r2, 0) + 1
     assert rho.tolist() == sorted(expected)
     assert counts.tolist() == [expected[r] for r in sorted(expected)]
+
+
+@FAST
+@given(k=st.integers(1, 3), radius=st.floats(0.0, math.sqrt(60.0)))
+def test_ball_coords_match_bruteforce(k, radius):
+    coords, shell = ball_coords(k, radius * radius)
+    assert coords.tolist() == sorted(list(p) for p in brute_ball(k, radius))
+    assert coords.shape == (len(shell), k) and shell.dtype == np.int32
+    rho = (coords.astype(np.int64) ** 2).sum(axis=1)
+    assert np.array_equal(shell_counts(k, radius * radius)[0][shell], rho)
+    if len(coords):
+        assert np.iinfo(coords.dtype).max >= int(np.abs(coords.astype(np.int64)).max())
+
+
+@pytest.mark.parametrize("limit", [127, 128, 32767, 32768, 40000])
+def test_ball_coords_dtype_holds_largest_coordinate(limit):
+    # the one-dimensional ball of radius limit + 1/2 reaches |l| = limit exactly
+    coords, shell = ball_coords(1, (limit + 0.5) ** 2)
+    assert coords[0, 0] == -limit and coords[-1, 0] == limit
+    assert len(coords) == 2 * limit and shell[-1] == limit - 1
+    assert np.iinfo(coords.dtype).min <= -limit and np.iinfo(coords.dtype).max >= limit
 
 
 @FAST

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from anovaselect.risk import (
 )
 from anovaselect.extremal import a_exact, admissible_r_max, solve_r_star
 from anovaselect.lattice import log_binomial
-from anovaselect.selector import build_selector_config
-from anovaselect.signals import ComponentSpec, build_pattern
+from anovaselect.selector import build_selector_config, observation_stream
+from anovaselect.signals import ComponentSpec, build_pattern, coeff_vector
 
 
 def explicit_pattern(d, s, components, epsilon=0.01, beta=0.6):
@@ -202,6 +203,64 @@ class TestThreadsAndBallCache:
             [0.5, 1.0], pattern, tiny_config, J=3, seed=5, pool_inactive=20, threads=4
         )
         assert sorted(calls) == [1, 2]
+
+
+def one_shot_stats(engine, comp, rng):
+    """The unchunked active statistic: per-point means and normals of the whole ball."""
+    coords, shell = engine.ball()
+    n = engine.truncation
+    mu = np.full(coords.shape[0], comp.amplitude / engine.epsilon)
+    for p, fid in enumerate(comp.factor_ids):
+        mu *= coeff_vector(fid, n)[coords[:, p].astype(np.int64) + n]
+    xi = rng.standard_normal(coords.shape[0])
+    q = np.bincount(shell, weights=(mu + xi) ** 2 - 1.0, minlength=len(engine.rho))
+    return engine.W @ q
+
+
+ACTIVE_CASES = [
+    ("tiny_config", ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.3)),
+    ("bench_config", ComponentSpec(Subset((4, 17, 30)), (1, 5, 8))),
+]
+
+
+class TestStreamedActivePath:
+    @pytest.mark.parametrize("chunk", [7, risk._CHUNK])
+    @pytest.mark.parametrize("config_name,comp", ACTIVE_CASES)
+    def test_bit_identical_to_one_shot(self, request, monkeypatch, config_name, comp, chunk):
+        monkeypatch.setattr(risk, "_CHUNK", chunk)
+        engine = _OrderEngine(request.getfixturevalue(config_name), comp.subset.k)
+        rng, same = (observation_stream(5, 2, comp.subset.k, 17) for _ in range(2))
+        streamed = engine.active_stats([rng], engine.component_means(comp))[0]
+        assert np.array_equal(streamed, one_shot_stats(engine, comp, same))
+
+    def test_rows_independent_of_companion_streams(self, tiny_config):
+        comp = ACTIVE_CASES[0][1]
+        engine = _OrderEngine(tiny_config, 2)
+        rngs = [observation_stream(5, j, 2, 17) for j in range(4)]
+        joint = engine.active_stats(rngs, engine.component_means(comp))
+        for j in range(4):
+            solo = engine.active_stats(
+                [observation_stream(5, j, 2, 17)], engine.component_means(comp)
+            )[0]
+            assert np.array_equal(joint[j], solo)
+        assert not np.array_equal(joint[0], joint[1])
+
+    def test_active_block_memory_below_one_point_array(self, bench_config):
+        # one float64 per ball point is 8.4 MB at d = 50, k = 3; the streamed
+        # block must stay below it (the unchunked path allocated several)
+        comp = ACTIVE_CASES[1][1]
+        engine = _OrderEngine(bench_config, 3)
+        points = len(engine.ball()[1])
+        assert points == 1_050_552
+        for fid in comp.factor_ids:
+            coeff_vector(fid, engine.truncation)  # memoised before the trace
+        tracemalloc.start()
+        try:
+            risk._active_block(engine, comp, rank=0, J=2, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * points
 
 
 class TestAttenuation:

@@ -130,7 +130,7 @@ class TestSimulateObservations:
         comp = ComponentSpec(Subset((1,)), (1,))
         engine = _OrderEngine(config, 1)
         coords, _ = engine.ball()
-        mu = engine.component_means(comp)
+        mu = np.concatenate(list(engine.component_means(comp)))
         for row, m in zip(coords.tolist(), mu):
             assert m * epsilon == pytest.approx(product_coeff(comp, row), abs=1e-11)
 
@@ -141,7 +141,7 @@ class TestStatistic:
         engine = _OrderEngine(tiny_config, 2)
         n = engine.ball()[0].shape[0]
         mu = 1.0 - pinned_xi(2, 7, n)
-        stats = engine.active_stats(observation_stream(0, 0, 2, 7), mu)
+        stats = engine.active_stats([observation_stream(0, 0, 2, 7)], [mu])[0]
         assert np.allclose(stats, 0.0, atol=1e-12)
 
     def test_missing_index_raises(self, tiny_config):
@@ -172,9 +172,9 @@ class TestStatistic:
         epsilon = 0.01
         w = weights(0.1, 1, 1.0, epsilon)
         table = {(-2,): 0.004, (-1,): -0.006, (1,): 0.008, (2,): 0.002, (3,): 0.001}
-        coords, rho = ball_coords(1, float(w.rho[-1]) + 0.5)
+        coords, shell = ball_coords(1, float(w.rho[-1]) + 0.5)
         coords = [tuple(row) for row in coords.tolist()]
-        omega = w.values[np.searchsorted(w.rho, rho)]
+        omega = w.values[shell]
         mu = np.array([table.get(c, 0.0) / epsilon for c in coords])
         expected = float(omega @ mu**2)
         rng = np.random.default_rng(42)
@@ -200,23 +200,25 @@ class TestSelect:
         # pushing any one X_l away from zero never lowers a statistic
         engine = _OrderEngine(tiny_config, 2)
         comp = ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.3)
-        mu = engine.component_means(comp)
+        mu = np.concatenate(list(engine.component_means(comp)))
         x = mu + pinned_xi(2, 11, len(mu))
-        base = engine.active_stats(observation_stream(0, 0, 2, 11), mu)
+        base = engine.active_stats([observation_stream(0, 0, 2, 11)], [mu])[0]
         for i in range(0, len(mu), 7):
             bumped = mu.copy()
             bumped[i] += 2.0 * x[i] + np.sign(x[i]) * 5.0
-            stats = engine.active_stats(observation_stream(0, 0, 2, 11), bumped)
+            stats = engine.active_stats([observation_stream(0, 0, 2, 11)], [bumped])[0]
             assert np.all(stats >= base - 1e-12)
 
     def test_scaling_all_values_never_decreases_stats(self, tiny_config):
         # X -> 1.7 X at every point raises every statistic (weights are >= 0)
         engine = _OrderEngine(tiny_config, 2)
         comp = ComponentSpec(Subset((1, 4)), (6, 7))
-        mu = engine.component_means(comp)
+        mu = np.concatenate(list(engine.component_means(comp)))
         xi = pinned_xi(2, 4, len(mu))
-        base = engine.active_stats(observation_stream(0, 0, 2, 4), mu)
-        scaled = engine.active_stats(observation_stream(0, 0, 2, 4), 1.7 * mu + 0.7 * xi)
+        base = engine.active_stats([observation_stream(0, 0, 2, 4)], [mu])[0]
+        scaled = engine.active_stats(
+            [observation_stream(0, 0, 2, 4)], [1.7 * mu + 0.7 * xi]
+        )[0]
         assert np.all(scaled >= base)
 
     def test_threshold_identity(self, tiny_config, tiny_dim):
@@ -279,11 +281,10 @@ class TestShellFastPathConsistency:
     def test_mean_stats_identity(self, tiny_config):
         comp = ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.7)
         engine = _OrderEngine(tiny_config, 2)
-        mu = engine.component_means(comp)
-        means = engine.mean_stats(mu)
+        means = engine.mean_stats(engine.component_means(comp))
         for m, prof in enumerate(tiny_config.profiles[2]):
-            coords, rho = ball_coords(2, float(prof.rho[-1]) + 0.5)
-            omega = prof.values[np.searchsorted(prof.rho, rho)]
+            coords, shell = ball_coords(2, float(prof.rho[-1]) + 0.5)
+            omega = prof.values[shell]
             theta = np.array([product_coeff(comp, c) for c in coords.tolist()])
             expected = float(omega @ (theta / 0.01) ** 2)
             assert means[m] == pytest.approx(expected, rel=1e-10)
@@ -292,10 +293,11 @@ class TestShellFastPathConsistency:
         # per-point active draws against noncentral chi-square draws per shell
         comp = ComponentSpec(Subset((1,)), (1,), amplitude=0.001)
         engine = _OrderEngine(bench_k1_config, 1)
-        mu = engine.component_means(comp)
+        mu = np.concatenate(list(engine.component_means(comp)))
         n = 2000
         point = np.array([
-            engine.active_stats(observation_stream(3, j, 1, 0), mu) for j in range(n)
+            engine.active_stats([observation_stream(3, j, 1, 0)], [mu])[0]
+            for j in range(n)
         ])
         shell = shell_active_stats(engine, comp, np.random.default_rng(3), n)
         miss_point = float(np.mean(point.max(axis=1) <= engine.threshold))
