@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inactive subsets sampled per order in pool mode")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (0 = auto)")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        p.add_argument("--quiet", action="store_true", help="do not print the final 'wrote ...' line")
     return parser
 
 

@@ -266,12 +266,17 @@ def _resolve_threads(threads: int) -> int:
 def _null_block(
     engine: _OrderEngine, ranks: Sequence[int], J: int, seed: int
 ) -> np.ndarray:
-    """False-positive counts per cycle over a block of inactive subsets."""
+    """False-positive counts per cycle over a block of inactive subsets.
+
+    The block owns one generator and re-keys it to each subset's substream,
+    which draws exactly what a fresh generator on that substream would.
+    """
     fp = np.zeros(J, dtype=np.int64)
     t = engine.threshold
+    rng = None
     for rank in ranks:
         for j in range(J):
-            rng = observation_stream(seed, j, engine.k, int(rank))
+            rng = observation_stream(seed, j, engine.k, int(rank), into=rng)
             stats = engine.null_stats(rng)
             if stats.max() > t:
                 fp[j] += 1

@@ -14,10 +14,22 @@ subset-rank) owns a Philox stream spawned from the master seed, so full and
 pooled enumeration agree on shared subsets and reruns are bit-identical.
 The statistics themselves are evaluated per shell by ``risk.select`` and the
 risk estimators.
+
+A substream is the stream of ``Philox(SeedSequence(seed, spawn_key=words))``,
+where each key part below 2^64 contributes two 32-bit words.  Its Philox key
+is derived here directly, with SeedSequence's own hash: the pool state after
+the seed and all but the last word is memoised with ``functools.cache``, so a
+new stream mixes in only the low word of its subset rank and hashes the pool
+out to the 128-bit key.  ``substream(..., into=rng)`` re-keys an existing Philox
+generator in place (counter 0, empty buffer, no half-word left) instead of
+building a new one, and the generator then draws exactly what a fresh one
+would; the null blocks of the risk estimators draw every subset and cycle
+through one generator this way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -35,20 +47,133 @@ _PHASE_AUDIT = 3
 PRESET_TRUNCATION = {1: 622, 2: 154, 3: 65, 4: 36}
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Philox generator for a (seed, key...) address; reruns are bit-identical."""
-    words = []
+# Constants of numpy's seed hash (numpy/random/bit_generator.pyx): a pool of
+# four 32-bit words, the mixing hash and the output hash.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_ZERO4 = (0, 0, 0, 0)
+
+
+def _uint32_words(n: int) -> tuple[int, ...]:
+    """Little-endian 32-bit words of a nonnegative int; 0 is one word."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return tuple(words)
+
+
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    value ^= h
+    h = (h * _MULT_A) & _MASK32
+    value = (value * h) & _MASK32
+    return value ^ (value >> 16), h
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _absorb(pool: tuple[int, ...], h: int, word: int) -> tuple[tuple[int, ...], int]:
+    """Mix one entropy word beyond the pool size into every pool word.
+
+    This is ``_mix(x, _hashmix(word, h))`` per pool word, inlined because every
+    stream pays for one call.
+    """
+    out = []
+    for x in pool:
+        v = word ^ h
+        h = (h * _MULT_A) & _MASK32
+        v = (v * h) & _MASK32
+        r = (_MIX_L * x - _MIX_R * (v ^ (v >> 16))) & _MASK32
+        out.append(r ^ (r >> 16))
+    return tuple(out), h
+
+
+@functools.cache
+def _pool_state(seed: int, words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Pool and hash constant after mixing the seed's words, then ``words``."""
+    if words:
+        return _absorb(*_pool_state(seed, words[:-1]), words[-1])
+    entropy = _uint32_words(seed)
+    entropy += (0,) * (_POOL_SIZE - len(entropy))
+    h = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        v, h = _hashmix(word, h)
+        pool.append(v)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    state = (tuple(pool), h)
+    for word in entropy[_POOL_SIZE:]:
+        state = _absorb(*state, word)
+    return state
+
+
+def _philox_key(seed: int, words: tuple[int, ...]) -> tuple[int, int]:
+    """The two 64-bit words ``generate_state(2, np.uint64)`` gives for this entropy."""
+    pool, h = _pool_state(seed, words[:-1])
+    if words:
+        pool, _ = _absorb(pool, h, words[-1])
+    out = []
+    h = _INIT_B
+    for x in pool:
+        x ^= h
+        h = (h * _MULT_B) & _MASK32
+        x = (x * h) & _MASK32
+        out.append(x ^ (x >> 16))
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def substream(
+    seed: int, *key: int, into: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Philox generator for a (seed, key...) address; reruns are bit-identical.
+
+    The stream is the one of ``Philox(SeedSequence(seed, spawn_key=words))``,
+    where each key part contributes the words (part >> 32, part & 0xFFFFFFFF);
+    the Philox key is derived directly, with the pool state before the last
+    word memoised.  With ``into``, that Philox generator is re-keyed in place
+    (counter 0, empty buffer) and returned instead of a new one; it then draws
+    exactly what a fresh stream would.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("the stream seed must be nonnegative")
+    words: list[int] = []
     for part in key:
         part = int(part)
         if part < 0:
             raise ValueError("stream key parts must be nonnegative")
-        words.extend((part >> 32, part & 0xFFFFFFFF))
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(words))
-    return np.random.Generator(np.random.Philox(ss))
+        high = part >> 32
+        words += _uint32_words(high) if high >> 32 else (high,)
+        words.append(part & _MASK32)
+    k0, k1 = _philox_key(seed, tuple(words))
+    if into is None:
+        return np.random.Generator(np.random.Philox(key=k0 | k1 << 64))
+    into.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": (k0, k1)},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return into
 
 
-def observation_stream(seed: int, cycle: int, k: int, rank: int) -> np.random.Generator:
-    return substream(seed, _PHASE_OBS, cycle, k, rank)
+def observation_stream(
+    seed: int, cycle: int, k: int, rank: int, into: np.random.Generator | None = None
+) -> np.random.Generator:
+    return substream(seed, _PHASE_OBS, cycle, k, rank, into=into)
 
 
 def pool_stream(seed: int, k: int) -> np.random.Generator:
@@ -201,9 +326,10 @@ def null_shell_draw(rng: np.random.Generator, counts: np.ndarray, size: int) -> 
     exponential: numpy draws the same bytes either way, and the exponential
     path is about twice as fast (one-row draw of 620 shells).
     """
-    df = counts.astype(np.float64)
-    if np.all(counts == 2):
-        q = 2.0 * rng.standard_exponential(size=(size, len(counts)))
+    df = np.asarray(counts, dtype=np.float64)
+    if (df == 2.0).all():
+        q = rng.standard_exponential(size=(size, len(counts)))
+        q *= 2.0
     else:
         q = rng.chisquare(df, size=(size, len(counts)))
     q -= df

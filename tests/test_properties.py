@@ -1,5 +1,6 @@
-"""Property tests: lattice shells, lattice balls, shell convolution and the
-inactive-rank pool against brute force over generated inputs."""
+"""Property tests: lattice shells, lattice balls, shell convolution, subset
+ranks, weight normalisation, the inactive-rank pool and the substream key
+derivation against brute force or numpy's SeedSequence over generated inputs."""
 
 import itertools
 import math
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import brute_ball
 
-from anovaselect.lattice import ball_coords, shell_convolve, shell_counts
+from anovaselect.extremal import admissible_r_max, weights
+from anovaselect.lattice import Subset, ball_coords, shell_convolve, shell_counts, subset_rank
 from anovaselect.risk import _inactive_ranks
+from anovaselect.selector import substream
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -91,3 +94,72 @@ def test_inactive_ranks_properties(request):
     assert len(ranks) == min(size, len(inactive))
     if size >= len(inactive):
         assert ranks == inactive
+
+
+@FAST
+@given(d=st.integers(1, 12), k=st.integers(1, 4), data=st.data())
+def test_subset_rank_is_combinations_index(d, k, data):
+    combos = list(itertools.combinations(range(1, d + 1), k))
+    if not combos:  # k > d
+        return
+    index = data.draw(st.integers(0, len(combos) - 1))
+    assert subset_rank(Subset(combos[index]), d) == index
+
+
+@FAST
+@given(
+    k=st.integers(1, 3),
+    sigma=st.floats(0.75, 3.0),
+    frac=st.floats(0.05, 0.95),
+    epsilon=st.floats(1e-6, 1e-2),
+)
+def test_weights_square_sum_is_half(k, sigma, frac, epsilon):
+    w = weights(frac * admissible_r_max(k, sigma), k, sigma, epsilon)
+    assert w.sum_sq() == pytest.approx(0.5, rel=1e-10)
+
+
+def seed_sequence_stream(seed, key):
+    """The substream of (seed, key...) as numpy's SeedSequence spawns it."""
+    words = []
+    for part in key:
+        words += [part >> 32, part & 0xFFFFFFFF]
+    ss = np.random.SeedSequence(seed, spawn_key=tuple(words))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+SEEDS = st.integers(0, 2**160)
+KEYS = st.lists(st.integers(0, 2**64), min_size=0, max_size=4)
+
+
+@FAST
+@given(seed=SEEDS, key=KEYS)
+def test_substream_key_matches_seed_sequence(seed, key):
+    got = substream(seed, *key).bit_generator.state
+    want = seed_sequence_stream(seed, key).bit_generator.state
+    assert np.array_equal(got["state"]["key"], want["state"]["key"])
+    assert np.array_equal(got["state"]["counter"], want["state"]["counter"])
+
+
+@FAST
+@given(seed=SEEDS, key=KEYS, odd=st.integers(0, 4), size=st.integers(1, 9))
+def test_rekeyed_generator_draws_like_a_fresh_stream(seed, key, odd, size):
+    rng = substream(seed + 1, 5)
+    rng.standard_normal(3)
+    rng.integers(0, 2**32, size=2 * odd + 1, dtype=np.uint32)  # leaves a buffered half-word
+    assert substream(seed, *key, into=rng) is rng
+    fresh = seed_sequence_stream(seed, key)
+    assert np.array_equal(
+        rng.integers(0, 2**32, size=size, dtype=np.uint32),
+        fresh.integers(0, 2**32, size=size, dtype=np.uint32),
+    )
+    assert np.array_equal(rng.standard_normal(size), fresh.standard_normal(size))
+    assert np.array_equal(rng.chisquare(3.0, size), fresh.chisquare(3.0, size))
+
+
+@FAST
+@given(seed=SEEDS, key=KEYS, where=st.integers(0, 3), negative=st.integers(-(2**64), -1))
+def test_negative_key_part_rejected(seed, key, where, negative):
+    key = list(key)
+    key.insert(min(where, len(key)), negative)
+    with pytest.raises(ValueError, match="nonnegative"):
+        substream(seed, *key)

@@ -10,9 +10,11 @@ from anovaselect.lattice import DimensionSpec, Subset, ball_coords, subset_rank
 from anovaselect.risk import _OrderEngine, select
 from anovaselect.selector import (
     SelectorConfig,
+    audit_stream,
     epsilon_hat,
     null_shell_draw,
     observation_stream,
+    pool_stream,
     substream,
     tail_bound_audit,
     threshold,
@@ -242,6 +244,39 @@ class TestSelect:
             if engine.null_stats(rng).max() > t:
                 hits += 1
         assert hits / n <= 1e-3
+
+
+def philox_key(rng):
+    return [int(v) for v in rng.bit_generator.state["state"]["key"]]
+
+
+class TestSubstreams:
+    # (stream, phase tag, address, Philox key) at seed 10, recorded with numpy
+    # 2.4: a change of the key derivation on either side (ours or numpy's
+    # SeedSequence) would move every stream and every seeded result.
+    GOLDEN = [
+        (observation_stream, 1, (0, 1, 0), [9521107119006602321, 948906545580397462]),
+        (observation_stream, 1, (3, 2, 1224), [7394338000087781639, 6257513590254045905]),
+        (observation_stream, 1, (9, 4, 230299), [15776732815485062971, 6110330755088486223]),
+        (observation_stream, 1, (7, 1, 199), [10649349199958790246, 846368248214284617]),
+        (pool_stream, 2, (1,), [6653273504105402237, 2550465457864846800]),
+        (pool_stream, 2, (4,), [7648858248129995017, 12082171556202462444]),
+        (audit_stream, 3, (0,), [9734252454608947117, 10372529109608555794]),
+        (audit_stream, 3, (1_000_000,), [18368358132650398580, 5576687590213123453]),
+    ]
+
+    @pytest.mark.parametrize("stream, phase, address, key", GOLDEN)
+    def test_pinned_keys(self, stream, phase, address, key):
+        rng = stream(10, *address)
+        assert philox_key(rng) == key
+        assert rng.bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        words = [w for part in (phase, *address) for w in (part >> 32, part & 0xFFFFFFFF)]
+        seeded = np.random.SeedSequence(10, spawn_key=tuple(words))
+        assert seeded.generate_state(2, np.uint64).tolist() == key
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            substream(-1, 0)
 
 
 class TestTailAudit:
