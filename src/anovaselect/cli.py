@@ -359,11 +359,12 @@ def run_audit(cfg: dict):
     k_a = cfg["audit_k"]
     m_a = cfg["audit_m"] or (config.grid.M + 1) // 2
     prof = config.profiles[k_a][m_a - 1]
-    moments = _null_moments(prof, cfg["trials_null"], cfg["seed"])
+    moments = _null_moments(prof, cfg["trials_null"], cfg["seed"], cfg["threads"])
     rows.append(["null_mean", k_a, m_a, moments[0], 0.02, abs(moments[0]) <= 0.02])
     rows.append(["null_var", k_a, m_a, moments[1], 0.05, abs(moments[1] - 1.0) <= 0.05])
 
-    audit = tail_bound_audit(cfg["tail_t"], cfg["trials_tail"], cfg["seed"], prof)
+    audit = tail_bound_audit(cfg["tail_t"], cfg["trials_tail"], cfg["seed"], prof,
+                             threads=cfg["threads"])
     slack_bound = math.exp(-cfg["tail_t"] ** 2 / 2.0 * 0.8)
     rows.append(["tail_upper", k_a, m_a, audit.empirical_upper, audit.reference,
                  audit.empirical_upper <= slack_bound])
@@ -380,11 +381,11 @@ def run_audit(cfg: dict):
     return header, rows
 
 
-def _null_moments(profile, trials: int, seed: int):
+def _null_moments(profile, trials: int, seed: int, threads: int):
     """Sample mean and variance of the null statistic over `trials` draws."""
     total = 0.0
     total_sq = 0.0
-    for s in null_stat_batches(profile, trials, seed, offset=1_000_000):
+    for s in null_stat_batches(profile, trials, seed, offset=1_000_000, threads=threads):
         total += float(s.sum())
         total_sq += float((s * s).sum())
     mean = total / trials
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pool-size", dest="pool_size", type=int, default=None,
                        help="inactive subsets sampled per order in pool mode")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (0 = auto)")
+                       help="worker threads of risk, table2 and audit (0 = auto)")
         p.add_argument("--quiet", action="store_true", help="do not print the final 'wrote ...' line")
     return parser
 

@@ -17,7 +17,9 @@ of Z^k with every coordinate nonzero.  This module provides
 * the two capacity guards of the package, each checked where its array is
   allocated: ``MAX_SHELL_INDEX`` bounds every per-shell array that
   :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds the one array
-  of lattice points, built by :func:`ball_coords`,
+  of lattice points, built by :func:`ball_coords`; ``BLOCK_ENTRIES`` bounds
+  each row block of the package's blocked reductions (the audit's null draws
+  and the coefficient vectors),
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
@@ -117,6 +119,10 @@ MAX_SHELL_INDEX = 5_000_000
 # every benchmark configuration (the largest ball built is ~6.4e6 points at
 # k = 4, 8 bytes a point: int8 coordinates and an int32 shell index).
 MAX_BALL_POINTS = 10_000_000
+
+# Entries per row block where a matrix is reduced row by row (the audit's null
+# draws, the coefficient vectors' cos/sin products): 8 MB of float64.
+BLOCK_ENTRIES = 1 << 20
 
 
 def shell_convolve(masses: Sequence[np.ndarray], size: int) -> np.ndarray:

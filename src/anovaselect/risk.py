@@ -25,7 +25,6 @@ owns its lattice ball for the lifetime of the run that created it.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -41,7 +40,13 @@ from .lattice import (
     log_binomial,
     subset_rank,
 )
-from .selector import SelectorConfig, null_shell_draw, observation_stream, pool_stream
+from .selector import (
+    SelectorConfig,
+    _resolve_threads,
+    null_shell_draw,
+    observation_stream,
+    pool_stream,
+)
 from .signals import ComponentSpec, SparsityPattern, coeff_vector
 
 SQRT2 = math.sqrt(2.0)
@@ -250,17 +255,6 @@ def _inactive_ranks(
         return np.setdiff1d(np.arange(total, dtype=np.int64), active)
     candidates = pool_stream(seed, k).choice(total, size + len(active), replace=False)
     return np.sort(candidates[~np.isin(candidates, active)][:size])
-
-
-def _resolve_threads(threads: int) -> int:
-    """Worker count; 0 means the CPUs this process may run on, at most 8."""
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-    if threads == 0:
-        if hasattr(os, "sched_getaffinity"):
-            return min(8, len(os.sched_getaffinity(0)))
-        return min(8, os.cpu_count() or 1)
-    return threads
 
 
 def _null_block(

@@ -25,19 +25,32 @@ generator in place (counter 0, empty buffer, no half-word left) instead of
 building a new one, and the generator then draws exactly what a fresh one
 would; the null blocks of the risk estimators draw every subset and cycle
 through one generator this way.
+
+The tail audit and the null moments draw S = sum omega Q in batches of
+``chunk`` rows, and batch ``idx`` owns the audit substream ``offset + idx``, so
+batches are independent and may run in any order.  ``null_stat_batches`` runs
+them on a pool of the resolved worker count and yields their S vectors in
+batch order, so callers sum in a fixed order.  Each batch draws its stream in
+row blocks of at most ``BLOCK_ENTRIES`` entries (numpy fills C-order rows from
+one stream, so the variates are those of one call) and reduces each block with
+``np.einsum("ij,j->i", ...)``: a fixed-order loop per row, with no BLAS, so the
+S bits depend neither on the block size nor on the CPU count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .extremal import GridSpec, WeightProfile, calibrate_radii, weights
-from .lattice import DimensionSpec, log_binomial
+from .lattice import BLOCK_ENTRIES, DimensionSpec, log_binomial
 
 # Stream phase tags keep independent uses of the master seed disjoint.
 _PHASE_OBS = 1
@@ -336,18 +349,57 @@ def null_shell_draw(rng: np.random.Generator, counts: np.ndarray, size: int) -> 
     return q
 
 
+def _resolve_threads(threads: int) -> int:
+    """Worker count; 0 means the CPUs this process may run on, at most 8."""
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
+    if threads == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return min(8, len(os.sched_getaffinity(0)))
+        return min(8, os.cpu_count() or 1)
+    return threads
+
+
+def _batch_stats(w: WeightProfile, seed: int, stream: int, size: int) -> np.ndarray:
+    """S for ``size`` null draws of one audit substream, one row block at a time."""
+    rng = audit_stream(seed, stream)
+    rows = max(1, BLOCK_ENTRIES // len(w.counts))
+    stats = np.empty(size)
+    for start in range(0, size, rows):
+        block = stats[start : start + rows]
+        np.einsum("ij,j->i", null_shell_draw(rng, w.counts, len(block)), w.values, out=block)
+    return stats
+
+
 def null_stat_batches(
-    w: WeightProfile, trials: int, seed: int, offset: int, chunk: int = 20_000
+    w: WeightProfile,
+    trials: int,
+    seed: int,
+    offset: int,
+    chunk: int = 20_000,
+    threads: int = 0,
 ) -> Iterator[np.ndarray]:
     """Yield ``trials`` null draws of S = sum omega Q, in batches of <= ``chunk``.
 
     Batch idx draws from the audit substream ``offset + idx``, so callers with
     disjoint offsets get independent samples and reruns are bit-identical.
+    Batches run on ``threads`` workers (0 = auto), at most two per worker ahead
+    of the one yielded, and come out in batch order.  Closing the generator
+    cancels the batches not yet started.
     """
-    for idx, start in enumerate(range(0, trials, chunk)):
-        size = min(chunk, trials - start)
-        q = null_shell_draw(audit_stream(seed, offset + idx), w.counts, size)
-        yield q @ w.values
+    n_threads = _resolve_threads(threads)
+    pool = ThreadPoolExecutor(max_workers=n_threads)
+    pending: deque = deque()
+    try:
+        for idx, start in enumerate(range(0, trials, chunk)):
+            size = min(chunk, trials - start)
+            pending.append(pool.submit(_batch_stats, w, seed, offset + idx, size))
+            if len(pending) > 2 * n_threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -368,6 +420,7 @@ def tail_bound_audit(
     seed: int,
     w: WeightProfile,
     chunk: int = 20_000,
+    threads: int = 0,
 ) -> TailAudit:
     """Estimate P0(S > T) and compare with exp(-T^2/2).
 
@@ -380,7 +433,7 @@ def tail_bound_audit(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     upper_hits = 0
-    for stats in null_stat_batches(w, trials, seed, offset=0, chunk=chunk):
+    for stats in null_stat_batches(w, trials, seed, 0, chunk, threads):
         upper_hits += int(np.count_nonzero(stats > T))
     return TailAudit(
         T=T,

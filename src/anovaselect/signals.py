@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import DimensionSpec, Subset, shell_convolve
+from .lattice import BLOCK_ENTRIES, DimensionSpec, Subset, shell_convolve
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,14 +148,23 @@ def _coeff_1d(i: int, l: int, quad: QuadratureSpec) -> float:
 
 @functools.cache
 def _coeff_vector(i: int, n: int, quad: QuadratureSpec) -> np.ndarray:
+    """Frequencies l = 1..n in row blocks of at most ``BLOCK_ENTRIES`` phases,
+    each reduced by einsum's fixed-order loop (no BLAS), so the bits depend
+    neither on the block size nor on the CPU count."""
     x, w = quad.grid()
     g = eval_g(i, x) * w
-    ls = np.arange(1, n + 1)
-    phase = 2.0 * math.pi * np.outer(ls, x)
+    cos_part = np.empty(n)
+    sin_part = np.empty(n)
+    rows = max(1, BLOCK_ENTRIES // len(x))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        phase = 2.0 * math.pi * np.outer(np.arange(start + 1, stop + 1), x)
+        np.einsum("ij,j->i", np.cos(phase), g, out=cos_part[start:stop])
+        np.einsum("ij,j->i", np.sin(phase), g, out=sin_part[start:stop])
     out = np.empty(2 * n + 1, dtype=np.float64)
     out[n] = float(g.sum())
-    out[n + 1 :] = SQRT2 * (np.cos(phase) @ g)
-    out[n - 1 :: -1] = SQRT2 * (np.sin(phase) @ g)
+    out[n + 1 :] = SQRT2 * cos_part
+    out[n - 1 :: -1] = SQRT2 * sin_part
     out.setflags(write=False)
     return out
 

@@ -1,6 +1,7 @@
 """Property tests: lattice shells, lattice balls, shell convolution, subset
 ranks, weight normalisation, the inactive-rank pool and the substream key
-derivation against brute force or numpy's SeedSequence over generated inputs."""
+derivation against brute force or numpy's SeedSequence over generated inputs,
+and the monotonicity of the statistic means in the signal."""
 
 import itertools
 import math
@@ -14,7 +15,7 @@ from conftest import brute_ball
 
 from anovaselect.extremal import admissible_r_max, weights
 from anovaselect.lattice import Subset, ball_coords, shell_convolve, shell_counts, subset_rank
-from anovaselect.risk import _inactive_ranks
+from anovaselect.risk import _OrderEngine, _inactive_ranks
 from anovaselect.selector import substream
 
 FAST = settings(max_examples=60, deadline=None)
@@ -163,3 +164,18 @@ def test_negative_key_part_rejected(seed, key, where, negative):
     key.insert(min(where, len(key)), negative)
     with pytest.raises(ValueError, match="nonnegative"):
         substream(seed, *key)
+
+
+@FAST
+@given(k=st.integers(1, 2), data=st.data(), scale=st.floats(1.0, 1e3))
+def test_scaling_the_means_up_never_lowers_a_mean_stat(tiny_config, k, data, scale):
+    # E S_m = sum omega mu^2 with omega >= 0: every term grows with |mu|
+    engine = _OrderEngine(tiny_config, k)
+    assert (engine.W >= 0.0).all()
+    points = len(engine.ball()[1])
+    mu = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=points,
+                                     max_size=points)))
+    split = data.draw(st.integers(0, points))
+    before = engine.mean_stats([mu[:split], mu[split:]])
+    after = engine.mean_stats([scale * mu[:split], scale * mu[split:]])
+    assert (after >= before).all()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from anovaselect.risk import (
     SelectionResult,
     SubsetDecision,
     _OrderEngine,
-    _resolve_threads,
     attenuation_experiment,
     boundary_sweep,
     classify_regime,
@@ -26,7 +26,7 @@ from anovaselect.risk import (
 )
 from anovaselect.extremal import a_exact, admissible_r_max, solve_r_star
 from anovaselect.lattice import log_binomial
-from anovaselect.selector import build_selector_config, observation_stream
+from anovaselect.selector import _resolve_threads, build_selector_config, observation_stream
 from anovaselect.signals import ComponentSpec, build_pattern, coeff_vector
 
 
@@ -170,15 +170,15 @@ class TestSelectMatchesRisk:
 
 class TestThreadsAndBallCache:
     def test_auto_threads_follow_affinity(self, monkeypatch):
-        monkeypatch.setattr(risk.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(risk.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert _resolve_threads(0) == 3
-        monkeypatch.setattr(risk.os, "sched_getaffinity", lambda pid: set(range(32)),
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)),
                             raising=False)
         assert _resolve_threads(0) == 8
-        monkeypatch.delattr(risk.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _resolve_threads(0) == 8
-        monkeypatch.setattr(risk.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _resolve_threads(0) == 1
         assert _resolve_threads(5) == 5
         with pytest.raises(ValueError):

@@ -1,18 +1,22 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dense_active_stats, manual_config, shell_active_stats
 
+from anovaselect import selector
 from anovaselect.extremal import weights
-from anovaselect.lattice import DimensionSpec, Subset, ball_coords, subset_rank
+from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, ball_coords, subset_rank
 from anovaselect.risk import _OrderEngine, select
 from anovaselect.selector import (
     SelectorConfig,
     audit_stream,
     epsilon_hat,
     null_shell_draw,
+    null_stat_batches,
     observation_stream,
     pool_stream,
     substream,
@@ -300,6 +304,57 @@ class TestTailAudit:
         w = weights(0.1, 1, 1.0, 0.01)  # six points, max weight ~ 0.39
         audit = tail_bound_audit(3.0, 1000, seed=1, w=w)
         assert not audit.regime_ok
+
+
+class TestAuditBatches:
+    def test_bits_independent_of_threads_and_blocks(self, bench_k1_config, monkeypatch):
+        prof = bench_k1_config.profiles[1][9]
+        chunk, trials, offset = 5000, 12_000, 40
+        expected = [
+            np.einsum("ij,j->i", null_shell_draw(audit_stream(3, offset + idx), prof.counts,
+                                                 min(chunk, trials - start)), prof.values)
+            for idx, start in enumerate(range(0, trials, chunk))
+        ]
+        shells = len(prof.counts)
+        for entries in (7 * shells, BLOCK_ENTRIES, chunk * shells):
+            monkeypatch.setattr(selector, "BLOCK_ENTRIES", entries)
+            for threads in (1, 2, 4):
+                got = list(null_stat_batches(prof, trials, 3, offset, chunk, threads))
+                assert len(got) == len(expected)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, b)
+
+    def test_tail_audit_memory_below_three_blocks(self, bench_k1_config):
+        # the d = 50, k = 1 profile: one 20000-row batch alone is 81 MB, so
+        # holding whole batches breaks the bound; row blocks are 8 MB each
+        prof = bench_k1_config.profiles[1][9]
+        tracemalloc.start()
+        try:
+            tail_bound_audit(3.0, 40_000, seed=11, w=prof)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * BLOCK_ENTRIES
+
+    def test_close_cancels_pending_batches(self, bench_k1_config, monkeypatch):
+        prof = bench_k1_config.profiles[1][9]
+        started = []
+
+        def recording_stream(seed, chunk):
+            started.append(chunk)
+            return audit_stream(seed, chunk)
+
+        monkeypatch.setattr(selector, "audit_stream", recording_stream)
+        batches = null_stat_batches(prof, 200 * 20_000, 5, 0, threads=2)
+        begin = time.perf_counter()
+        assert len(next(batches)) == 20_000
+        batches.close()
+        assert time.perf_counter() - begin < 10.0
+        # two batches queued per worker beyond the first; the rest never start
+        settled = len(started)
+        assert settled <= 5
+        time.sleep(0.2)
+        assert len(started) == settled
 
 
 class TestShellFastPathConsistency:

@@ -1,10 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anovaselect.lattice import DimensionSpec, Subset, _shell_array
+from anovaselect import signals
+from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, _shell_array
 from anovaselect.signals import (
     CoefficientTable,
     ComponentSpec,
@@ -99,6 +104,40 @@ class TestFourierCoeff:
         vec = coeff_vector(2, 40)
         for l in (-40, -3, 0, 5, 40):
             assert vec[l + 40] == pytest.approx(fourier_coeff_1d(2, l), abs=1e-12)
+
+    def test_vector_bits_independent_of_block_size(self, monkeypatch):
+        compute = signals._coeff_vector.__wrapped__  # bypass the memo
+        quad = quadrature_for(154)
+        for i in (1, 3, 9):
+            default = compute(i, 154, quad)
+            monkeypatch.setattr(signals, "BLOCK_ENTRIES", 7 * quad.total_nodes)
+            seven_rows = compute(i, 154, quad)
+            monkeypatch.setattr(signals, "BLOCK_ENTRIES", BLOCK_ENTRIES)
+            assert np.array_equal(seven_rows, default)
+            assert np.array_equal(compute(i, 154, quad), default)
+
+    def test_vector_bits_independent_of_blas_threads(self):
+        # the reduction uses no BLAS, so one BLAS thread and the default agree
+        script = (
+            "import hashlib\n"
+            "from anovaselect.signals import coeff_vector\n"
+            "h = hashlib.sha256()\n"
+            "for n in (622, 154, 65, 36):\n"
+            "    for i in range(1, 10):\n"
+            "        h.update(coeff_vector(i, n).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(signals.__file__).resolve().parents[1])
+        digests = []
+        for blas_threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if blas_threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas_threads
+            res = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(res.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestOrthogonality:
