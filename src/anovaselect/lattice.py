@@ -9,17 +9,23 @@ of Z^k with every coordinate nonzero.  This module provides
 * the squared-norm shell structure of the balls {l : |l| < R, all l_j != 0}:
   one convolution over coordinates gives the point count, or the sum of any
   per-coordinate product mass, on every shell (every radial quantity is
-  constant on a shell), plus the ball's points for callers that need them,
-  as compact coordinates with each point's shell index;
-  the point-count table is a pure function of (k, size), memoised with
-  ``functools.cache`` as a read-only array, with power-of-two sizes so one
-  table serves every smaller ball,
+  constant on a shell); the point-count table is a pure function of
+  (k, size), memoised with ``functools.cache`` as a read-only array, with
+  power-of-two sizes so one table serves every smaller ball,
+* the ball's points for callers that need them, never stored whole: the
+  ball of Z^k is the lexicographic walk over leading-coordinate slabs of a
+  (k - 1)-dimensional tail, so :func:`_ball_tail` memoises the small tail
+  (the package's one cache policy: ``functools.cache`` on a pure helper that
+  returns read-only arrays) and :func:`_ball_chunks` streams the points in
+  fixed-size chunks, each point as its lead position, tail index and shell
+  index,
 * the two capacity guards of the package, each checked where its array is
   allocated: ``MAX_SHELL_INDEX`` bounds every per-shell array that
-  :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds the one array
-  of lattice points, built by :func:`ball_coords`; ``BLOCK_ENTRIES`` bounds
-  each row block of the package's blocked reductions (the audit's null draws
-  and the coefficient vectors),
+  :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds every stored
+  array of lattice points, the tail above and the whole ball that
+  :func:`ball_coords` concatenates; ``BLOCK_ENTRIES`` bounds each row block
+  of the package's blocked reductions (the audit's null draws and the
+  coefficient vectors),
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
@@ -29,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,10 +121,16 @@ def active_count(d: int, k: int, beta: float) -> int:
 # for squared norms up to m) and the shell list of a k = 1 ball (isqrt(m)).
 MAX_SHELL_INDEX = 5_000_000
 
-# Largest number of lattice points ball_coords materialises; generous for
-# every benchmark configuration (the largest ball built is ~6.4e6 points at
-# k = 4, 8 bytes a point: int8 coordinates and an int32 shell index).
+# Largest number of lattice points stored at once: the memoised (k - 1)-
+# dimensional tail of a ball, checked level by level where it is allocated
+# (the largest any benchmark configuration builds is 162848 points at k = 4,
+# 973696 at k = 5 with truncation = rule), and the whole ball ball_coords
+# concatenates.
 MAX_BALL_POINTS = 10_000_000
+
+# Mask entries per block of the slab walk: a block's kept points are at most
+# three 512 kB arrays (lead position, tail index, squared norm).
+_SLAB_BLOCK = 1 << 16
 
 # Entries per row block where a matrix is reduced row by row (the audit's null
 # draws, the coefficient vectors' cos/sin products): 8 MB of float64.
@@ -198,51 +210,164 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     return rho.astype(np.int64), acc[rho]
 
 
+def _rechunk(
+    pieces: Iterable[tuple[np.ndarray, ...]], size: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Regroup a stream of equal-length array tuples into ``size``-row tuples.
+
+    Rows keep their order and every tuple but the last holds exactly ``size``
+    rows.  Only a tuple that straddles pieces is copied; the others are views.
+    """
+    held: list[tuple[np.ndarray, ...]] = []
+    count = 0
+    for piece in pieces:
+        n = len(piece[0])
+        start = min(size - count, n) if count else 0
+        if count:  # top up the tuple begun by earlier pieces
+            held.append(tuple(col[:start] for col in piece))
+            count += start
+            if count < size:
+                continue
+            yield tuple(np.concatenate(col) for col in zip(*held))
+        stop = start + (n - start) // size * size
+        for a in range(start, stop, size):
+            yield tuple(col[a : a + size] for col in piece)
+        held = [tuple(col[stop:] for col in piece)]
+        count = n - stop
+    if count:
+        yield tuple(np.concatenate(col) for col in zip(*held))
+
+
+def _slabs(
+    axis: np.ndarray, tail_rho: np.ndarray, r2_max: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(lead position, tail index, squared norm) of the points l1 x t of the ball.
+
+    Slab l1 keeps the tail points with ``tail_rho < r2_max - l1^2``, in tail
+    order, so lead-major order over a lexicographic tail is lexicographic.
+    Each block masks at most ``_SLAB_BLOCK`` (slab, tail point) pairs: a
+    window of one slab of a long tail, or many slabs of a short one.
+    """
+    n = len(tail_rho)
+    if len(axis) == 0 or n == 0:
+        return
+    sq = axis.astype(np.int64) ** 2
+    rows = _SLAB_BLOCK // n
+    if rows <= 1:
+        for pos, lead_sq in enumerate(sq):
+            for t in range(0, n, _SLAB_BLOCK):
+                window = tail_rho[t : t + _SLAB_BLOCK]
+                keep = window < r2_max - lead_sq
+                idx = np.flatnonzero(keep)
+                idx += t
+                yield np.broadcast_to(pos, idx.shape), idx, window[keep] + lead_sq
+        return
+    cols = np.arange(n)
+    for a in range(0, len(sq), rows):
+        rho = tail_rho + sq[a : a + rows, None]
+        keep = rho < r2_max
+        lead = np.repeat(np.arange(a, a + len(rho)), np.count_nonzero(keep, axis=1))
+        yield lead, np.broadcast_to(cols, keep.shape)[keep], rho[keep]
+
+
+def _check_points(k: int, total: int, what: str) -> None:
+    if total > MAX_BALL_POINTS:
+        raise CapacityError(
+            f"lattice ball for k={k} {what} {total} points, exceeding the cap "
+            f"of {MAX_BALL_POINTS}"
+        )
+
+
+@functools.cache
+def _ball_tail(
+    k: int, r2_max: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces from which :func:`_ball_chunks` streams the ball of Z^k.
+
+    Returns read-only ``(axis, tail, tail_rho, shell_of)``: the nonzero lead
+    coordinates in increasing order, in the smallest signed integer dtype
+    that holds them (int8 up to |l| = 127); the (k - 1)-dimensional tail, the
+    all-nonzero points with squared norm < r2_max - 1 (room for l1^2 >= 1),
+    in lexicographic order and the same dtype; their int32 squared norms; and
+    the map from a squared norm to its shell index in
+    ``shell_counts(k, r2_max)[0]`` (empty at k = 1, whose shells are l1^2).
+    The tail grows one leading coordinate at a time, each level the slabs of
+    the one before, so no box of the whole cube is formed; every level is
+    guarded by ``MAX_BALL_POINTS`` where it is allocated.
+    """
+    rho_vals, _ = shell_counts(k, r2_max)
+    limit = math.isqrt(int(rho_vals[-1]) - (k - 1)) if len(rho_vals) else 0
+    dtype = np.min_scalar_type(-limit - 1)  # signed, holds -limit..limit
+    axis = np.concatenate([np.arange(-limit, 0), np.arange(1, limit + 1)]).astype(dtype)
+    tail = np.empty((1, 0), dtype=dtype)
+    tail_rho = np.zeros(1, dtype=np.int32)
+    for j in range(1, k):
+        # the ball of Z^j inside r2_max - (k - j): the later coordinates need >= 1 each
+        r2 = r2_max - (k - j)
+        sizes = np.searchsorted(np.sort(tail_rho), r2 - axis.astype(np.int64) ** 2)
+        total = int(sizes.sum())
+        _check_points(k, total, f"stores a {j}-dimensional tail of")
+        grown = np.empty((total, j), dtype=dtype)
+        grown_rho = np.empty(total, dtype=np.int32)
+        start = 0
+        for lead, idx, rho in _slabs(axis, tail_rho, r2):
+            stop = start + len(lead)
+            grown[start:stop, 0] = axis[lead]
+            grown[start:stop, 1:] = tail[idx]
+            grown_rho[start:stop] = rho
+            start = stop
+        tail, tail_rho = grown, grown_rho
+    shell_of = np.zeros(0, dtype=np.int32)
+    if k > 1 and len(rho_vals):
+        shell_of = np.zeros(int(rho_vals[-1]) + 1, dtype=np.int32)
+        shell_of[rho_vals] = np.arange(len(rho_vals), dtype=np.int32)
+    for arr in (axis, tail, tail_rho, shell_of):
+        arr.setflags(write=False)
+    return axis, tail, tail_rho, shell_of
+
+
+def _ball_chunks(
+    k: int, r2_max: float, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ball of Z^k in lexicographic order, streamed from its memoised tail.
+
+    Yields ``(lead, idx, shell)`` per chunk: each point's position in the
+    tail's ``axis``, its index in ``tail`` and its shell index.  Chunks
+    straddle slab boundaries, so every chunk but the last holds exactly
+    ``size`` points however small the slabs are.
+    """
+    axis, _, tail_rho, shell_of = _ball_tail(k, r2_max)
+    if k == 1:  # shell l1^2 is the (|l1| - 1)-th: map lead positions, not norms
+        shell_of = np.abs(axis.astype(np.int32)) - 1
+    pieces = (
+        (lead, idx, shell_of[lead if k == 1 else rho])
+        for lead, idx, rho in _slabs(axis, tail_rho, r2_max)
+    )
+    return _rechunk(pieces, size)
+
+
 def ball_coords(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     """All-nonzero lattice points with squared norm < r2_max, as compact arrays.
 
-    Returns ``(coords, shell)``: an (n, k) array in lexicographic order, of
-    the smallest signed integer dtype that holds every coordinate (int8 up
-    to |l| = 127), and the int32 index of each row's shell in
-    ``shell_counts(k, r2_max)[0]``.  Both are allocated once at their final
-    size from the shell counts and filled one leading coordinate at a time,
-    so the build holds no per-point temporary larger than one slab of the
-    remaining k - 1 coordinates.  Guarded by ``MAX_BALL_POINTS``.
+    Returns ``(coords, shell)``: an (n, k) array in lexicographic order, in
+    the dtype of the tail's axis, and the int32 index of each row's shell in
+    ``shell_counts(k, r2_max)[0]``.  It is the concatenation of
+    :func:`_ball_chunks`, for callers that want the whole ball at once; the
+    statistic engine streams the chunks instead.  Guarded by
+    ``MAX_BALL_POINTS``.
     """
-    rho_vals, counts = shell_counts(k, r2_max)
+    _, counts = shell_counts(k, r2_max)
     total = int(counts.sum())
-    if total > MAX_BALL_POINTS:
-        raise CapacityError(
-            f"lattice ball for k={k} holds {total} points, exceeding the cap "
-            f"of {MAX_BALL_POINTS}"
-        )
-    if total == 0:
-        return np.empty((0, k), dtype=np.int8), np.empty(0, dtype=np.int32)
-    limit = math.isqrt(int(rho_vals[-1]) - (k - 1))
-    dtype = np.min_scalar_type(-limit - 1)  # signed, holds -limit..limit
-    axis = np.concatenate([np.arange(-limit, 0), np.arange(1, limit + 1)]).astype(dtype)
-    coords = np.empty((total, k), dtype=dtype)
-    if k == 1:
-        # shell l^2 is the (|l| - 1)-th; every |l| <= limit lies inside
-        coords[:, 0] = axis
-        return coords, (np.abs(axis).astype(np.int32) - 1)
+    _check_points(k, total, "holds")
+    axis, tail, _, _ = _ball_tail(k, r2_max)
+    coords = np.empty((total, k), dtype=axis.dtype)
     shell = np.empty(total, dtype=np.int32)
-    shell_of = np.zeros(int(rho_vals[-1]) + 1, dtype=np.int32)
-    shell_of[rho_vals] = np.arange(len(rho_vals), dtype=np.int32)
-    tail = np.stack(
-        np.meshgrid(*([axis] * (k - 1)), indexing="ij"), axis=-1
-    ).reshape(-1, k - 1)
-    tail_rho = (tail.astype(np.int64) ** 2).sum(axis=1)
-    inside = tail_rho < r2_max - 1  # room left for l1^2 >= 1
-    tail, tail_rho = tail[inside], tail_rho[inside]
     start = 0
-    for l1 in axis:
-        rho = tail_rho + int(l1) * int(l1)
-        keep = rho < r2_max
-        stop = start + int(np.count_nonzero(keep))
-        coords[start:stop, 0] = l1
-        coords[start:stop, 1:] = tail[keep]
-        shell[start:stop] = shell_of[rho[keep]]
+    for lead, idx, sh in _ball_chunks(k, r2_max, _SLAB_BLOCK):
+        stop = start + len(lead)
+        coords[start:stop, 0] = axis[lead]
+        coords[start:stop, 1:] = tail[idx]
+        shell[start:stop] = sh
         start = stop
     return coords, shell
 

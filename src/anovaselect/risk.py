@@ -6,20 +6,19 @@ One engine evaluates the statistics S_{u,m} for :func:`select` and the risk
 estimators alike.  Because every weight is radial, a null subset's statistics
 depend on the noise only through per-shell sums of xi^2, which are sampled
 directly as chi-square variates; active subsets are drawn point-by-point on
-the weight-support ball so their means enter exactly.  The ball is stored
-once per engine as compact coordinates and shell indices, and each active
-draw walks it in ``_CHUNK``-point chunks: means, normals and shell sums are
-formed chunk by chunk, in point order, so no per-point float array of the
-ball's size exists and the statistic is the unchunked one, bit for bit.  Both
-paths draw from the same per-(cycle, order, subset-rank) substreams, so
-results are bit-reproducible, full and pooled enumeration agree on shared
-subsets, :func:`select` sees exactly the draws of the matching risk cycle, and
-re-running a single subset (as the attenuation experiment does) reproduces
-exactly what a full rerun would see.
+the weight-support ball so their means enter exactly.  The ball is never
+stored: each active draw streams it in ``_CHUNK``-point chunks from the
+memoised (k - 1)-dimensional tail of its order (``lattice._ball_tail``), and
+means, normals and shell sums are formed chunk by chunk, in point order, so
+no per-point array of the ball's size exists and the statistic is the
+unchunked one, bit for bit.  Both paths draw from the same per-(cycle, order,
+subset-rank) substreams, so results are bit-reproducible, full and pooled
+enumeration agree on shared subsets, :func:`select` sees exactly the draws of
+the matching risk cycle, and re-running a single subset (as the attenuation
+experiment does) reproduces exactly what a full rerun would see.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
-tables) are memoised where they are computed, and each :class:`_OrderEngine`
-owns its lattice ball for the lifetime of the run that created it.
+tables, ball tails) are memoised where they are computed.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from .extremal import a_exact, admissible_r_max
 from .lattice import (
     DimensionSpec,
     Subset,
-    ball_coords,
+    _ball_chunks,
+    _ball_tail,
     log_binomial,
     subset_rank,
 )
@@ -81,51 +81,42 @@ class _OrderEngine:
             if not np.array_equal(prof.rho, self.rho[: len(prof.rho)]):
                 raise AssertionError("weight supports are not nested shell prefixes")
             self.W[m, : len(prof.values)] = prof.values
-        self._ball: tuple[np.ndarray, np.ndarray] | None = None
+        self.r2_max = float(self.rho[-1]) + 0.5  # the ball of the union support
 
-    def ball(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coords, shell index) of the union weight support, built on first use.
-
-        The shell index points into ``self.rho``, the shells of the union
-        support.  The first call builds the ball and is not safe to race:
-        callers that share an engine between threads (``_run_cycles``) call it
-        once on the main thread before the workers start, so the workers only
-        read it.
-        """
-        if self._ball is None:
-            self._ball = ball_coords(self.k, float(self.rho[-1]) + 0.5)
-        return self._ball
-
-    def component_means(self, comp: ComponentSpec) -> Iterator[np.ndarray]:
-        """theta_l / eps over the ball, in ball order, ``_CHUNK`` points at a time."""
-        coords, _ = self.ball()
-        n = self.truncation
-        vecs = [coeff_vector(fid, n) for fid in comp.factor_ids]
-        for start in range(0, coords.shape[0], _CHUNK):
-            block = coords[start : start + _CHUNK]
-            mu = np.full(block.shape[0], comp.amplitude / self.epsilon)
-            for p, vec in enumerate(vecs):
-                mu *= vec[block[:, p].astype(np.intp) + n]
-            yield mu
-
-    def _with_shells(
-        self, means: Iterable[np.ndarray]
+    def component_means(
+        self, comp: ComponentSpec
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Pair each chunk of means with the shell indices of its points."""
-        _, shell = self.ball()
-        start = 0
-        for mu in means:
-            yield shell[start : start + len(mu)], mu
-            start += len(mu)
+        """(shell index, theta_l / eps) over the ball, ``_CHUNK`` points at a time.
+
+        Each factor is gathered once per component, over the lead axis or the
+        tail, and the amplitude is folded into the lead factor; a chunk's
+        means multiply the gathered factors at its points in factor order,
+        (amplitude / eps) * c_1 * ... * c_k as a per-point gather over the
+        whole ball does, so every mean has the same bits.
+        """
+        axis, tail, _, _ = _ball_tail(self.k, self.r2_max)
+        n = self.truncation
+        lead_vec, *tail_vecs = (coeff_vector(fid, n) for fid in comp.factor_ids)
+        lead_factor = comp.amplitude / self.epsilon * lead_vec[axis.astype(np.intp) + n]
+        tail_factors = [
+            vec[tail[:, p].astype(np.intp) + n] for p, vec in enumerate(tail_vecs)
+        ]
+        for lead, idx, shell in _ball_chunks(self.k, self.r2_max, _CHUNK):
+            mu = lead_factor[lead]
+            for factor in tail_factors:
+                mu *= factor[idx]
+            yield shell, mu
 
     def null_stats(self, rng: np.random.Generator) -> np.ndarray:
         q = null_shell_draw(rng, self.counts, 1)[0]
         return self.W @ q
 
     def active_stats(
-        self, rngs: Sequence[np.random.Generator], means: Iterable[np.ndarray]
+        self,
+        rngs: Sequence[np.random.Generator],
+        means: Iterable[tuple[np.ndarray, np.ndarray]],
     ) -> np.ndarray:
-        """One row of S_m per stream, from one pass over the chunks of ``means``.
+        """One row of S_m per stream, from one pass over the (shell, mean) chunks.
 
         Stream j draws its normals chunk by chunk, which is the sequence one
         call of ``len(ball)`` normals gives, and ``np.add.at`` adds the chunk
@@ -133,7 +124,7 @@ class _OrderEngine:
         ball would: each row is bit-identical to the unchunked statistic.
         """
         q = np.zeros((len(rngs), len(self.rho)))
-        for idx, mu in self._with_shells(means):
+        for idx, mu in means:
             for rng, acc in zip(rngs, q):
                 y = rng.standard_normal(len(mu))
                 y += mu
@@ -143,10 +134,10 @@ class _OrderEngine:
         # one gemv per row: a blocked matrix product would change the last bits
         return np.array([self.W @ acc for acc in q])
 
-    def mean_stats(self, means: Iterable[np.ndarray]) -> np.ndarray:
+    def mean_stats(self, means: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Deterministic statistic means E S_m = sum omega (theta/eps)^2."""
         q = np.zeros(len(self.rho))
-        for idx, mu in self._with_shells(means):
+        for idx, mu in means:
             np.add.at(q, idx, mu * mu)
         return self.W @ q
 
@@ -301,9 +292,9 @@ def _run_cycles(
     """Shared cycle driver.
 
     Returns (miss_per_cycle, fp_per_cycle, n_inactive, fp_by_k, engines).  The
-    ball of every order with an active task is built here, on the calling
-    thread, before any draw: workers only read it, and a ``CapacityError``
-    surfaces before the pool starts.
+    ball tail of every order with an active task is built here, on the
+    calling thread, before any draw: workers only read it from the cache, and
+    a ``CapacityError`` surfaces before the pool starts.
     """
     d = config.dim.d
     _check_pattern(pattern, config)
@@ -318,7 +309,7 @@ def _run_cycles(
         engines[k] = _OrderEngine(config, k)
         actives = [c for c in pattern.active(k) if c.subset not in skip_subsets]
         if actives:
-            engines[k].ball()  # before the pool starts, so workers only read it
+            _ball_tail(k, engines[k].r2_max)  # before the pool starts: workers only read it
         active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
         for comp in actives:
             tasks.append(("active", k, comp, subset_rank(comp.subset, d)))

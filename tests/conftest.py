@@ -28,6 +28,33 @@ def brute_ball(k, radius):
     return pts
 
 
+def brute_lattice(k, r2_max, rho):
+    """Independent oracle for a ball's points and shells, enumerated whole.
+
+    A meshgrid of the box [-L, L]^k without zeros, a filter on the squared
+    norm, and each kept point's index in ``rho``, the ball's occupied squared
+    norms.  ``indexing="ij"`` over an increasing axis is lexicographic order.
+    """
+    limit = math.isqrt(max(math.ceil(r2_max) - 1, 0))
+    axis = np.array([v for v in range(-limit, limit + 1) if v], dtype=np.int16)
+    grid = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    norm = sum(grid[:, p].astype(np.int64) ** 2 for p in range(k))
+    keep = norm < r2_max
+    shell = np.searchsorted(rho, norm[keep])
+    assert np.array_equal(np.asarray(rho)[shell], norm[keep])
+    return grid[keep], shell
+
+
+def engine_ball(engine):
+    """(coords, shell index) of an engine's ball, by brute force."""
+    return brute_lattice(engine.k, engine.r2_max, engine.rho)
+
+
+def engine_means(engine, comp):
+    """The means ``engine.component_means`` streams, concatenated in ball order."""
+    return np.concatenate([mu for _, mu in engine.component_means(comp)])
+
+
 def dense_active_stats(config, comp, seed, cycle, rank):
     """Per-point reference for the statistics of one active subset.
 
@@ -93,6 +120,12 @@ def bench_dim():
 @pytest.fixture(scope="session")
 def bench_config(bench_dim):
     return build_selector_config(bench_dim, M=20)
+
+
+@pytest.fixture(scope="session")
+def k4_config():
+    """A fourth-order grid point whose ball holds 9488 points."""
+    return manual_config(12, {4: (0.03,)}, 0.01)
 
 
 @pytest.fixture(scope="session")

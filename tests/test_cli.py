@@ -1,5 +1,6 @@
 import pytest
 
+from anovaselect import lattice
 from anovaselect.cli import build_parser, main, read_config_file, resolve_config, write_csv
 
 
@@ -26,6 +27,19 @@ pattern = none
 cycles = 2
 mode = full
 seed = 5
+"""
+
+
+BENCH_D50_CFG = """
+d = 50
+s = 4
+beta = 0.87
+sigma = 1
+epsilon = 5e-5
+grid_m = 20
+pattern = benchmark
+cycles = 1
+pool_size = 8
 """
 
 
@@ -62,6 +76,16 @@ class TestConfigHandling:
             tmp_path, "d = 10\ns = 1\nepsilon = 1e-12\ngrid_m = 2\ntruncation = rule\n"
         )
         assert run(["calibrate", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+
+    def test_ball_tail_bound_exits_3(self, tmp_path, monkeypatch):
+        # the benchmark's k = 4 ball tail holds 162848 points; below that bound
+        # the run stops before its first draw
+        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 100_000)
+        lattice._ball_tail.cache_clear()
+        path = write_config(tmp_path, BENCH_D50_CFG)
+        out = tmp_path / "out"
+        assert run(["risk", "--config", path, "--out", str(out), "--quiet"]) == 3
+        assert not (out / "risk.csv").exists()
 
     def test_env_override_and_flag_precedence(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, SMALL_RISK_CFG)

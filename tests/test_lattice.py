@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_ball
+from conftest import brute_ball, brute_lattice
 
 from anovaselect import lattice
 from anovaselect.errors import CapacityError
@@ -102,6 +102,38 @@ class TestLatticeBall:
         monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 10)
         with pytest.raises(CapacityError, match="cap of 10"):
             ball_points(2, 4.0)
+
+    @pytest.mark.parametrize("k,r2,size", [(1, 50.3, 4), (2, 30.0, 5), (3, 26.5, 7),
+                                           (4, 40.5, 64)])
+    def test_chunks_straddle_slabs_in_ball_order(self, k, r2, size):
+        axis, tail, _, _ = lattice._ball_tail(k, r2)
+        chunks = list(lattice._ball_chunks(k, r2, size))
+        assert all(len(lead) == size for lead, _, _ in chunks[:-1])
+        assert 0 < len(chunks[-1][0]) <= size
+        assert any(len(np.unique(lead)) > 1 for lead, _, _ in chunks)
+        lead, idx, shell = (np.concatenate(col) for col in zip(*chunks))
+        coords = np.column_stack([axis[lead], tail[idx]])
+        expected, expected_shell = brute_lattice(k, r2, shell_counts(k, r2)[0])
+        assert coords.tolist() == expected.tolist()
+        assert np.array_equal(shell, expected_shell)
+
+    def test_tail_is_memoised_and_read_only(self):
+        parts = lattice._ball_tail(3, 26.5)
+        assert lattice._ball_tail(3, 26.5) is parts
+        assert all(not part.flags.writeable for part in parts)
+        axis, tail, tail_rho, _ = parts
+        assert tail.tolist() == sorted(list(p) for p in brute_ball(2, math.sqrt(25.5)))
+        assert tail_rho.tolist() == [a * a + b * b for a, b in tail.tolist()]
+        assert axis.tolist() == [-4, -3, -2, -1, 1, 2, 3, 4]
+        # k = 1 streams from one empty tail point
+        assert lattice._ball_tail(1, 50.3)[1].shape == (1, 0)
+
+    def test_tail_guard_where_tail_is_allocated(self, monkeypatch):
+        # the ball of radius^2 26.25 at k = 3 has a 60-point tail
+        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 59)
+        lattice._ball_tail.cache_clear()
+        with pytest.raises(CapacityError, match="2-dimensional tail of 60 points"):
+            lattice._ball_tail(3, 26.25)
 
     def test_radius_validation(self):
         # no admissible point below the smallest shell: an empty (0, k) array

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_ball
+from conftest import brute_ball, engine_ball
 
 from anovaselect.extremal import admissible_r_max, weights
 from anovaselect.lattice import Subset, ball_coords, shell_convolve, shell_counts, subset_rank
@@ -172,10 +172,12 @@ def test_scaling_the_means_up_never_lowers_a_mean_stat(tiny_config, k, data, sca
     # E S_m = sum omega mu^2 with omega >= 0: every term grows with |mu|
     engine = _OrderEngine(tiny_config, k)
     assert (engine.W >= 0.0).all()
-    points = len(engine.ball()[1])
+    _, shell = engine_ball(engine)
+    points = len(shell)
     mu = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=points,
                                      max_size=points)))
     split = data.draw(st.integers(0, points))
-    before = engine.mean_stats([mu[:split], mu[split:]])
-    after = engine.mean_stats([scale * mu[:split], scale * mu[split:]])
+    halves = (shell[:split], shell[split:])
+    before = engine.mean_stats(zip(halves, [mu[:split], mu[split:]]))
+    after = engine.mean_stats(zip(halves, [scale * mu[:split], scale * mu[split:]]))
     assert (after >= before).all()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -6,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import manual_config
+from conftest import engine_ball, manual_config
 
-from anovaselect import risk
+from anovaselect import lattice, risk
 from anovaselect.errors import CapacityError
 from anovaselect.lattice import DimensionSpec, Subset
 from anovaselect.risk import (
@@ -25,7 +26,7 @@ from anovaselect.risk import (
     selection_boundary,
 )
 from anovaselect.extremal import a_exact, admissible_r_max, solve_r_star
-from anovaselect.lattice import log_binomial
+from anovaselect.lattice import log_binomial, shell_counts
 from anovaselect.selector import _resolve_threads, build_selector_config, observation_stream
 from anovaselect.signals import ComponentSpec, build_pattern, coeff_vector
 
@@ -133,15 +134,35 @@ class TestEstimateRisk:
         with pytest.raises(ValueError, match="dimensions"):
             estimate_risk(pattern, tiny_config, J=1, seed=0)
 
-    def test_active_order_five_exceeds_ball_cap(self):
-        # calibration at s = 5 runs, but an active k = 5 component needs its
-        # support's points, which the ball guard refuses before any draw
-        dim = DimensionSpec(d=50, s=5, beta=0.87, sigma=1.0, epsilon=5e-5)
-        config = build_selector_config(dim, M=20, truncation="rule")
-        comp = ComponentSpec(Subset((1, 2, 3, 4, 5)), (1, 2, 3, 4, 5))
-        pattern = build_pattern(dim, mode="explicit", components=[comp])
+    def test_active_order_five_exceeds_ball_cap(self, order_five, monkeypatch):
+        # an active k = 5 component streams its ball from a 973696-point tail;
+        # below that bound the guard refuses it before any draw
+        config, pattern = order_five
+        draws = []
+        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
+        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 500_000)
+        lattice._ball_tail.cache_clear()
         with pytest.raises(CapacityError, match="lattice ball for k=5"):
             estimate_risk(pattern, config, J=1, seed=0)
+        assert draws == []
+
+    def test_active_order_five_runs(self, order_five):
+        # the 21.6M-point k = 5 ball is streamed, never stored
+        config, pattern = order_five
+        rep = estimate_risk(pattern, config, J=1, seed=0, pool_inactive=4)
+        assert rep.evaluated_inactive[5] == 4 and rep.misses in (0, 1)
+        engine = _OrderEngine(config, 5)
+        assert int(shell_counts(5, engine.r2_max)[1].sum()) == 21_592_448
+        assert lattice._ball_tail(5, engine.r2_max)[1].shape == (973_696, 4)
+
+
+@pytest.fixture(scope="module")
+def order_five():
+    """s = 5 at the benchmark noise level, with one active k = 5 component."""
+    dim = DimensionSpec(d=50, s=5, beta=0.87, sigma=1.0, epsilon=5e-5)
+    config = build_selector_config(dim, M=20, truncation="rule")
+    comp = ComponentSpec(Subset((1, 2, 3, 4, 5)), (1, 2, 3, 4, 5))
+    return config, build_pattern(dim, mode="explicit", components=[comp])
 
 
 class TestSelectMatchesRisk:
@@ -185,15 +206,18 @@ class TestThreadsAndBallCache:
             _resolve_threads(-1)
 
     def test_one_ball_per_active_order(self, tiny_config, monkeypatch):
-        # the attenuated k = 1 subset reuses the k = 1 ball built for the cycles
+        # one tail build per active order, through the cache: the attenuated
+        # k = 1 subset reuses the k = 1 tail built for the cycles
         calls = []
-        real = risk.ball_coords
+        build = lattice._ball_tail.__wrapped__
 
+        @functools.cache
         def counting(k, *args, **kwargs):
             calls.append(k)
-            return real(k, *args, **kwargs)
+            return build(k, *args, **kwargs)
 
-        monkeypatch.setattr(risk, "ball_coords", counting)
+        monkeypatch.setattr(lattice, "_ball_tail", counting)
+        monkeypatch.setattr(risk, "_ball_tail", counting)
         pattern = explicit_pattern(12, 2, [
             ComponentSpec(Subset((1,)), (1,)),
             ComponentSpec(Subset((2,)), (2,)),
@@ -206,8 +230,9 @@ class TestThreadsAndBallCache:
 
 
 def one_shot_stats(engine, comp, rng):
-    """The unchunked active statistic: per-point means and normals of the whole ball."""
-    coords, shell = engine.ball()
+    """The unchunked active statistic: per-point means and normals of the whole
+    ball, enumerated by brute force rather than by the slab walk under test."""
+    coords, shell = engine_ball(engine)
     n = engine.truncation
     mu = np.full(coords.shape[0], comp.amplitude / engine.epsilon)
     for p, fid in enumerate(comp.factor_ids):
@@ -220,11 +245,15 @@ def one_shot_stats(engine, comp, rng):
 ACTIVE_CASES = [
     ("tiny_config", ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.3)),
     ("bench_config", ComponentSpec(Subset((4, 17, 30)), (1, 5, 8))),
+    ("bench_config", ComponentSpec(Subset((7,)), (3,))),  # k = 1: an empty tail
+    ("k4_config", ComponentSpec(Subset((2, 5, 6, 11)), (1, 2, 3, 4), amplitude=3.0)),
 ]
 
 
 class TestStreamedActivePath:
-    @pytest.mark.parametrize("chunk", [7, risk._CHUNK])
+    # chunks straddle slab boundaries: 7 points cut every slab longer than
+    # 7, and 1000 points hold 1000 of the k = 1 ball's one-point slabs
+    @pytest.mark.parametrize("chunk", [7, risk._CHUNK, 1000])
     @pytest.mark.parametrize("config_name,comp", ACTIVE_CASES)
     def test_bit_identical_to_one_shot(self, request, monkeypatch, config_name, comp, chunk):
         monkeypatch.setattr(risk, "_CHUNK", chunk)
@@ -250,7 +279,7 @@ class TestStreamedActivePath:
         # block must stay below it (the unchunked path allocated several)
         comp = ACTIVE_CASES[1][1]
         engine = _OrderEngine(bench_config, 3)
-        points = len(engine.ball()[1])
+        points = int(shell_counts(3, engine.r2_max)[1].sum())
         assert points == 1_050_552
         for fid in comp.factor_ids:
             coeff_vector(fid, engine.truncation)  # memoised before the trace
@@ -261,6 +290,34 @@ class TestStreamedActivePath:
         finally:
             tracemalloc.stop()
         assert peak < 8 * points
+
+    def test_active_block_k4_peak_below_16_mb(self, bench_config):
+        # a stored k = 4 ball would take 51.5 MB; the streamed block, tail
+        # build included, stays below 16 MB
+        comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
+        engine = _OrderEngine(bench_config, 4)
+        for fid in comp.factor_ids:
+            coeff_vector(fid, engine.truncation)  # memoised before the trace
+        lattice._ball_tail.cache_clear()
+        tracemalloc.start()
+        try:
+            risk._active_block(engine, comp, rank=0, J=1, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_tail_bound_refused_before_any_draw(self, bench_dim, bench_config, monkeypatch):
+        # the k = 4 tail holds 162848 points: a lower bound stops the run on the
+        # main thread before the first draw
+        pattern = build_pattern(bench_dim)
+        draws = []
+        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
+        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 100_000)
+        lattice._ball_tail.cache_clear()
+        with pytest.raises(CapacityError, match="lattice ball for k=4"):
+            risk._run_cycles(pattern, bench_config, 2, 5, "pool", 8, threads=2)
+        assert draws == []
 
 
 class TestAttenuation:

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_active_stats, manual_config, shell_active_stats
+from conftest import (
+    dense_active_stats,
+    engine_ball,
+    engine_means,
+    manual_config,
+    shell_active_stats,
+)
 
 from anovaselect import selector
 from anovaselect.extremal import weights
@@ -135,8 +141,8 @@ class TestSimulateObservations:
         config = manual_config(20, {1: (0.1,)}, epsilon)
         comp = ComponentSpec(Subset((1,)), (1,))
         engine = _OrderEngine(config, 1)
-        coords, _ = engine.ball()
-        mu = np.concatenate(list(engine.component_means(comp)))
+        coords, _ = engine_ball(engine)
+        mu = engine_means(engine, comp)
         for row, m in zip(coords.tolist(), mu):
             assert m * epsilon == pytest.approx(product_coeff(comp, row), abs=1e-11)
 
@@ -145,9 +151,9 @@ class TestStatistic:
     def test_constant_epsilon_values_give_zero(self, tiny_config):
         # |X_l| = eps at every point: each term (X/eps)^2 - 1 vanishes
         engine = _OrderEngine(tiny_config, 2)
-        n = engine.ball()[0].shape[0]
-        mu = 1.0 - pinned_xi(2, 7, n)
-        stats = engine.active_stats([observation_stream(0, 0, 2, 7)], [mu])[0]
+        _, shell = engine_ball(engine)
+        mu = 1.0 - pinned_xi(2, 7, len(shell))
+        stats = engine.active_stats([observation_stream(0, 0, 2, 7)], [(shell, mu)])[0]
         assert np.allclose(stats, 0.0, atol=1e-12)
 
     def test_missing_index_raises(self, tiny_config):
@@ -206,24 +212,28 @@ class TestSelect:
         # pushing any one X_l away from zero never lowers a statistic
         engine = _OrderEngine(tiny_config, 2)
         comp = ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.3)
-        mu = np.concatenate(list(engine.component_means(comp)))
+        _, shell = engine_ball(engine)
+        mu = engine_means(engine, comp)
         x = mu + pinned_xi(2, 11, len(mu))
-        base = engine.active_stats([observation_stream(0, 0, 2, 11)], [mu])[0]
+        base = engine.active_stats([observation_stream(0, 0, 2, 11)], [(shell, mu)])[0]
         for i in range(0, len(mu), 7):
             bumped = mu.copy()
             bumped[i] += 2.0 * x[i] + np.sign(x[i]) * 5.0
-            stats = engine.active_stats([observation_stream(0, 0, 2, 11)], [bumped])[0]
+            stats = engine.active_stats(
+                [observation_stream(0, 0, 2, 11)], [(shell, bumped)]
+            )[0]
             assert np.all(stats >= base - 1e-12)
 
     def test_scaling_all_values_never_decreases_stats(self, tiny_config):
         # X -> 1.7 X at every point raises every statistic (weights are >= 0)
         engine = _OrderEngine(tiny_config, 2)
         comp = ComponentSpec(Subset((1, 4)), (6, 7))
-        mu = np.concatenate(list(engine.component_means(comp)))
+        _, shell = engine_ball(engine)
+        mu = engine_means(engine, comp)
         xi = pinned_xi(2, 4, len(mu))
-        base = engine.active_stats([observation_stream(0, 0, 2, 4)], [mu])[0]
+        base = engine.active_stats([observation_stream(0, 0, 2, 4)], [(shell, mu)])[0]
         scaled = engine.active_stats(
-            [observation_stream(0, 0, 2, 4)], [1.7 * mu + 0.7 * xi]
+            [observation_stream(0, 0, 2, 4)], [(shell, 1.7 * mu + 0.7 * xi)]
         )[0]
         assert np.all(scaled >= base)
 
@@ -383,10 +393,11 @@ class TestShellFastPathConsistency:
         # per-point active draws against noncentral chi-square draws per shell
         comp = ComponentSpec(Subset((1,)), (1,), amplitude=0.001)
         engine = _OrderEngine(bench_k1_config, 1)
-        mu = np.concatenate(list(engine.component_means(comp)))
+        _, shell = engine_ball(engine)
+        mu = engine_means(engine, comp)
         n = 2000
         point = np.array([
-            engine.active_stats([observation_stream(3, j, 1, 0)], [mu])[0]
+            engine.active_stats([observation_stream(3, j, 1, 0)], [(shell, mu)])[0]
             for j in range(n)
         ])
         shell = shell_active_stats(engine, comp, np.random.default_rng(3), n)
