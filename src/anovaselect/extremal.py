@@ -79,8 +79,11 @@ class ExtremalProfile:
 def extremal_sequence(r: float, k: int, sigma: float) -> ExtremalProfile:
     """Extremal profile theta*^2 at radius r (positive part, radial).
 
-    Only per-shell arrays are built, so the one capacity guard is
-    ``shell_counts``'s bound on their length.
+    The bracket decreases in rho, so the support is a prefix of the shells of
+    ``shell_counts``: ``rho`` and ``counts`` are read-only prefix views of a
+    memoised shell list of the order, shared by every radius.  Only per-shell
+    arrays are built, so the one capacity guard is ``shell_counts``'s bound
+    on their length.
     """
     _check_r(r, k, sigma)
     bound = 1.0 + 4.0 * sigma / k
@@ -89,14 +92,14 @@ def extremal_sequence(r: float, k: int, sigma: float) -> ExtremalProfile:
     rho, counts = shell_counts(k, r2_support)
     amp = math.exp(_log_amplitude(r, k, sigma))
     bracket = 1.0 - (FOUR_PI_SQ * rho.astype(np.float64)) ** sigma * (r * r / bound)
-    keep = bracket > 0.0
+    stop = int(np.count_nonzero(bracket > 0.0))  # the positive entries lead
     return ExtremalProfile(
         r=r,
         k=k,
         sigma=sigma,
-        rho=rho[keep],
-        counts=counts[keep],
-        theta_sq=amp * bracket[keep],
+        rho=rho[:stop],
+        counts=counts[:stop],
+        theta_sq=amp * bracket[:stop],
         support_radius=math.sqrt(r2_support),
     )
 

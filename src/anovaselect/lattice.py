@@ -9,9 +9,12 @@ of Z^k with every coordinate nonzero.  This module provides
 * the squared-norm shell structure of the balls {l : |l| < R, all l_j != 0}:
   one convolution over coordinates gives the point count, or the sum of any
   per-coordinate product mass, on every shell (every radial quantity is
-  constant on a shell); the point-count table is a pure function of
-  (k, size), memoised with ``functools.cache`` as a read-only array, with
-  power-of-two sizes so one table serves every smaller ball,
+  constant on a shell); the point-count table and the list of its occupied
+  shells (``rho``, ``counts``; l^2 with count 2 at k = 1) are pure functions
+  of (k, size), memoised with ``functools.cache`` as read-only arrays, with
+  power-of-two sizes so one list serves every smaller ball:
+  :func:`shell_counts` returns read-only prefix views of it, cut by
+  ``searchsorted``, so the calibration's thousands of supports share it,
 * the ball's points for callers that need them, never stored whole: the
   ball of Z^k is the lexicographic walk over leading-coordinate slabs of a
   (k - 1)-dimensional tail, so :func:`_ball_tail` memoises the small tail
@@ -118,7 +121,8 @@ def active_count(d: int, k: int, beta: float) -> int:
 # ---------------------------------------------------------------------------
 
 # Largest per-shell array: the dense table of a k >= 2 ball (m + 1 entries
-# for squared norms up to m) and the shell list of a k = 1 ball (isqrt(m)).
+# for squared norms up to m) and the shell list of a k = 1 ball (one shell
+# per root, isqrt(m) of them).
 MAX_SHELL_INDEX = 5_000_000
 
 # Largest number of lattice points stored at once: the memoised (k - 1)-
@@ -171,15 +175,34 @@ def _shell_table(k: int, size: int) -> np.ndarray:
     return table
 
 
-def _shell_array(k: int, m: int) -> np.ndarray:
-    """Counts of all-nonzero lattice points per squared norm 0..m (k >= 2)."""
-    if m > MAX_SHELL_INDEX:
-        raise CapacityError(
-            f"shell table for k={k} needs {m} entries, exceeding the table "
-            f"limit of {MAX_SHELL_INDEX}"
-        )
-    size = max(32, 1 << m.bit_length())  # power of two above m
-    return _shell_table(k, min(size, MAX_SHELL_INDEX + 1))
+def _table_size(n: int) -> int:
+    """The one sizing policy of the memoised shell arrays: the power of two
+    above n (at least 32), capped at ``MAX_SHELL_INDEX + 1``."""
+    return min(max(32, 1 << n.bit_length()), MAX_SHELL_INDEX + 1)
+
+
+@functools.cache
+def _occupied_shells(k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(rho, counts)`` of every occupied shell of a table size.
+
+    For k >= 2 the shells are the nonzero entries of ``_shell_table(k, size)``
+    (squared norms below ``size``); for k = 1 they are l^2 for the roots
+    1 <= l < size, two points each.
+    """
+    if k == 1:
+        roots = np.arange(1, size, dtype=np.int64)
+        rho, counts = roots * roots, np.full(size - 1, 2, dtype=np.int64)
+    else:
+        table = _shell_table(k, size)
+        rho = np.nonzero(table)[0].astype(np.int64)
+        counts = table[rho]
+    rho.setflags(write=False)
+    counts.setflags(write=False)
+    return rho, counts
+
+
+_NO_SHELLS = np.empty(0, dtype=np.int64)
+_NO_SHELLS.setflags(write=False)
 
 
 def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -187,27 +210,24 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(rho, counts)`` where ``rho`` lists the attained squared norms in
     increasing order and ``counts[i]`` is the number of lattice points on shell
-    ``rho[i]``.  Empty arrays when the ball contains no admissible point.
+    ``rho[i]``.  Both are read-only prefix views of the memoised shell list of
+    the order (empty when the ball contains no admissible point), so a call
+    costs one ``searchsorted``, not a scan of the shell table.
     Raises ``CapacityError`` when an array would exceed ``MAX_SHELL_INDEX``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     m = int(math.ceil(r2_max)) - 1  # strict inequality: rho <= m
     if m < k:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if k == 1:
-        # one coordinate: shell l^2 holds the two points +-l
-        limit = math.isqrt(m)
-        if limit > MAX_SHELL_INDEX:
-            raise CapacityError(
-                f"one-dimensional ball has {limit} shells, exceeding the "
-                f"table limit of {MAX_SHELL_INDEX}"
-            )
-        roots = np.arange(1, limit + 1, dtype=np.int64)
-        return roots * roots, np.full(limit, 2, dtype=np.int64)
-    acc = _shell_array(k, m)
-    rho = np.nonzero(acc[: m + 1])[0]
-    return rho.astype(np.int64), acc[rho]
+        return _NO_SHELLS, _NO_SHELLS
+    n = math.isqrt(m) if k == 1 else m  # k = 1 lists roots, k >= 2 squared norms
+    if n > MAX_SHELL_INDEX:
+        what = (f"one-dimensional ball has {n} shells" if k == 1
+                else f"shell table for k={k} needs {n} entries")
+        raise CapacityError(f"{what}, exceeding the table limit of {MAX_SHELL_INDEX}")
+    rho, counts = _occupied_shells(k, _table_size(n))
+    stop = int(np.searchsorted(rho, m, side="right"))
+    return rho[:stop], counts[:stop]
 
 
 def _rechunk(

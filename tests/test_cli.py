@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from anovaselect import lattice
@@ -13,6 +15,9 @@ def write_config(tmp_path, text, name="run.cfg"):
     path.write_text(text, encoding="utf-8")
     return str(path)
 
+
+# Read only: the calibrate CSVs of the benchmark's problem keys at d = 50, 200.
+BENCH_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "tests" / "fixtures"
 
 SMALL_RISK_CFG = """
 # small full-enumeration configuration
@@ -182,6 +187,16 @@ class TestCalibrate:
         assert len(lines) == 21
         idx = header.index("residual")
         assert all(float(line.split(",")[idx]) <= 1e-8 for line in lines[1:])
+
+    @pytest.mark.parametrize("d", [50, 200])
+    def test_bytes_match_benchmark_fixture(self, tmp_path, d):
+        # the benchmark's problem keys (bench/run.py PROBLEM)
+        cfg = write_config(
+            tmp_path, f"d = {d}\ns = 4\nbeta = 0.87\nsigma = 1\nepsilon = 5e-5\ngrid_m = 20\n"
+        )
+        assert run(["calibrate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        fixture = BENCH_FIXTURES / f"calibrate-d{d}.csv"
+        assert (tmp_path / "calibrate.csv").read_bytes() == fixture.read_bytes()
 
     def test_order_five_calibrates(self, tmp_path):
         # calibration builds per-shell arrays only: the k = 5 support of about

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from anovaselect import lattice
 from anovaselect.errors import CalibrationError
 from anovaselect.extremal import (
+    FOUR_PI_SQ,
+    _log_amplitude,
     a_asymp,
     a_exact,
     admissible_r_max,
@@ -85,6 +88,54 @@ class TestExtremalSequence:
     def test_support_count_matches_ball(self, r, k):
         prof = extremal_sequence(r, k, 1.0)
         assert prof.support_size == len(brute_ball(k, prof.support_radius))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    @pytest.mark.parametrize("frac", [0.9, 0.5, 0.2, 0.05])
+    def test_bits_match_dense_table_oracle(self, k, sigma, frac):
+        r = frac * admissible_r_max(k, sigma)
+        assert_profile_bits(extremal_sequence(r, k, sigma), dense_oracle(r, k, sigma))
+
+    @pytest.mark.parametrize("k,sigma,rho0", [(1, 0.5, 25), (2, 1.0, 37), (3, 1.0, 18), (4, 0.5, 28)])
+    def test_bits_match_oracle_with_support_on_a_shell(self, k, sigma, rho0):
+        # r2_support lands on the occupied shell rho0, just above it, so the
+        # shell is listed while its bracket is zero to rounding (exactly 0 in
+        # IEEE double for these cases, which drops the shell)
+        bound = 1.0 + 4.0 * sigma / k
+        r = (bound ** (1.0 / sigma) / (FOUR_PI_SQ * rho0)) ** (sigma / 2.0)
+        while r2_support(r, k, sigma) <= rho0:
+            r = float(np.nextafter(r, 0.0))
+        assert rho0 in lattice.shell_counts(k, r2_support(r, k, sigma))[0]
+        assert_profile_bits(extremal_sequence(r, k, sigma), dense_oracle(r, k, sigma))
+
+
+def r2_support(r, k, sigma):
+    bound = 1.0 + 4.0 * sigma / k
+    return bound ** (1.0 / sigma) / (FOUR_PI_SQ * r ** (2.0 / sigma))
+
+
+def dense_oracle(r, k, sigma):
+    """extremal_sequence's (rho, counts, theta_sq) in the dense-table form: a
+    ``np.nonzero`` scan of the shell table and a boolean support mask."""
+    bound = 1.0 + 4.0 * sigma / k
+    m = math.ceil(r2_support(r, k, sigma)) - 1
+    if k == 1:
+        rho = np.arange(1, math.isqrt(m) + 1, dtype=np.int64) ** 2
+        counts = np.full(len(rho), 2, dtype=np.int64)
+    else:
+        table = lattice._shell_table(k, 1 << (m + 1).bit_length())
+        rho = np.nonzero(table[: m + 1])[0].astype(np.int64)
+        counts = table[rho]
+    amp = math.exp(_log_amplitude(r, k, sigma))
+    bracket = 1.0 - (FOUR_PI_SQ * rho.astype(np.float64)) ** sigma * (r * r / bound)
+    keep = bracket > 0.0
+    return rho[keep], counts[keep], amp * bracket[keep]
+
+
+def assert_profile_bits(prof, oracle):
+    for got, want in zip((prof.rho, prof.counts, prof.theta_sq), oracle):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAExact:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import brute_ball, brute_lattice
 
-from anovaselect import lattice
+from anovaselect import extremal, lattice
 from anovaselect.errors import CapacityError
 from anovaselect.lattice import (
     MAX_SHELL_INDEX,
@@ -19,6 +20,7 @@ from anovaselect.lattice import (
     subset_rank,
 )
 from anovaselect.risk import _inactive_ranks, estimate_risk
+from anovaselect.selector import build_selector_config
 from anovaselect.signals import ComponentSpec, build_pattern
 
 
@@ -164,6 +166,42 @@ class TestShellCounts:
         assert len(rho) == MAX_SHELL_INDEX and rho[-1] == MAX_SHELL_INDEX**2
         with pytest.raises(CapacityError, match="shells"):
             shell_counts(1, top + 1)
+
+    @pytest.mark.parametrize("k,r2", [(1, 50.0), (3, 40.0), (3, 2.0)])
+    def test_arrays_are_read_only(self, k, r2):
+        # k = 1, k >= 2 and the empty ball (m < k)
+        for arr in shell_counts(k, r2):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 1
+
+    def test_one_shell_list_per_order_and_size(self, monkeypatch):
+        # calibration asks for thousands of supports; each (k, size) shell
+        # list is built once, and every profile's shells are views of it
+        built = []
+        build = lattice._occupied_shells.__wrapped__
+
+        @functools.cache
+        def counting(k, size):
+            built.append((k, size))
+            return build(k, size)
+
+        asked = []
+
+        def counting_shell_counts(k, r2_max):
+            asked.append(k)
+            return shell_counts(k, r2_max)
+
+        monkeypatch.setattr(lattice, "_occupied_shells", counting)
+        monkeypatch.setattr(extremal, "shell_counts", counting_shell_counts)
+        config = build_selector_config(DimensionSpec(50, 4, 0.87, 1.0, 5e-5), M=20)
+        assert len(built) == len(set(built)) and {k for k, _ in built} == {1, 2, 3, 4}
+        assert len(asked) > 100 * len(built)
+        for k, profiles in config.profiles.items():
+            lists = [counting(k, size) for kk, size in built if kk == k]
+            for prof in profiles:
+                assert not prof.rho.flags.writeable and not prof.counts.flags.writeable
+                assert any(prof.rho.base is rho and prof.counts.base is counts
+                           for rho, counts in lists)
 
     def test_ball_coords_agree(self):
         coords, shell = ball_coords(2, 30.0)
