@@ -26,9 +26,10 @@ of Z^k with every coordinate nonzero.  This module provides
   allocated: ``MAX_SHELL_INDEX`` bounds every per-shell array that
   :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds every stored
   array of lattice points, the tail above and the whole ball that
-  :func:`ball_coords` concatenates; ``BLOCK_ENTRIES`` bounds each row block
-  of the package's blocked reductions (the audit's null draws and the
-  coefficient vectors),
+  :func:`ball_coords` concatenates; ``BLOCK_ENTRIES`` is the package's one
+  block size, bounding every temporary of a blocked loop (the slab walk's
+  masks, the active path's chunks, the audit's null-draw rows and the
+  coefficient vectors' cos/sin rows) at 512 kB of float64,
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
@@ -132,13 +133,10 @@ MAX_SHELL_INDEX = 5_000_000
 # concatenates.
 MAX_BALL_POINTS = 10_000_000
 
-# Mask entries per block of the slab walk: a block's kept points are at most
-# three 512 kB arrays (lead position, tail index, squared norm).
-_SLAB_BLOCK = 1 << 16
-
-# Entries per row block where a matrix is reduced row by row (the audit's null
-# draws, the coefficient vectors' cos/sin products): 8 MB of float64.
-BLOCK_ENTRIES = 1 << 20
+# Entries per block of every blocked loop: the slab walk's masks, the active
+# path's chunks, the audit's null-draw rows and the coefficient vectors'
+# cos/sin rows.  A float64 block is 512 kB, so it stays in cache.
+BLOCK_ENTRIES = 1 << 16
 
 
 def shell_convolve(masses: Sequence[np.ndarray], size: int) -> np.ndarray:
@@ -265,18 +263,18 @@ def _slabs(
 
     Slab l1 keeps the tail points with ``tail_rho < r2_max - l1^2``, in tail
     order, so lead-major order over a lexicographic tail is lexicographic.
-    Each block masks at most ``_SLAB_BLOCK`` (slab, tail point) pairs: a
+    Each block masks at most ``BLOCK_ENTRIES`` (slab, tail point) pairs: a
     window of one slab of a long tail, or many slabs of a short one.
     """
     n = len(tail_rho)
     if len(axis) == 0 or n == 0:
         return
     sq = axis.astype(np.int64) ** 2
-    rows = _SLAB_BLOCK // n
+    rows = BLOCK_ENTRIES // n
     if rows <= 1:
         for pos, lead_sq in enumerate(sq):
-            for t in range(0, n, _SLAB_BLOCK):
-                window = tail_rho[t : t + _SLAB_BLOCK]
+            for t in range(0, n, BLOCK_ENTRIES):
+                window = tail_rho[t : t + BLOCK_ENTRIES]
                 keep = window < r2_max - lead_sq
                 idx = np.flatnonzero(keep)
                 idx += t
@@ -383,7 +381,7 @@ def ball_coords(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     coords = np.empty((total, k), dtype=axis.dtype)
     shell = np.empty(total, dtype=np.int32)
     start = 0
-    for lead, idx, sh in _ball_chunks(k, r2_max, _SLAB_BLOCK):
+    for lead, idx, sh in _ball_chunks(k, r2_max, BLOCK_ENTRIES):
         stop = start + len(lead)
         coords[start:stop, 0] = axis[lead]
         coords[start:stop, 1:] = tail[idx]

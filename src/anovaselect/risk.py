@@ -7,15 +7,16 @@ estimators alike.  Because every weight is radial, a null subset's statistics
 depend on the noise only through per-shell sums of xi^2, which are sampled
 directly as chi-square variates; active subsets are drawn point-by-point on
 the weight-support ball so their means enter exactly.  The ball is never
-stored: each active draw streams it in ``_CHUNK``-point chunks from the
-memoised (k - 1)-dimensional tail of its order (``lattice._ball_tail``), and
-means, normals and shell sums are formed chunk by chunk, in point order, so
-no per-point array of the ball's size exists and the statistic is the
-unchunked one, bit for bit.  Both paths draw from the same per-(cycle, order,
-subset-rank) substreams, so results are bit-reproducible, full and pooled
-enumeration agree on shared subsets, :func:`select` sees exactly the draws of
-the matching risk cycle, and re-running a single subset (as the attenuation
-experiment does) reproduces exactly what a full rerun would see.
+stored: each active draw streams it in chunks of ``lattice.BLOCK_ENTRIES``
+points (512 kB per float64 temporary) from the memoised (k - 1)-dimensional
+tail of its order (``lattice._ball_tail``), and means, normals and shell sums
+are formed chunk by chunk, in point order, so no per-point array of the
+ball's size exists and the statistic is the unchunked one, bit for bit.
+Both paths draw from the same per-(cycle, order, subset-rank) substreams, so
+results are bit-reproducible, full and pooled enumeration agree on shared
+subsets, :func:`select` sees exactly the draws of the matching risk cycle,
+and re-running a single subset (as the attenuation experiment does)
+reproduces exactly what a full rerun would see.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
 tables, ball tails) are memoised where they are computed.
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import CapacityError
 from .extremal import a_exact, admissible_r_max
 from .lattice import (
+    BLOCK_ENTRIES,
     DimensionSpec,
     Subset,
     _ball_chunks,
@@ -53,10 +55,6 @@ SQRT2 = math.sqrt(2.0)
 
 # Largest number of subsets of one order that full enumeration will visit.
 MAX_FULL_SUBSETS = 500_000
-
-# Ball points per active-path chunk: each per-point temporary of a chunk
-# (means, normals, gather indices) is at most 512 kB, so it stays in cache.
-_CHUNK = 1 << 16
 
 
 class _OrderEngine:
@@ -86,7 +84,7 @@ class _OrderEngine:
     def component_means(
         self, comp: ComponentSpec
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(shell index, theta_l / eps) over the ball, ``_CHUNK`` points at a time.
+        """(shell index, theta_l / eps) over the ball, ``BLOCK_ENTRIES`` points at a time.
 
         Each factor is gathered once per component, over the lead axis or the
         tail, and the amplitude is folded into the lead factor; a chunk's
@@ -101,7 +99,7 @@ class _OrderEngine:
         tail_factors = [
             vec[tail[:, p].astype(np.intp) + n] for p, vec in enumerate(tail_vecs)
         ]
-        for lead, idx, shell in _ball_chunks(self.k, self.r2_max, _CHUNK):
+        for lead, idx, shell in _ball_chunks(self.k, self.r2_max, BLOCK_ENTRIES):
             mu = lead_factor[lead]
             for factor in tail_factors:
                 mu *= factor[idx]

@@ -31,10 +31,11 @@ The tail audit and the null moments draw S = sum omega Q in batches of
 batches are independent and may run in any order.  ``null_stat_batches`` runs
 them on a pool of the resolved worker count and yields their S vectors in
 batch order, so callers sum in a fixed order.  Each batch draws its stream in
-row blocks of at most ``BLOCK_ENTRIES`` entries (numpy fills C-order rows from
-one stream, so the variates are those of one call) and reduces each block with
-``np.einsum("ij,j->i", ...)``: a fixed-order loop per row, with no BLAS, so the
-S bits depend neither on the block size nor on the CPU count.
+row blocks of at most ``lattice.BLOCK_ENTRIES`` entries, 512 kB of float64
+(numpy fills C-order rows from one stream, so the variates are those of one
+call), and reduces each block with ``np.einsum("ij,j->i", ...)``: a fixed-order
+loop per row, with no BLAS, so the S bits depend neither on the block size nor
+on the CPU count.
 """
 
 from __future__ import annotations

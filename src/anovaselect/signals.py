@@ -299,8 +299,10 @@ class CoefficientTable:
         n = self.n
         masses = [vec[n + 1 :] ** 2 + vec[:n][::-1] ** 2 for vec in self.factors]
         per_shell = shell_convolve(masses, self.k * n * n + 1)
-        rho = np.arange(len(per_shell), dtype=np.float64)
-        return self.amplitude**2 * float(np.dot(per_shell, (4.0 * math.pi**2 * rho) ** sigma))
+        weight = np.arange(len(per_shell), dtype=np.float64)
+        weight *= 4.0 * math.pi**2
+        weight **= sigma
+        return self.amplitude**2 * float(np.dot(per_shell, weight))
 
 
 # ---------------------------------------------------------------------------

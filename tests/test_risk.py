@@ -253,10 +253,10 @@ ACTIVE_CASES = [
 class TestStreamedActivePath:
     # chunks straddle slab boundaries: 7 points cut every slab longer than
     # 7, and 1000 points hold 1000 of the k = 1 ball's one-point slabs
-    @pytest.mark.parametrize("chunk", [7, risk._CHUNK, 1000])
+    @pytest.mark.parametrize("chunk", [7, risk.BLOCK_ENTRIES, 1000])
     @pytest.mark.parametrize("config_name,comp", ACTIVE_CASES)
     def test_bit_identical_to_one_shot(self, request, monkeypatch, config_name, comp, chunk):
-        monkeypatch.setattr(risk, "_CHUNK", chunk)
+        monkeypatch.setattr(risk, "BLOCK_ENTRIES", chunk)
         engine = _OrderEngine(request.getfixturevalue(config_name), comp.subset.k)
         rng, same = (observation_stream(5, 2, comp.subset.k, 17) for _ in range(2))
         streamed = engine.active_stats([rng], engine.component_means(comp))[0]

@@ -336,7 +336,7 @@ class TestAuditBatches:
 
     def test_tail_audit_memory_below_three_blocks(self, bench_k1_config):
         # the d = 50, k = 1 profile: one 20000-row batch alone is 81 MB, so
-        # holding whole batches breaks the bound; row blocks are 8 MB each
+        # holding whole batches breaks the bound; row blocks are 512 kB each
         prof = bench_k1_config.profiles[1][9]
         tracemalloc.start()
         try:

@@ -1,8 +1,10 @@
+import csv
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from anovaselect import signals
 from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, _shell_table
+from anovaselect.selector import PRESET_TRUNCATION
 from anovaselect.signals import (
     CoefficientTable,
     ComponentSpec,
@@ -25,6 +28,20 @@ from anovaselect.signals import (
 )
 
 SQRT2 = math.sqrt(2.0)
+AUDIT_FIXTURE = (
+    Path(__file__).resolve().parents[1] / "bench" / "tests" / "fixtures" / "seed10" / "audit.csv"
+)
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes tracemalloc saw while ``fn(*args)`` ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def bench_spec(d):
@@ -115,6 +132,15 @@ class TestFourierCoeff:
             monkeypatch.setattr(signals, "BLOCK_ENTRIES", BLOCK_ENTRIES)
             assert np.array_equal(seven_rows, default)
             assert np.array_equal(compute(i, 154, quad), default)
+
+    def test_vector_memory_below_four_blocks(self):
+        # a block is at most 512 kB of float64; at n = 622 one-shot phase, cos
+        # and sin matrices would be 24.8 MB each
+        quad = quadrature_for(622)
+        quad.grid()  # memoised before the trace
+        out, peak = traced_peak(signals._coeff_vector.__wrapped__, 1, 622, quad)
+        assert 8 * BLOCK_ENTRIES <= 512 * 1024
+        assert peak < 4 * 8 * BLOCK_ENTRIES + out.nbytes
 
     def test_vector_bits_independent_of_blas_threads(self):
         # the reduction uses no BLAS, so one BLAS thread and the default agree
@@ -233,6 +259,30 @@ class TestCoefficientTable:
                     for c in box_points(comp.subset.k, n)
                 )
                 assert table.sobolev_norm(sigma) == pytest.approx(brute, rel=1e-12)
+
+    def test_sobolev_norm_memory_below_three_tables(self):
+        # k = 1, n = 622: the per-shell sum and the weight are the only
+        # (n^2 + 1)-entry arrays; the weight is built in place
+        n = PRESET_TRUNCATION[1]
+        comp = build_pattern(bench_spec(50)).active(1)[0]
+        table = CoefficientTable.from_component(comp, n)
+        _, peak = traced_peak(table.sobolev_norm, 1.0)
+        assert peak < 3 * 8 * (n * n + 1)
+
+    def test_ellipsoid_memberships_match_audit_fixture(self):
+        # the audit's 14 benchmark components at d = 50, sigma = 1, preset
+        # truncation; the fixture holds them as the CSV writes them, to 12 digits
+        with AUDIT_FIXTURE.open(newline="") as fh:
+            expected = [(int(row["k"]), row["value"]) for row in csv.DictReader(fh)
+                        if row["check"] == "ellipsoid_membership"]
+        pattern = build_pattern(bench_spec(50))
+        got = [
+            (k, f"{CoefficientTable.from_component(comp, PRESET_TRUNCATION[k]).sobolev_norm(1.0):.12g}")
+            for k in sorted(pattern.counts())
+            for comp in pattern.active(k)
+        ]
+        assert len(expected) == 14
+        assert got == expected
 
     def test_sobolev_norm_order_four_box(self):
         # the k = 4, n = 36 box holds 26.9M entries; the shell sum never builds it
