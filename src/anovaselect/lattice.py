@@ -21,7 +21,9 @@ of Z^k with every coordinate nonzero.  This module provides
   (the package's one cache policy: ``functools.cache`` on a pure helper that
   returns read-only arrays) and :func:`_ball_chunks` streams the points in
   fixed-size chunks, each point as its lead position, tail index and shell
-  index,
+  index, filling fresh chunk buffers straight from the slab walk's
+  block-sized pieces, so that past the memoised tail no array is sized by
+  the tail or the ball,
 * the two capacity guards of the package, each checked where its array is
   allocated: ``MAX_SHELL_INDEX`` bounds every per-shell array that
   :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds every stored
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -228,34 +230,6 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     return rho[:stop], counts[:stop]
 
 
-def _rechunk(
-    pieces: Iterable[tuple[np.ndarray, ...]], size: int
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """Regroup a stream of equal-length array tuples into ``size``-row tuples.
-
-    Rows keep their order and every tuple but the last holds exactly ``size``
-    rows.  Only a tuple that straddles pieces is copied; the others are views.
-    """
-    held: list[tuple[np.ndarray, ...]] = []
-    count = 0
-    for piece in pieces:
-        n = len(piece[0])
-        start = min(size - count, n) if count else 0
-        if count:  # top up the tuple begun by earlier pieces
-            held.append(tuple(col[:start] for col in piece))
-            count += start
-            if count < size:
-                continue
-            yield tuple(np.concatenate(col) for col in zip(*held))
-        stop = start + (n - start) // size * size
-        for a in range(start, stop, size):
-            yield tuple(col[a : a + size] for col in piece)
-        held = [tuple(col[stop:] for col in piece)]
-        count = n - stop
-    if count:
-        yield tuple(np.concatenate(col) for col in zip(*held))
-
-
 def _slabs(
     axis: np.ndarray, tail_rho: np.ndarray, r2_max: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -264,7 +238,10 @@ def _slabs(
     Slab l1 keeps the tail points with ``tail_rho < r2_max - l1^2``, in tail
     order, so lead-major order over a lexicographic tail is lexicographic.
     Each block masks at most ``BLOCK_ENTRIES`` (slab, tail point) pairs: a
-    window of one slab of a long tail, or many slabs of a short one.
+    window of one slab of a long tail, or many slabs of a short one, and
+    every array it yields holds at most that many points.  Norms are
+    integers, so each compares with the integer ``ceil`` of its float bound,
+    which keeps the same points without casting the block to float.
     """
     n = len(tail_rho)
     if len(axis) == 0 or n == 0:
@@ -272,20 +249,24 @@ def _slabs(
     sq = axis.astype(np.int64) ** 2
     rows = BLOCK_ENTRIES // n
     if rows <= 1:
-        for pos, lead_sq in enumerate(sq):
+        for pos, lead_sq in enumerate(sq.tolist()):
+            bound = math.ceil(r2_max - lead_sq)
             for t in range(0, n, BLOCK_ENTRIES):
                 window = tail_rho[t : t + BLOCK_ENTRIES]
-                keep = window < r2_max - lead_sq
-                idx = np.flatnonzero(keep)
+                idx = np.flatnonzero(window < bound)
+                rho = window.take(idx)
+                rho += lead_sq
                 idx += t
-                yield np.broadcast_to(pos, idx.shape), idx, window[keep] + lead_sq
+                yield np.broadcast_to(pos, idx.shape), idx, rho
         return
-    cols = np.arange(n)
+    bound = math.ceil(r2_max)
     for a in range(0, len(sq), rows):
         rho = tail_rho + sq[a : a + rows, None]
-        keep = rho < r2_max
-        lead = np.repeat(np.arange(a, a + len(rho)), np.count_nonzero(keep, axis=1))
-        yield lead, np.broadcast_to(cols, keep.shape)[keep], rho[keep]
+        keep = rho < bound
+        lead, idx = np.nonzero(keep)
+        lead += a
+        rho = rho[keep]
+        yield lead, idx, rho
 
 
 def _check_points(k: int, total: int, what: str) -> None:
@@ -350,18 +331,38 @@ def _ball_chunks(
     """The ball of Z^k in lexicographic order, streamed from its memoised tail.
 
     Yields ``(lead, idx, shell)`` per chunk: each point's position in the
-    tail's ``axis``, its index in ``tail`` and its shell index.  Chunks
-    straddle slab boundaries, so every chunk but the last holds exactly
-    ``size`` points however small the slabs are.
+    tail's ``axis`` and its index in ``tail`` (both intp, so gathers take
+    them without conversion), and its int32 shell index.  Each chunk is a
+    fresh set of ``size``-point buffers, filled straight from the slab
+    pieces, so chunks straddle slab boundaries, every chunk but the last
+    holds exactly ``size`` points however small the slabs are, and a chunk
+    stays valid after the next is yielded.  No array is sized by the tail.
     """
     axis, _, tail_rho, shell_of = _ball_tail(k, r2_max)
     if k == 1:  # shell l1^2 is the (|l1| - 1)-th: map lead positions, not norms
         shell_of = np.abs(axis.astype(np.int32)) - 1
-    pieces = (
-        (lead, idx, shell_of[lead if k == 1 else rho])
-        for lead, idx, rho in _slabs(axis, tail_rho, r2_max)
-    )
-    return _rechunk(pieces, size)
+    chunk, fill = None, 0
+    for lead, idx, rho in _slabs(axis, tail_rho, r2_max):
+        key = lead if k == 1 else rho
+        start = 0
+        while start < len(idx):
+            if chunk is None:
+                chunk = (np.empty(size, np.intp), np.empty(size, np.intp),
+                         np.empty(size, np.int32))
+            stop = min(start + size - fill, len(idx))
+            end = fill + stop - start
+            chunk[0][fill:end] = lead[start:stop]
+            chunk[1][fill:end] = idx[start:stop]
+            # every key has a shell, so nothing is clipped; "clip" takes into
+            # ``out`` directly, where the default mode would buffer a copy
+            np.take(shell_of, key[start:stop], out=chunk[2][fill:end], mode="clip")
+            start, fill = stop, end
+            if fill == size:
+                yield chunk
+                chunk, fill = None, 0
+        del lead, idx, rho, key  # free the piece before the next is built
+    if fill:
+        yield tuple(col[:fill] for col in chunk)
 
 
 def ball_coords(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,10 @@ stored: each active draw streams it in chunks of ``lattice.BLOCK_ENTRIES``
 points (512 kB per float64 temporary) from the memoised (k - 1)-dimensional
 tail of its order (``lattice._ball_tail``), and means, normals and shell sums
 are formed chunk by chunk, in point order, so no per-point array of the
-ball's size exists and the statistic is the unchunked one, bit for bit.
+ball's size exists and the statistic is the unchunked one, bit for bit.  Nor
+is any array sized by the tail: each component keeps only the tail's k - 1
+small-integer coordinate columns and gathers its coefficients per chunk, and
+each stream draws its normals into one reused chunk buffer.
 Both paths draw from the same per-(cycle, order, subset-rank) substreams, so
 results are bit-reproducible, full and pooled enumeration agree on shared
 subsets, :func:`select` sees exactly the draws of the matching risk cycle,
@@ -86,23 +89,28 @@ class _OrderEngine:
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(shell index, theta_l / eps) over the ball, ``BLOCK_ENTRIES`` points at a time.
 
-        Each factor is gathered once per component, over the lead axis or the
-        tail, and the amplitude is folded into the lead factor; a chunk's
-        means multiply the gathered factors at its points in factor order,
-        (amplitude / eps) * c_1 * ... * c_k as a per-point gather over the
-        whole ball does, so every mean has the same bits.
+        The lead factor is gathered once over the short lead axis, with the
+        amplitude folded in.  The tail factors are gathered per chunk: each
+        tail coordinate is kept as one contiguous column of the tail's small
+        integer dtype, and a chunk takes its coordinates from it and then
+        their coefficients from the factor's vector, rolled by n so that a
+        negative coordinate indexes from the end.  No array is sized by the
+        tail.  A chunk's means multiply the factors at its points in factor
+        order, (amplitude / eps) * c_1 * ... * c_k as a per-point gather over
+        the whole ball does, so every mean has the same bits.
         """
         axis, tail, _, _ = _ball_tail(self.k, self.r2_max)
         n = self.truncation
         lead_vec, *tail_vecs = (coeff_vector(fid, n) for fid in comp.factor_ids)
         lead_factor = comp.amplitude / self.epsilon * lead_vec[axis.astype(np.intp) + n]
         tail_factors = [
-            vec[tail[:, p].astype(np.intp) + n] for p, vec in enumerate(tail_vecs)
+            (np.ascontiguousarray(tail[:, p]), np.roll(vec, -n))
+            for p, vec in enumerate(tail_vecs)
         ]
         for lead, idx, shell in _ball_chunks(self.k, self.r2_max, BLOCK_ENTRIES):
             mu = lead_factor[lead]
-            for factor in tail_factors:
-                mu *= factor[idx]
+            for col, vec in tail_factors:
+                mu *= vec[col.take(idx).astype(np.intp)]
             yield shell, mu
 
     def null_stats(self, rng: np.random.Generator) -> np.ndarray:
@@ -116,15 +124,20 @@ class _OrderEngine:
     ) -> np.ndarray:
         """One row of S_m per stream, from one pass over the (shell, mean) chunks.
 
-        Stream j draws its normals chunk by chunk, which is the sequence one
-        call of ``len(ball)`` normals gives, and ``np.add.at`` adds the chunk
-        into the shell sums in point order, as ``np.bincount`` over the whole
-        ball would: each row is bit-identical to the unchunked statistic.
+        Stream j draws its normals chunk by chunk into one reused buffer,
+        which is the sequence one call of ``len(ball)`` normals gives, and
+        ``np.add.at`` adds the chunk into the shell sums in point order, as
+        ``np.bincount`` over the whole ball would: each row is bit-identical
+        to the unchunked statistic.
         """
         q = np.zeros((len(rngs), len(self.rho)))
+        buf = np.empty(0)
         for idx, mu in means:
+            if len(buf) < len(mu):
+                buf = np.empty(len(mu))
+            y = buf[: len(mu)]
             for rng, acc in zip(rngs, q):
-                y = rng.standard_normal(len(mu))
+                rng.standard_normal(out=y)
                 y += mu
                 y *= y
                 y -= 1.0

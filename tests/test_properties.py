@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_ball, engine_ball
+from conftest import brute_ball, brute_lattice, engine_ball
 
+from anovaselect import lattice
 from anovaselect.extremal import admissible_r_max, weights
 from anovaselect.lattice import Subset, ball_coords, shell_convolve, shell_counts, subset_rank
 from anovaselect.risk import _OrderEngine, _inactive_ranks
@@ -43,6 +44,25 @@ def test_ball_coords_match_bruteforce(k, radius):
     assert np.array_equal(shell_counts(k, radius * radius)[0][shell], rho)
     if len(coords):
         assert np.iinfo(coords.dtype).max >= int(np.abs(coords.astype(np.int64)).max())
+
+
+@FAST
+@given(k=st.integers(1, 4), r2=st.floats(0.0, 40.0), size=st.integers(1, 300))
+def test_ball_chunks_concatenate_to_the_ball(k, r2, size):
+    # list() holds every chunk, so a buffer refilled after its yield shows here
+    axis, tail, _, _ = lattice._ball_tail(k, r2)
+    chunks = list(lattice._ball_chunks(k, r2, size))
+    assert all(len(lead) == size for lead, _, _ in chunks[:-1])
+    for lead, idx, shell in chunks:
+        assert 0 < len(lead) == len(idx) == len(shell) <= size
+        assert (lead.dtype, idx.dtype, shell.dtype) == (np.intp, np.intp, np.int32)
+    expected, expected_shell = brute_lattice(k, r2, shell_counts(k, r2)[0])
+    if not chunks:
+        assert len(expected) == 0
+        return
+    lead, idx, shell = (np.concatenate(col) for col in zip(*chunks))
+    assert np.column_stack([axis[lead], tail[idx]]).tolist() == expected.tolist()
+    assert np.array_equal(shell, expected_shell)
 
 
 @pytest.mark.parametrize("limit", [127, 128, 32767, 32768, 40000])

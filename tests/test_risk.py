@@ -307,6 +307,23 @@ class TestStreamedActivePath:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_active_block_k4_holds_no_tail_sized_array(self, bench_config):
+        # with the tail and the vectors built, one k = 4 block at J = 8 holds
+        # about 11 float64 blocks; three tail-length float64 factors (7.5
+        # blocks of the 162848-point tail) and straddle copies took 19.5
+        comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
+        engine = _OrderEngine(bench_config, 4)
+        assert len(lattice._ball_tail(4, engine.r2_max)[1]) == 162_848
+        for fid in comp.factor_ids:
+            coeff_vector(fid, engine.truncation)  # memoised before the trace
+        tracemalloc.start()
+        try:
+            risk._active_block(engine, comp, rank=0, J=8, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 8 * lattice.BLOCK_ENTRIES
+
     def test_tail_bound_refused_before_any_draw(self, bench_dim, bench_config, monkeypatch):
         # the k = 4 tail holds 162848 points: a lower bound stops the run on the
         # main thread before the first draw

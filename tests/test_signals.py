@@ -48,6 +48,22 @@ def bench_spec(d):
     return DimensionSpec(d=d, s=4, beta=0.87, sigma=1.0, epsilon=5e-5)
 
 
+def digests_under_blas_threads(script):
+    """stdout of ``script``, stripped, run once with one BLAS thread and once
+    with the default count, each in a fresh interpreter on this package."""
+    src = str(Path(signals.__file__).resolve().parents[1])
+    digests = []
+    for blas_threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(res.stdout.strip())
+    return digests
+
+
 class TestEvalG:
     def test_pointwise_examples(self):
         assert eval_g(4, 0.5) == pytest.approx(0.0, abs=1e-15)
@@ -153,16 +169,7 @@ class TestFourierCoeff:
             "        h.update(coeff_vector(i, n).tobytes())\n"
             "print(h.hexdigest())\n"
         )
-        src = str(Path(signals.__file__).resolve().parents[1])
-        digests = []
-        for blas_threads in ("1", None):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            if blas_threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = blas_threads
-            res = subprocess.run([sys.executable, "-c", script], env=env,
-                                 capture_output=True, text=True, check=True)
-            digests.append(res.stdout.strip())
+        digests = digests_under_blas_threads(script)
         assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
@@ -261,8 +268,8 @@ class TestCoefficientTable:
                 assert table.sobolev_norm(sigma) == pytest.approx(brute, rel=1e-12)
 
     def test_sobolev_norm_memory_below_three_tables(self):
-        # k = 1, n = 622: the per-shell sum and the weight are the only
-        # (n^2 + 1)-entry arrays; the weight is built in place
+        # k = 1, n = 622: the sum runs over the n roots, so no (n^2 + 1)-entry
+        # array is built at all
         n = PRESET_TRUNCATION[1]
         comp = build_pattern(bench_spec(50)).active(1)[0]
         table = CoefficientTable.from_component(comp, n)
@@ -284,6 +291,26 @@ class TestCoefficientTable:
         got = [(k, f"{table.sobolev_norm(1.0):.12g}") for k, table in tables]
         assert len(expected) == 14
         assert got == expected
+
+    def test_sobolev_norm_bits_independent_of_blas_threads(self):
+        # the audit's 14 benchmark components at three smoothness levels: the
+        # sum uses no BLAS, so one BLAS thread and the default agree
+        script = (
+            "import hashlib\n"
+            "from anovaselect.lattice import DimensionSpec\n"
+            "from anovaselect.selector import PRESET_TRUNCATION\n"
+            "from anovaselect.signals import CoefficientTable, build_pattern\n"
+            "pattern = build_pattern(DimensionSpec(50, 4, 0.87, 1.0, 5e-5))\n"
+            "h = hashlib.sha256()\n"
+            "for k in sorted(pattern.counts()):\n"
+            "    for comp in pattern.active(k):\n"
+            "        table = CoefficientTable.from_component(comp, PRESET_TRUNCATION[k])\n"
+            "        for sigma in (0.5, 1.0, 2.0):\n"
+            "            h.update(repr(table.sobolev_norm(sigma)).encode())\n"
+            "print(h.hexdigest())\n"
+        )
+        digests = digests_under_blas_threads(script)
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     def test_sobolev_norm_order_four_box(self):
         # the k = 4, n = 36 box holds 26.9M entries; the shell sum never builds it
