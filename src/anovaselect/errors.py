@@ -8,8 +8,8 @@ resource guards tripping and calibration targets that cannot be reached.
 
 class CapacityError(RuntimeError):
     """A bound was exceeded: a per-shell array (``MAX_SHELL_INDEX``), the stored
-    tail of a lattice ball or a whole concatenated ball (``MAX_BALL_POINTS``),
-    or the subsets of one order under full enumeration (``MAX_FULL_SUBSETS``).
+    tail of a lattice ball (``MAX_BALL_POINTS``), or the subsets of one order
+    under full enumeration (``MAX_FULL_SUBSETS``).
     """
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -231,7 +232,11 @@ def beta_grid(M: int) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class WeightProfile:
-    """Statistic weights omega per squared-norm shell, for one grid radius."""
+    """Statistic weights omega per squared-norm shell, for one grid radius.
+
+    Built by :func:`order_weights`, so ``values`` is a read-only prefix view
+    of the radius's row in its order's weight matrix.
+    """
 
     k: int
     sigma: float
@@ -268,21 +273,51 @@ class WeightProfile:
         return float(np.dot(self.counts.astype(np.float64), self.values**2))
 
 
+def order_weights(
+    radii: Sequence[float], k: int, sigma: float, epsilon: float
+) -> tuple[tuple[WeightProfile, ...], np.ndarray]:
+    """Weight profiles of one order's radii, with their weights as one matrix.
+
+    Row m of the read-only ``(len(radii), shells)`` matrix holds
+    omega = theta*^2 / (2 eps^2 a(r_m)) on the shells of the widest support,
+    which belongs to the smallest radius (the support shrinks as r grows), and
+    0 past its own support.  Each row is written in place from its extremal
+    profile, so no other copy of the weights exists: profile m's ``rho`` and
+    ``counts`` are prefix views of the widest support's shells, and its
+    ``values`` the matching prefix view of row m.
+    """
+    widest = extremal_sequence(min(radii), k, sigma)
+    rho, counts = widest.rho, widest.counts
+    del widest  # hold one profile's arrays at a time, not the widest's as well
+    matrix = np.zeros((len(radii), len(rho)))
+    profiles = []
+    for row, r in zip(matrix, radii):
+        profile = extremal_sequence(r, k, sigma)
+        a_value = a_exact(r, k, sigma, epsilon, profile=profile)
+        n = len(profile.rho)
+        values = np.multiply(
+            profile.theta_sq, 1.0 / (2.0 * epsilon * epsilon * a_value), out=row[:n]
+        )
+        values.setflags(write=False)
+        profiles.append(
+            WeightProfile(
+                k=k,
+                sigma=sigma,
+                epsilon=epsilon,
+                source_r=r,
+                a_value=a_value,
+                rho=rho[:n],
+                counts=counts[:n],
+                values=values,
+            )
+        )
+    matrix.setflags(write=False)
+    return tuple(profiles), matrix
+
+
 def weights(r_star: float, k: int, sigma: float, epsilon: float) -> WeightProfile:
     """Weight profile omega = theta*^2 / (2 eps^2 a(r*)); sum omega^2 = 1/2."""
-    profile = extremal_sequence(r_star, k, sigma)
-    a_value = a_exact(r_star, k, sigma, epsilon, profile=profile)
-    scale = 1.0 / (2.0 * epsilon * epsilon * a_value)
-    return WeightProfile(
-        k=k,
-        sigma=sigma,
-        epsilon=epsilon,
-        source_r=r_star,
-        a_value=a_value,
-        rho=profile.rho,
-        counts=profile.counts,
-        values=profile.theta_sq * scale,
-    )
+    return order_weights((r_star,), k, sigma, epsilon)[0][0]
 
 
 @dataclass(frozen=True)
@@ -296,9 +331,6 @@ class GridSpec:
     a_values: dict[int, tuple[float, ...]] = field(default_factory=dict)
     eps_hat: dict[int, float] = field(default_factory=dict)
     calibration_mode: str = "exact"
-
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.r_stars))
 
 
 def calibrate_radii(

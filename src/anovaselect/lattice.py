@@ -15,7 +15,7 @@ of Z^k with every coordinate nonzero.  This module provides
   power-of-two sizes so one list serves every smaller ball:
   :func:`shell_counts` returns read-only prefix views of it, cut by
   ``searchsorted``, so the calibration's thousands of supports share it,
-* the ball's points for callers that need them, never stored whole: the
+* the ball's points for the active path, never stored whole: the
   ball of Z^k is the lexicographic walk over leading-coordinate slabs of a
   (k - 1)-dimensional tail, so :func:`_ball_tail` memoises the small tail
   (the package's one cache policy: ``functools.cache`` on a pure helper that
@@ -26,12 +26,11 @@ of Z^k with every coordinate nonzero.  This module provides
   the tail or the ball,
 * the two capacity guards of the package, each checked where its array is
   allocated: ``MAX_SHELL_INDEX`` bounds every per-shell array that
-  :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds every stored
-  array of lattice points, the tail above and the whole ball that
-  :func:`ball_coords` concatenates; ``BLOCK_ENTRIES`` is the package's one
-  block size, bounding every temporary of a blocked loop (the slab walk's
-  masks, the active path's chunks, the audit's null-draw rows and the
-  coefficient vectors' cos/sin rows) at 512 kB of float64,
+  :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds the one stored
+  array of lattice points, the tail above; ``BLOCK_ENTRIES`` is the
+  package's one block size, bounding every temporary of a blocked loop (the
+  slab walk's masks, the active path's chunks, the audit's null-draw rows
+  and the coefficient vectors' cos/sin rows) at 512 kB of float64,
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
@@ -128,11 +127,10 @@ def active_count(d: int, k: int, beta: float) -> int:
 # per root, isqrt(m) of them).
 MAX_SHELL_INDEX = 5_000_000
 
-# Largest number of lattice points stored at once: the memoised (k - 1)-
-# dimensional tail of a ball, checked level by level where it is allocated
-# (the largest any benchmark configuration builds is 162848 points at k = 4,
-# 973696 at k = 5 with truncation = rule), and the whole ball ball_coords
-# concatenates.
+# Largest number of lattice points stored at once, which only the memoised
+# (k - 1)-dimensional tail of a ball does, checked level by level where it is
+# allocated (the largest any benchmark configuration builds is 162848 points
+# at k = 4, 973696 at k = 5 with truncation = rule).
 MAX_BALL_POINTS = 10_000_000
 
 # Entries per block of every blocked loop: the slab walk's masks, the active
@@ -269,14 +267,6 @@ def _slabs(
         yield lead, idx, rho
 
 
-def _check_points(k: int, total: int, what: str) -> None:
-    if total > MAX_BALL_POINTS:
-        raise CapacityError(
-            f"lattice ball for k={k} {what} {total} points, exceeding the cap "
-            f"of {MAX_BALL_POINTS}"
-        )
-
-
 @functools.cache
 def _ball_tail(
     k: int, r2_max: float
@@ -305,7 +295,11 @@ def _ball_tail(
         r2 = r2_max - (k - j)
         sizes = np.searchsorted(np.sort(tail_rho), r2 - axis.astype(np.int64) ** 2)
         total = int(sizes.sum())
-        _check_points(k, total, f"stores a {j}-dimensional tail of")
+        if total > MAX_BALL_POINTS:
+            raise CapacityError(
+                f"lattice ball for k={k} stores a {j}-dimensional tail of {total} "
+                f"points, exceeding the cap of {MAX_BALL_POINTS}"
+            )
         grown = np.empty((total, j), dtype=dtype)
         grown_rho = np.empty(total, dtype=np.int32)
         start = 0
@@ -363,32 +357,6 @@ def _ball_chunks(
         del lead, idx, rho, key  # free the piece before the next is built
     if fill:
         yield tuple(col[:fill] for col in chunk)
-
-
-def ball_coords(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """All-nonzero lattice points with squared norm < r2_max, as compact arrays.
-
-    Returns ``(coords, shell)``: an (n, k) array in lexicographic order, in
-    the dtype of the tail's axis, and the int32 index of each row's shell in
-    ``shell_counts(k, r2_max)[0]``.  It is the concatenation of
-    :func:`_ball_chunks`, for callers that want the whole ball at once; the
-    statistic engine streams the chunks instead.  Guarded by
-    ``MAX_BALL_POINTS``.
-    """
-    _, counts = shell_counts(k, r2_max)
-    total = int(counts.sum())
-    _check_points(k, total, "holds")
-    axis, tail, _, _ = _ball_tail(k, r2_max)
-    coords = np.empty((total, k), dtype=axis.dtype)
-    shell = np.empty(total, dtype=np.int32)
-    start = 0
-    for lead, idx, sh in _ball_chunks(k, r2_max, BLOCK_ENTRIES):
-        stop = start + len(lead)
-        coords[start:stop, 0] = axis[lead]
-        coords[start:stop, 1:] = tail[idx]
-        shell[start:stop] = sh
-        start = stop
-    return coords, shell
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ attenuation experiment, and classification against the selection and
 detection boundaries.
 
 One engine evaluates the statistics S_{u,m} for :func:`select` and the risk
-estimators alike.  Because every weight is radial, a null subset's statistics
-depend on the noise only through per-shell sums of xi^2, which are sampled
-directly as chi-square variates; active subsets are drawn point-by-point on
-the weight-support ball so their means enter exactly.  The ball is never
+estimators alike, with the config's weight matrix of its order as it is.
+Because every weight is radial, a null subset's statistics depend on the
+noise only through per-shell sums of xi^2, which are sampled directly as
+chi-square variates; active subsets are drawn point-by-point on the
+weight-support ball so their means enter exactly.  The ball is never
 stored: each active draw streams it in chunks of ``lattice.BLOCK_ENTRIES``
 points (512 kB per float64 temporary) from the memoised (k - 1)-dimensional
 tail of its order (``lattice._ball_tail``), and means, normals and shell sums
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -64,24 +65,14 @@ class _OrderEngine:
     """Shell-compressed statistics for one interaction order."""
 
     def __init__(self, config: SelectorConfig, k: int):
-        profiles = config.profiles[k]
+        widest = max(config.profiles[k], key=lambda p: len(p.rho))
         self.k = k
         self.epsilon = config.dim.epsilon
         self.threshold = config.thresholds[k]
         self.truncation = config.truncation[k]
-        longest = max(profiles, key=lambda p: len(p.rho))
-        if longest.max_abs_coord > self.truncation:
-            raise ValueError(
-                f"truncation n={self.truncation} at k={k} does not cover the weight "
-                f"support, which reaches |l|={longest.max_abs_coord}"
-            )
-        self.rho = longest.rho
-        self.counts = longest.counts.astype(np.float64)
-        self.W = np.zeros((len(profiles), len(self.rho)))
-        for m, prof in enumerate(profiles):
-            if not np.array_equal(prof.rho, self.rho[: len(prof.rho)]):
-                raise AssertionError("weight supports are not nested shell prefixes")
-            self.W[m, : len(prof.values)] = prof.values
+        self.rho = widest.rho
+        self.counts = widest.counts.astype(np.float64)
+        self.W = config.weight_matrix[k]  # the config's own, read-only
         self.r2_max = float(self.rho[-1]) + 0.5  # the ball of the union support
 
     def component_means(
@@ -237,7 +228,6 @@ class RiskReport:
     misses: int
     evaluated_inactive: dict[int, int]
     extrapolated_fp: dict[int, float]
-    config_echo: dict[str, object] = field(default_factory=dict)
 
 
 def _inactive_ranks(
@@ -363,24 +353,6 @@ def _run_cycles(
     return miss, fp, n_inactive, {k: int(v.sum()) for k, v in fp_by_k.items()}, engines
 
 
-def _echo(config: SelectorConfig, J: int, seed: int, mode: str, pool_inactive: int) -> dict:
-    dim = config.dim
-    return {
-        "d": dim.d,
-        "s": dim.s,
-        "beta": dim.beta,
-        "sigma": dim.sigma,
-        "epsilon": dim.epsilon,
-        "grid_m": config.grid.M,
-        "calibration": config.grid.calibration_mode,
-        "truncation": config.truncation_mode,
-        "cycles": J,
-        "seed": seed,
-        "mode": mode,
-        "pool_inactive": pool_inactive,
-    }
-
-
 def _extrapolated_fp(
     d: int, fp_by_k: Mapping[int, int], n_inactive: Mapping[int, int], J: int,
     pattern: SparsityPattern,
@@ -430,7 +402,6 @@ def estimate_risk(
         misses=int(miss.sum()),
         evaluated_inactive=n_inactive,
         extrapolated_fp=_extrapolated_fp(config.dim.d, fp_by_k, n_inactive, J, pattern),
-        config_echo=_echo(config, J, seed, mode, pool_inactive),
     )
 
 
@@ -486,7 +457,6 @@ def attenuation_experiment(
                 extrapolated_fp=_extrapolated_fp(
                     config.dim.d, fp_by_k, n_inactive, J, pattern
                 ),
-                config_echo=_echo(config, J, seed, mode, pool_inactive),
             )
         )
     return reports

@@ -8,6 +8,9 @@ on the punctured lattice.  For each grid point m the statistic
 
 has mean 0 and variance 1 under the null (sum omega^2 = 1/2).  A subset is
 selected when max_m S_{u,m} exceeds t_k = sqrt((2 + eps_hat)(log C(d,k) + log M)).
+All M statistics of a subset come from one product with the order's
+``(M, shells)`` weight matrix, which calibration fills row by row and
+:class:`SelectorConfig` stores, read-only, next to the profiles that view it.
 
 Randomness is organised as counter-based substreams: every (cycle, order,
 subset-rank) owns a Philox stream spawned from the master seed, so full and
@@ -50,7 +53,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .extremal import GridSpec, WeightProfile, calibrate_radii, weights
+from .extremal import GridSpec, WeightProfile, calibrate_radii, order_weights
 from .lattice import BLOCK_ENTRIES, DimensionSpec, log_binomial
 
 # Stream phase tags keep independent uses of the master seed disjoint.
@@ -251,15 +254,31 @@ def truncation_radius(
 
 @dataclass(frozen=True, eq=False)
 class SelectorConfig:
-    """Calibrated selector: grid, weight profiles, thresholds, truncation."""
+    """Calibrated selector: grid, weight profiles, thresholds, truncation.
+
+    ``weight_matrix[k]`` is the read-only ``(M, shells)`` matrix of order k
+    that :func:`extremal.order_weights` returns with ``profiles[k]``: row m
+    holds profile m's weights, zero-padded to the widest support.  Every
+    construction checks that each truncation box covers its order's weights.
+    """
 
     dim: DimensionSpec
     grid: GridSpec
     profiles: Mapping[int, tuple[WeightProfile, ...]]
+    weight_matrix: Mapping[int, np.ndarray]
     thresholds: Mapping[int, float]
     truncation: Mapping[int, int]
     truncation_mode: str
     eps_hat_rule: str
+
+    def __post_init__(self):
+        for k, profiles in self.profiles.items():
+            covered = max(p.max_abs_coord for p in profiles)
+            if covered > self.truncation[k]:
+                raise ValueError(
+                    f"truncation n={self.truncation[k]} at k={k} does not cover the "
+                    f"weight support, which reaches |l|={covered}"
+                )
 
     def orders(self) -> tuple[int, ...]:
         return tuple(sorted(self.profiles))
@@ -276,14 +295,16 @@ def build_selector_config(
 
     For every order k <= s: an M-point sparsity grid, radii r* solving
     a(r*) = (1 + sqrt(1-beta_m)) sqrt(2 log C(d,k)), weight profiles built from
-    the exact lattice sum (so their squared sum is exactly 1/2), the threshold
-    t_k, and a truncation box checked to cover every nonzero weight.
+    the exact lattice sum (so their squared sum is exactly 1/2) and written
+    into the order's weight matrix, the threshold t_k, and a truncation box,
+    which the config checks to cover every nonzero weight.
     """
     targets: dict[int, tuple[float, ...]] = {}
     r_stars: dict[int, tuple[float, ...]] = {}
     a_values: dict[int, tuple[float, ...]] = {}
     eps_hats: dict[int, float] = {}
     profiles: dict[int, tuple[WeightProfile, ...]] = {}
+    matrices: dict[int, np.ndarray] = {}
     thresholds_map: dict[int, float] = {}
     trunc: dict[int, int] = {}
     betas: tuple[float, ...] = ()
@@ -296,15 +317,9 @@ def build_selector_config(
         r_stars[k] = tuple(rlist)
         a_values[k] = tuple(alist)
         eps_hats[k] = epsilon_hat(dim.d, k, rule=eps_hat_rule, s=dim.s)
-        profiles[k] = tuple(weights(r, k, dim.sigma, dim.epsilon) for r in rlist)
+        profiles[k], matrices[k] = order_weights(rlist, k, dim.sigma, dim.epsilon)
         thresholds_map[k] = threshold(dim.d, k, M, eps_hats[k])
-        n_k = truncation_radius(k, profiles[k], mode=truncation)
-        covered = max(p.max_abs_coord for p in profiles[k])
-        if covered > n_k:
-            raise ValueError(
-                f"truncation n={n_k} at k={k} misses weights up to |l|={covered}"
-            )
-        trunc[k] = n_k
+        trunc[k] = truncation_radius(k, profiles[k], mode=truncation)
     grid = GridSpec(
         M=M,
         betas=betas,
@@ -318,6 +333,7 @@ def build_selector_config(
         dim=dim,
         grid=grid,
         profiles=profiles,
+        weight_matrix=matrices,
         thresholds=thresholds_map,
         truncation=trunc,
         truncation_mode=truncation,

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from anovaselect.extremal import GridSpec, weights
-from anovaselect.lattice import DimensionSpec, ball_coords, shell_convolve
+from anovaselect import lattice
+from anovaselect.extremal import GridSpec, order_weights
+from anovaselect.lattice import DimensionSpec, shell_convolve
 from anovaselect.selector import (
     SelectorConfig,
     build_selector_config,
@@ -43,6 +44,21 @@ def brute_lattice(k, r2_max, rho):
     shell = np.searchsorted(rho, norm[keep])
     assert np.array_equal(np.asarray(rho)[shell], norm[keep])
     return grid[keep], shell
+
+
+def ball_coords(k, r2_max):
+    """All-nonzero lattice points with squared norm < r2_max, concatenated.
+
+    Returns ``(coords, shell)``: the points ``lattice._ball_chunks`` streams,
+    as an (n, k) array in lexicographic order in the dtype of the tail's axis,
+    and the int32 index of each point's shell in ``shell_counts(k, r2_max)[0]``.
+    """
+    axis, tail, _, _ = lattice._ball_tail(k, r2_max)
+    chunks = list(lattice._ball_chunks(k, r2_max, lattice.BLOCK_ENTRIES))
+    if not chunks:
+        return np.empty((0, k), dtype=axis.dtype), np.empty(0, dtype=np.int32)
+    lead, idx, shell = (np.concatenate(col) for col in zip(*chunks))
+    return np.column_stack([axis[lead], tail[idx]]), shell
 
 
 def engine_ball(engine):
@@ -142,11 +158,12 @@ def manual_config(d, r_by_order, epsilon, sigma=1.0, M=1, trunc_pad=2):
     calibration itself would be out of scale.
     """
     profiles = {}
+    matrices = {}
     thresholds = {}
     trunc = {}
     eps_hats = {}
     for k, radii in r_by_order.items():
-        profs = tuple(weights(r, k, sigma, epsilon) for r in radii)
+        profs, matrices[k] = order_weights(radii, k, sigma, epsilon)
         profiles[k] = profs
         eps_hats[k] = epsilon_hat(d, k)
         thresholds[k] = threshold(d, k, max(len(profs), 1), eps_hats[k])
@@ -167,6 +184,7 @@ def manual_config(d, r_by_order, epsilon, sigma=1.0, M=1, trunc_pad=2):
         dim=dim,
         grid=grid,
         profiles=profiles,
+        weight_matrix=matrices,
         thresholds=thresholds,
         truncation=trunc,
         truncation_mode="rule",

@@ -20,9 +20,9 @@ from anovaselect.extremal import (
     solve_r_star,
     weights,
 )
-from anovaselect.lattice import ball_coords, log_binomial
+from anovaselect.lattice import log_binomial
 
-from conftest import brute_ball
+from conftest import ball_coords, brute_ball
 
 PI = math.pi
 

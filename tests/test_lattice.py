@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_ball, brute_lattice
+from conftest import ball_coords, brute_ball, brute_lattice
 
 from anovaselect import extremal, lattice
 from anovaselect.errors import CapacityError
@@ -14,7 +14,6 @@ from anovaselect.lattice import (
     DimensionSpec,
     Subset,
     active_count,
-    ball_coords,
     log_binomial,
     shell_counts,
     subset_rank,
@@ -99,11 +98,6 @@ class TestLatticeBall:
     def test_lexicographic_order(self):
         pts = ball_points(2, 3.2)
         assert pts == sorted(pts)
-
-    def test_capacity_guard_names_cap(self, monkeypatch):
-        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 10)
-        with pytest.raises(CapacityError, match="cap of 10"):
-            ball_points(2, 4.0)
 
     @pytest.mark.parametrize("k,r2,size", [(1, 50.3, 4), (2, 30.0, 5), (3, 26.5, 7),
                                            (4, 40.5, 64)])

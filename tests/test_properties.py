@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_ball, brute_lattice, engine_ball
+from conftest import ball_coords, brute_ball, brute_lattice, engine_ball
 
 from anovaselect import lattice
 from anovaselect.extremal import admissible_r_max, weights
-from anovaselect.lattice import Subset, ball_coords, shell_convolve, shell_counts, subset_rank
+from anovaselect.lattice import Subset, shell_convolve, shell_counts, subset_rank
 from anovaselect.risk import _OrderEngine, _inactive_ranks
 from anovaselect.selector import substream
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ball_coords,
     dense_active_stats,
     engine_ball,
     engine_means,
@@ -14,8 +15,8 @@ from conftest import (
 )
 
 from anovaselect import selector
-from anovaselect.extremal import weights
-from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, ball_coords, subset_rank
+from anovaselect.extremal import a_exact, extremal_sequence, weights
+from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, subset_rank
 from anovaselect.risk import _OrderEngine, select
 from anovaselect.selector import (
     SelectorConfig,
@@ -97,6 +98,37 @@ class TestTruncation:
                 assert int(np.abs(coords).max()) <= n
 
 
+class TestWeightMatrix:
+    @pytest.mark.parametrize("source", ["bench", "manual"])
+    def test_profiles_are_views_of_one_matrix(self, source, request):
+        # manual radii out of order: the smallest, with the widest support, is row 1
+        config = (request.getfixturevalue("bench_config") if source == "bench"
+                  else manual_config(12, {1: (0.12, 0.1), 2: (0.08, 0.07, 0.09)}, 0.01))
+        for k, profiles in config.profiles.items():
+            W = config.weight_matrix[k]
+            assert not W.flags.writeable
+            assert W.shape == (len(profiles), max(len(p.values) for p in profiles))
+            for m, prof in enumerate(profiles):
+                n = len(prof.values)
+                assert prof.values.base is W and prof.values.ctypes.data == W[m].ctypes.data
+                assert not prof.values.flags.writeable
+                assert not W[m, n:].any()
+            assert _OrderEngine(config, k).W is W
+
+    def test_rows_match_padded_weight_profiles(self, bench_config):
+        # one weights(r) construction per radius, zero-padded to the widest support
+        sigma, eps = bench_config.dim.sigma, bench_config.dim.epsilon
+        for k in bench_config.orders():
+            W = bench_config.weight_matrix[k]
+            expected = np.zeros(W.shape)
+            for m, r in enumerate(bench_config.grid.r_stars[k]):
+                prof = extremal_sequence(r, k, sigma)
+                a_value = a_exact(r, k, sigma, eps, profile=prof)
+                expected[m, : len(prof.rho)] = prof.theta_sq * (1.0 / (2.0 * eps * eps * a_value))
+                assert bench_config.profiles[k][m].a_value == a_value
+            assert W.tobytes() == expected.tobytes()
+
+
 def pinned_xi(k, rank, size, seed=0, cycle=0):
     """The standard normals an active subset draws from its substream."""
     return observation_stream(seed, cycle, k, rank).standard_normal(size)
@@ -157,19 +189,19 @@ class TestStatistic:
         assert np.allclose(stats, 0.0, atol=1e-12)
 
     def test_missing_index_raises(self, tiny_config):
-        # a truncation box that misses weight points is rejected before any draw
-        short = SelectorConfig(
-            dim=tiny_config.dim,
-            grid=tiny_config.grid,
-            profiles=tiny_config.profiles,
-            thresholds=tiny_config.thresholds,
-            truncation={**tiny_config.truncation, 2: 1},
-            truncation_mode="rule",
-            eps_hat_rule="fixed",
-        )
-        pattern = explicit_pattern(12, 2, [], 0.01)
+        # a truncation box that misses weight points is rejected when the
+        # config is built, before any draw
         with pytest.raises(ValueError, match="does not cover the weight support"):
-            select(pattern, short, [Subset((1, 2))], seed=0)
+            SelectorConfig(
+                dim=tiny_config.dim,
+                grid=tiny_config.grid,
+                profiles=tiny_config.profiles,
+                weight_matrix=tiny_config.weight_matrix,
+                thresholds=tiny_config.thresholds,
+                truncation={**tiny_config.truncation, 2: 1},
+                truncation_mode="rule",
+                eps_hat_rule="fixed",
+            )
 
     def test_null_moments_small_mc(self, bench_k1_config):
         prof = bench_k1_config.profiles[1][9]
