@@ -9,28 +9,28 @@ of Z^k with every coordinate nonzero.  This module provides
 * the squared-norm shell structure of the balls {l : |l| < R, all l_j != 0}:
   one convolution over coordinates gives the point count, or the sum of any
   per-coordinate product mass, on every shell (every radial quantity is
-  constant on a shell); the point-count table and the list of its occupied
-  shells (``rho``, ``counts``; l^2 with count 2 at k = 1) are pure functions
-  of (k, size), memoised with ``functools.cache`` as read-only arrays, with
-  power-of-two sizes so one list serves every smaller ball:
-  :func:`shell_counts` returns read-only prefix views of it, cut by
-  ``searchsorted``, so the calibration's thousands of supports share it,
+  constant on a shell); the list of occupied shells (``rho``, ``counts``;
+  l^2 with count 2 at k = 1) is a pure function of (k, size), memoised with
+  ``functools.cache`` as read-only arrays (the dense point-count table it is
+  read from is not kept), with power-of-two sizes so one list serves every
+  smaller ball: :func:`shell_counts` returns read-only prefix views of it,
+  cut by ``searchsorted``, so the calibration's thousands of supports share
+  it,
 * the ball's points for the active path, never stored whole: the
   ball of Z^k is the lexicographic walk over leading-coordinate slabs of a
   (k - 1)-dimensional tail, so :func:`_ball_tail` memoises the small tail
   (the package's one cache policy: ``functools.cache`` on a pure helper that
   returns read-only arrays) and :func:`_ball_chunks` streams the points in
-  fixed-size chunks, each point as its lead position, tail index and shell
-  index, filling fresh chunk buffers straight from the slab walk's
-  block-sized pieces, so that past the memoised tail no array is sized by
-  the tail or the ball,
+  the slab walk's own pieces of at most ``BLOCK_ENTRIES`` points, each point
+  as its lead position, tail index and shell index, so that past the
+  memoised tail no array is sized by the tail or the ball,
 * the two capacity guards of the package, each checked where its array is
   allocated: ``MAX_SHELL_INDEX`` bounds every per-shell array that
   :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds the one stored
   array of lattice points, the tail above; ``BLOCK_ENTRIES`` is the
   package's one block size, bounding every temporary of a blocked loop (the
-  slab walk's masks, the active path's chunks, the audit's null-draw rows
-  and the coefficient vectors' cos/sin rows) at 512 kB of float64,
+  slab walk's masks and pieces, the audit's null-draw rows and the
+  coefficient vectors' cos/sin rows) at 512 kB of float64,
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
@@ -133,9 +133,10 @@ MAX_SHELL_INDEX = 5_000_000
 # at k = 4, 973696 at k = 5 with truncation = rule).
 MAX_BALL_POINTS = 10_000_000
 
-# Entries per block of every blocked loop: the slab walk's masks, the active
-# path's chunks, the audit's null-draw rows and the coefficient vectors'
-# cos/sin rows.  A float64 block is 512 kB, so it stays in cache.
+# Entries per block of every blocked loop: the slab walk's masks and the
+# pieces in which the active path streams the ball, the audit's null-draw
+# rows and the coefficient vectors' cos/sin rows.  A float64 block is 512 kB,
+# so it stays in cache.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -164,13 +165,10 @@ def shell_convolve(masses: Sequence[np.ndarray], size: int) -> np.ndarray:
     return acc
 
 
-@functools.cache
 def _shell_table(k: int, size: int) -> np.ndarray:
     """c[rho] = #{l in Z^k : all l_j != 0, sum l_j^2 = rho} for 0 <= rho < size."""
     two = np.full(math.isqrt(size - 1), 2, dtype=np.int64)  # +-l: two points each
-    table = shell_convolve([two] * k, size)
-    table.setflags(write=False)
-    return table
+    return shell_convolve([two] * k, size)
 
 
 def _table_size(n: int) -> int:
@@ -320,43 +318,22 @@ def _ball_tail(
 
 
 def _ball_chunks(
-    k: int, r2_max: float, size: int
+    k: int, r2_max: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The ball of Z^k in lexicographic order, streamed from its memoised tail.
 
-    Yields ``(lead, idx, shell)`` per chunk: each point's position in the
-    tail's ``axis`` and its index in ``tail`` (both intp, so gathers take
-    them without conversion), and its int32 shell index.  Each chunk is a
-    fresh set of ``size``-point buffers, filled straight from the slab
-    pieces, so chunks straddle slab boundaries, every chunk but the last
-    holds exactly ``size`` points however small the slabs are, and a chunk
-    stays valid after the next is yielded.  No array is sized by the tail.
+    Yields ``(lead, idx, shell)`` per piece of the slab walk, as
+    :func:`_slabs` yields them: each point's position in the tail's ``axis``
+    and its index in ``tail`` (both intp, so gathers take them without
+    conversion), and its int32 shell index.  A piece holds at most
+    ``BLOCK_ENTRIES`` points, possibly none, and stays valid after the next
+    is yielded.  No array is sized by the tail.
     """
     axis, _, tail_rho, shell_of = _ball_tail(k, r2_max)
     if k == 1:  # shell l1^2 is the (|l1| - 1)-th: map lead positions, not norms
         shell_of = np.abs(axis.astype(np.int32)) - 1
-    chunk, fill = None, 0
     for lead, idx, rho in _slabs(axis, tail_rho, r2_max):
-        key = lead if k == 1 else rho
-        start = 0
-        while start < len(idx):
-            if chunk is None:
-                chunk = (np.empty(size, np.intp), np.empty(size, np.intp),
-                         np.empty(size, np.int32))
-            stop = min(start + size - fill, len(idx))
-            end = fill + stop - start
-            chunk[0][fill:end] = lead[start:stop]
-            chunk[1][fill:end] = idx[start:stop]
-            # every key has a shell, so nothing is clipped; "clip" takes into
-            # ``out`` directly, where the default mode would buffer a copy
-            np.take(shell_of, key[start:stop], out=chunk[2][fill:end], mode="clip")
-            start, fill = stop, end
-            if fill == size:
-                yield chunk
-                chunk, fill = None, 0
-        del lead, idx, rho, key  # free the piece before the next is built
-    if fill:
-        yield tuple(col[:fill] for col in chunk)
+        yield lead, idx, shell_of.take(lead if k == 1 else rho)
 
 
 # ---------------------------------------------------------------------------

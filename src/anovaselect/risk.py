@@ -8,14 +8,15 @@ Because every weight is radial, a null subset's statistics depend on the
 noise only through per-shell sums of xi^2, which are sampled directly as
 chi-square variates; active subsets are drawn point-by-point on the
 weight-support ball so their means enter exactly.  The ball is never
-stored: each active draw streams it in chunks of ``lattice.BLOCK_ENTRIES``
-points (512 kB per float64 temporary) from the memoised (k - 1)-dimensional
-tail of its order (``lattice._ball_tail``), and means, normals and shell sums
-are formed chunk by chunk, in point order, so no per-point array of the
-ball's size exists and the statistic is the unchunked one, bit for bit.  Nor
-is any array sized by the tail: each component keeps only the tail's k - 1
-small-integer coordinate columns and gathers its coefficients per chunk, and
-each stream draws its normals into one reused chunk buffer.
+stored: each active draw streams it from the memoised (k - 1)-dimensional
+tail of its order (``lattice._ball_tail``) in the slab walk's pieces of at
+most ``lattice.BLOCK_ENTRIES`` points (512 kB per float64 temporary), and
+means, normals and shell sums are formed piece by piece, in point order, so
+no per-point array of the ball's size exists and the statistic is the
+unchunked one, bit for bit.  Nor is any array sized by the tail: each
+component keeps only the tail's k - 1 small-integer coordinate columns and
+gathers its coefficients per piece, and each stream draws its normals into
+one buffer sized to the largest piece.
 Both paths draw from the same per-(cycle, order, subset-rank) substreams, so
 results are bit-reproducible, full and pooled enumeration agree on shared
 subsets, :func:`select` sees exactly the draws of the matching risk cycle,
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import CapacityError
 from .extremal import a_exact, admissible_r_max
 from .lattice import (
-    BLOCK_ENTRIES,
     DimensionSpec,
     Subset,
     _ball_chunks,
@@ -78,17 +78,19 @@ class _OrderEngine:
     def component_means(
         self, comp: ComponentSpec
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(shell index, theta_l / eps) over the ball, ``BLOCK_ENTRIES`` points at a time.
+        """(shell index, theta_l / eps) over the ball, one slab piece at a time.
 
-        The lead factor is gathered once over the short lead axis, with the
-        amplitude folded in.  The tail factors are gathered per chunk: each
-        tail coordinate is kept as one contiguous column of the tail's small
-        integer dtype, and a chunk takes its coordinates from it and then
-        their coefficients from the factor's vector, rolled by n so that a
-        negative coordinate indexes from the end.  No array is sized by the
-        tail.  A chunk's means multiply the factors at its points in factor
-        order, (amplitude / eps) * c_1 * ... * c_k as a per-point gather over
-        the whole ball does, so every mean has the same bits.
+        The pieces are those of :func:`lattice._ball_chunks`, at most
+        ``BLOCK_ENTRIES`` points each.  The lead factor is gathered once over
+        the short lead axis, with the amplitude folded in.  The tail factors
+        are gathered per piece: each tail coordinate is kept as one
+        contiguous column of the tail's small integer dtype, and a piece
+        takes its coordinates from it and then their coefficients from the
+        factor's vector, rolled by n so that a negative coordinate indexes
+        from the end.  No array is sized by the tail.  A piece's means
+        multiply the factors at its points in factor order, (amplitude / eps)
+        * c_1 * ... * c_k as a per-point gather over the whole ball does, so
+        every mean has the same bits.
         """
         axis, tail, _, _ = _ball_tail(self.k, self.r2_max)
         n = self.truncation
@@ -98,7 +100,7 @@ class _OrderEngine:
             (np.ascontiguousarray(tail[:, p]), np.roll(vec, -n))
             for p, vec in enumerate(tail_vecs)
         ]
-        for lead, idx, shell in _ball_chunks(self.k, self.r2_max, BLOCK_ENTRIES):
+        for lead, idx, shell in _ball_chunks(self.k, self.r2_max):
             mu = lead_factor[lead]
             for col, vec in tail_factors:
                 mu *= vec[col.take(idx).astype(np.intp)]
@@ -113,13 +115,13 @@ class _OrderEngine:
         rngs: Sequence[np.random.Generator],
         means: Iterable[tuple[np.ndarray, np.ndarray]],
     ) -> np.ndarray:
-        """One row of S_m per stream, from one pass over the (shell, mean) chunks.
+        """One row of S_m per stream, from one pass over the (shell, mean) pieces.
 
-        Stream j draws its normals chunk by chunk into one reused buffer,
-        which is the sequence one call of ``len(ball)`` normals gives, and
-        ``np.add.at`` adds the chunk into the shell sums in point order, as
-        ``np.bincount`` over the whole ball would: each row is bit-identical
-        to the unchunked statistic.
+        Stream j draws its normals piece by piece into one buffer sized to
+        the largest piece, which is the sequence one call of ``len(ball)``
+        normals gives, and ``np.add.at`` adds the piece into the shell sums
+        in point order, as ``np.bincount`` over the whole ball would: each
+        row is bit-identical to the unchunked statistic.
         """
         q = np.zeros((len(rngs), len(self.rho)))
         buf = np.empty(0)
@@ -299,6 +301,10 @@ def _run_cycles(
     """
     d = config.dim.d
     _check_pattern(pattern, config)
+    if J < 1:
+        raise ValueError(f"J must be >= 1, got {J}")
+    if pool_inactive < 0:
+        raise ValueError(f"pool_inactive must be >= 0, got {pool_inactive}")
     if mode not in ("full", "pool"):
         raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
 
@@ -385,8 +391,6 @@ def estimate_risk(
     false-positive rate observed on the pool is extrapolated to the full
     subset population in the report.
     """
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
     miss, fp, n_inactive, fp_by_k, _ = _run_cycles(
         pattern, config, J, seed, mode, pool_inactive, threads
     )

@@ -54,7 +54,7 @@ def ball_coords(k, r2_max):
     and the int32 index of each point's shell in ``shell_counts(k, r2_max)[0]``.
     """
     axis, tail, _, _ = lattice._ball_tail(k, r2_max)
-    chunks = list(lattice._ball_chunks(k, r2_max, lattice.BLOCK_ENTRIES))
+    chunks = list(lattice._ball_chunks(k, r2_max))
     if not chunks:
         return np.empty((0, k), dtype=axis.dtype), np.empty(0, dtype=np.int32)
     lead, idx, shell = (np.concatenate(col) for col in zip(*chunks))

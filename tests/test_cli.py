@@ -16,7 +16,8 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
-# Read only: the calibrate CSVs of the benchmark's problem keys at d = 50, 200.
+# Read only: the calibrate CSVs of the benchmark's problem keys at d = 50, 200,
+# and each workload's CSVs at seeds 10 and 11.
 BENCH_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "tests" / "fixtures"
 
 SMALL_RISK_CFG = """
@@ -264,6 +265,19 @@ class TestTable2:
         rows = [line.split(",") for line in lines[1:]]
         assert [row[0] for row in rows] == ["0.001", "1"]  # ascending alphas
         assert rows[1][1] == "0"  # full-strength signal fully recovered
+
+    def test_bytes_match_benchmark_fixture(self, tmp_path):
+        # the table2-d50 workload's keys (bench/run.py WORKLOADS) at seed 10
+        cfg = write_config(
+            tmp_path,
+            "d = 50\ns = 4\nbeta = 0.87\nsigma = 1\nepsilon = 5e-5\ngrid_m = 20\n"
+            "pattern = benchmark\npool_size = 2000\ncycles = 8\n"
+            "alphas = 0.0001,0.0005,0.0009,0.001,0.0011,0.0012,0.005,0.5,1.0\n",
+        )
+        args = ["table2", "--config", cfg, "--seed", "10", "--out", str(tmp_path), "--quiet"]
+        assert run(args) == 0
+        fixture = BENCH_FIXTURES / "seed10" / "table2.csv"
+        assert (tmp_path / "table2.csv").read_bytes() == fixture.read_bytes()
 
 
 class TestBoundaryAndAudit:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -99,19 +100,39 @@ class TestLatticeBall:
         pts = ball_points(2, 3.2)
         assert pts == sorted(pts)
 
-    @pytest.mark.parametrize("k,r2,size", [(1, 50.3, 4), (2, 30.0, 5), (3, 26.5, 7),
-                                           (4, 40.5, 64)])
-    def test_chunks_straddle_slabs_in_ball_order(self, k, r2, size):
+    # a few entries per block run both branches of the slab walk: many slabs
+    # of a short tail per piece (k = 1, 2), or a window of one slab (k = 3, 4)
+    @pytest.mark.parametrize("k,r2,entries", [(1, 50.3, 4), (2, 30.0, 25), (3, 26.5, 7),
+                                              (4, 40.5, 64)])
+    def test_pieces_follow_slabs_in_ball_order(self, monkeypatch, k, r2, entries):
         axis, tail, _, _ = lattice._ball_tail(k, r2)
-        chunks = list(lattice._ball_chunks(k, r2, size))
-        assert all(len(lead) == size for lead, _, _ in chunks[:-1])
-        assert 0 < len(chunks[-1][0]) <= size
-        assert any(len(np.unique(lead)) > 1 for lead, _, _ in chunks)
-        lead, idx, shell = (np.concatenate(col) for col in zip(*chunks))
+        monkeypatch.setattr(lattice, "BLOCK_ENTRIES", entries)
+        pieces = list(lattice._ball_chunks(k, r2))
+        assert all(len(lead) <= entries for lead, _, _ in pieces)
+        assert all(shell.dtype == np.int32 for _, _, shell in pieces)
+        slabs = max(len(np.unique(lead)) for lead, _, _ in pieces)
+        assert (slabs > 1) == (entries >= 2 * len(tail))
+        lead, idx, shell = (np.concatenate(col) for col in zip(*pieces))
         coords = np.column_stack([axis[lead], tail[idx]])
         expected, expected_shell = brute_lattice(k, r2, shell_counts(k, r2)[0])
         assert coords.tolist() == expected.tolist()
         assert np.array_equal(shell, expected_shell)
+
+    def test_shell_list_keeps_no_dense_table(self, monkeypatch):
+        # the memoised list copies the table's occupied entries, so the dense
+        # table, one entry per squared norm, dies once the list is built
+        build, refs = lattice._shell_table, []
+
+        def table(k, size):
+            out = build(k, size)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(lattice, "_shell_table", table)
+        monkeypatch.setattr(lattice, "_occupied_shells",
+                            functools.cache(lattice._occupied_shells.__wrapped__))
+        shell_counts(3, 1000.5)
+        assert len(refs) == 1 and refs[0]() is None
 
     def test_tail_is_memoised_and_read_only(self):
         parts = lattice._ball_tail(3, 26.5)

@@ -5,6 +5,7 @@ and the monotonicity of the statistic means in the signal."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,20 +48,20 @@ def test_ball_coords_match_bruteforce(k, radius):
 
 
 @FAST
-@given(k=st.integers(1, 4), r2=st.floats(0.0, 40.0), size=st.integers(1, 300))
-def test_ball_chunks_concatenate_to_the_ball(k, r2, size):
-    # list() holds every chunk, so a buffer refilled after its yield shows here
+@given(k=st.integers(1, 4), r2=st.floats(0.0, 40.0), entries=st.integers(1, 300))
+def test_ball_chunks_concatenate_to_the_ball(k, r2, entries):
+    # list() holds every piece, so a buffer refilled after its yield shows here
     axis, tail, _, _ = lattice._ball_tail(k, r2)
-    chunks = list(lattice._ball_chunks(k, r2, size))
-    assert all(len(lead) == size for lead, _, _ in chunks[:-1])
-    for lead, idx, shell in chunks:
-        assert 0 < len(lead) == len(idx) == len(shell) <= size
+    with mock.patch.object(lattice, "BLOCK_ENTRIES", entries):
+        pieces = list(lattice._ball_chunks(k, r2))
+    for lead, idx, shell in pieces:
+        assert len(lead) == len(idx) == len(shell) <= entries
         assert (lead.dtype, idx.dtype, shell.dtype) == (np.intp, np.intp, np.int32)
     expected, expected_shell = brute_lattice(k, r2, shell_counts(k, r2)[0])
-    if not chunks:
+    if not pieces:
         assert len(expected) == 0
         return
-    lead, idx, shell = (np.concatenate(col) for col in zip(*chunks))
+    lead, idx, shell = (np.concatenate(col) for col in zip(*pieces))
     assert np.column_stack([axis[lead], tail[idx]]).tolist() == expected.tolist()
     assert np.array_equal(shell, expected_shell)
 

@@ -251,12 +251,12 @@ ACTIVE_CASES = [
 
 
 class TestStreamedActivePath:
-    # chunks straddle slab boundaries: 7 points cut every slab longer than
-    # 7, and 1000 points hold 1000 of the k = 1 ball's one-point slabs
-    @pytest.mark.parametrize("chunk", [7, risk.BLOCK_ENTRIES, 1000])
+    # the pieces follow the block size: 7 entries cut every slab longer than
+    # 7, and 1000 hold 1000 of the k = 1 ball's one-point slabs
+    @pytest.mark.parametrize("chunk", [7, lattice.BLOCK_ENTRIES, 1000])
     @pytest.mark.parametrize("config_name,comp", ACTIVE_CASES)
     def test_bit_identical_to_one_shot(self, request, monkeypatch, config_name, comp, chunk):
-        monkeypatch.setattr(risk, "BLOCK_ENTRIES", chunk)
+        monkeypatch.setattr(lattice, "BLOCK_ENTRIES", chunk)
         engine = _OrderEngine(request.getfixturevalue(config_name), comp.subset.k)
         rng, same = (observation_stream(5, 2, comp.subset.k, 17) for _ in range(2))
         streamed = engine.active_stats([rng], engine.component_means(comp))[0]
@@ -290,6 +290,21 @@ class TestStreamedActivePath:
         finally:
             tracemalloc.stop()
         assert peak < 8 * points
+
+    def test_active_block_k3_holds_no_chunk_buffers(self, bench_config):
+        # with the tail and the vectors built, one k = 3 block at J = 8 holds
+        # about 9.7 float64 blocks; copying the slab pieces into chunk buffers
+        # took 12.4
+        comp = ACTIVE_CASES[1][1]
+        engine = _OrderEngine(bench_config, 3)
+        risk._active_block(engine, comp, rank=0, J=1, seed=5)  # tail, vectors, imports
+        tracemalloc.start()
+        try:
+            risk._active_block(engine, comp, rank=0, J=8, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5 * 8 * lattice.BLOCK_ENTRIES
 
     def test_active_block_k4_peak_below_16_mb(self, bench_config):
         # a stored k = 4 ball would take 51.5 MB; the streamed block, tail
@@ -362,6 +377,14 @@ class TestAttenuation:
             attenuation_experiment(
                 [0.5], explicit_pattern(12, 2, []), tiny_config, J=1, seed=0
             )
+
+    @pytest.mark.parametrize("key,bad", [("J", 0), ("pool_inactive", -3)])
+    def test_cycle_inputs_validated(self, small_pattern, tiny_config, key, bad):
+        inputs = {"J": 2, "seed": 0, "pool_inactive": 4, key: bad}
+        with pytest.raises(ValueError, match=f"{key} must be >= "):
+            estimate_risk(small_pattern, tiny_config, **inputs)
+        with pytest.raises(ValueError, match=f"{key} must be >= "):
+            attenuation_experiment([0.5], small_pattern, tiny_config, **inputs)
 
     def test_err_bounded_by_one_with_single_attenuation(self, tiny_config):
         pattern = explicit_pattern(
