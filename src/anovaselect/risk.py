@@ -21,7 +21,10 @@ Both paths draw from the same per-(cycle, order, subset-rank) substreams, so
 results are bit-reproducible, full and pooled enumeration agree on shared
 subsets, :func:`select` sees exactly the draws of the matching risk cycle,
 and re-running a single subset (as the attenuation experiment does)
-reproduces exactly what a full rerun would see.
+reproduces exactly what a full rerun would see.  The risk driver runs each
+active component and each block of inactive ranks as one job on a thread
+pool; the jobs' counts add into per-cycle misses and per-order, per-cycle
+false positives, from which one function builds every :class:`RiskReport`.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
 tables, ball tails) are memoised where they are computed.
@@ -280,6 +283,10 @@ def _active_block(
     return (~(stats.max(axis=1) > engine.threshold)).astype(np.int64)
 
 
+def _run_block(job):
+    return job[0](*job[1])  # (block function, arguments, tally)
+
+
 def _run_cycles(
     pattern: SparsityPattern,
     config: SelectorConfig,
@@ -289,15 +296,19 @@ def _run_cycles(
     pool_inactive: int,
     threads: int,
     skip_subsets: frozenset[Subset] = frozenset(),
-) -> tuple[
-    np.ndarray, np.ndarray, dict[int, int], dict[int, int], dict[int, _OrderEngine]
-]:
+) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int], dict[int, _OrderEngine]]:
     """Shared cycle driver.
 
-    Returns (miss_per_cycle, fp_per_cycle, n_inactive, fp_by_k, engines).  The
-    ball tail of every order with an active task is built here, on the
-    calling thread, before any draw: workers only read it from the cache, and
-    a ``CapacityError`` surfaces before the pool starts.
+    Every active component and every block of inactive ranks is one job,
+    ``(block function, arguments, tally)``: an active block's miss indicators
+    add into the per-cycle miss tally, a null block's counts into its order's
+    per-cycle false-positive tally.  The jobs run on ``threads`` workers
+    (0 = auto), all submitted at once so that no worker idles behind a long
+    active block, and their counts are added in job order.  Returns
+    (miss_per_cycle, fp_per_cycle_by_k, n_inactive, engines).  The ball tail
+    of every order with an active job is built here, on the calling thread,
+    before any draw: workers only read it from the cache, and a
+    ``CapacityError`` surfaces before the pool starts.
     """
     d = config.dim.d
     _check_pattern(pattern, config)
@@ -308,70 +319,66 @@ def _run_cycles(
     if mode not in ("full", "pool"):
         raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
 
-    tasks = []
+    miss = np.zeros(J, dtype=np.int64)
+    fp: dict[int, np.ndarray] = {}
     n_inactive: dict[int, int] = {}
     engines: dict[int, _OrderEngine] = {}
-    fp_by_k: dict[int, np.ndarray] = {}
+    jobs = []
     for k in range(1, pattern.s + 1):
-        engines[k] = _OrderEngine(config, k)
+        engine = engines[k] = _OrderEngine(config, k)
         actives = [c for c in pattern.active(k) if c.subset not in skip_subsets]
         if actives:
-            _ball_tail(k, engines[k].r2_max)  # before the pool starts: workers only read it
-        active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
+            _ball_tail(k, engine.r2_max)  # before the pool starts: workers only read it
         for comp in actives:
-            tasks.append(("active", k, comp, subset_rank(comp.subset, d)))
+            rank = subset_rank(comp.subset, d)
+            jobs.append((_active_block, (engine, comp, rank, J, seed), miss))
         total = math.comb(d, k)
         if mode == "full" and total > MAX_FULL_SUBSETS:
             raise CapacityError(
                 f"full enumeration at k={k} needs {total} subsets, "
                 f"exceeding the cap of {MAX_FULL_SUBSETS}"
             )
+        active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
         size = total if mode == "full" else pool_inactive
         ranks = _inactive_ranks(d, k, active_ranks, size, seed)
         n_inactive[k] = len(ranks)
-        fp_by_k[k] = np.zeros(J, dtype=np.int64)
+        fp[k] = np.zeros(J, dtype=np.int64)
         chunk = max(64, len(ranks) // 32 or 1)
         for start in range(0, len(ranks), chunk):
-            tasks.append(("nulls", k, ranks[start : start + chunk], None))
+            block = ranks[start : start + chunk]
+            jobs.append((_null_block, (engine, block, J, seed), fp[k]))
 
-    miss = np.zeros(J, dtype=np.int64)
-    fp = np.zeros(J, dtype=np.int64)
-
-    def run_task(task):
-        kind, k, payload, rank = task
-        if kind == "active":
-            return task, _active_block(engines[k], payload, rank, J, seed)
-        return task, _null_block(engines[k], payload, J, seed)
-
-    n_threads = _resolve_threads(threads)
-    if n_threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-    for task, counts in results:
-        kind, k = task[0], task[1]
-        if kind == "active":
-            miss += counts
-        else:
-            fp += counts
-            fp_by_k[k] += counts
-    return miss, fp, n_inactive, {k: int(v.sum()) for k, v in fp_by_k.items()}, engines
+    with ThreadPoolExecutor(_resolve_threads(threads)) as pool:
+        for (_, _, tally), counts in zip(jobs, pool.map(_run_block, jobs)):
+            tally += counts
+    return miss, fp, n_inactive, engines
 
 
-def _extrapolated_fp(
-    d: int, fp_by_k: Mapping[int, int], n_inactive: Mapping[int, int], J: int,
-    pattern: SparsityPattern,
-) -> dict[int, float]:
-    out = {}
+def _report(
+    pattern: SparsityPattern, miss: np.ndarray, fp: Mapping[int, np.ndarray],
+    n_inactive: dict[int, int], seed: int, mode: str, alpha: float | None,
+) -> RiskReport:
+    """The report of the tallies; each order's false-positive rate over its
+    evaluated inactive subsets is extrapolated to all its inactive subsets."""
+    J = len(miss)
+    fp_per_cycle = sum(fp.values())
+    losses = miss + fp_per_cycle
+    extrapolated = {}
     for k, n_eval in n_inactive.items():
-        population = math.comb(d, k) - len(pattern.active(k))
-        if n_eval == 0 or population == 0:
-            out[k] = 0.0
-            continue
-        rate = fp_by_k.get(k, 0) / (n_eval * J)
-        out[k] = rate * population
-    return out
+        population = math.comb(pattern.d, k) - len(pattern.active(k))
+        extrapolated[k] = int(fp[k].sum()) / (n_eval * J) * population if n_eval else 0.0
+    return RiskReport(
+        err=float(losses.mean()),
+        per_cycle_losses=tuple(int(v) for v in losses),
+        J=J,
+        alpha=alpha,
+        mode=mode,
+        seed=seed,
+        false_positives=int(fp_per_cycle.sum()),
+        misses=int(miss.sum()),
+        evaluated_inactive=n_inactive,
+        extrapolated_fp=extrapolated,
+    )
 
 
 def estimate_risk(
@@ -391,22 +398,8 @@ def estimate_risk(
     false-positive rate observed on the pool is extrapolated to the full
     subset population in the report.
     """
-    miss, fp, n_inactive, fp_by_k, _ = _run_cycles(
-        pattern, config, J, seed, mode, pool_inactive, threads
-    )
-    losses = miss + fp
-    return RiskReport(
-        err=float(losses.mean()),
-        per_cycle_losses=tuple(int(v) for v in losses),
-        J=J,
-        alpha=alpha,
-        mode=mode,
-        seed=seed,
-        false_positives=int(fp.sum()),
-        misses=int(miss.sum()),
-        evaluated_inactive=n_inactive,
-        extrapolated_fp=_extrapolated_fp(config.dim.d, fp_by_k, n_inactive, J, pattern),
-    )
+    miss, fp, n_inactive, _ = _run_cycles(pattern, config, J, seed, mode, pool_inactive, threads)
+    return _report(pattern, miss, fp, n_inactive, seed, mode, alpha)
 
 
 def attenuation_experiment(
@@ -426,6 +419,8 @@ def attenuation_experiment(
     resulting reports are identical to independent :func:`estimate_risk` runs
     on ``pattern.with_attenuated(alpha)``.
     """
+    if not alphas:
+        raise ValueError("alphas must hold at least one value")
     if any(not 0.0 < a <= 1.0 for a in alphas):
         raise ValueError("alphas must lie in (0, 1]")
     firsts = pattern.active(1)
@@ -433,36 +428,14 @@ def attenuation_experiment(
         raise ValueError("pattern has no first-order component to attenuate")
     designated = firsts[0]
     rank = subset_rank(designated.subset, pattern.d)
-    base_miss, base_fp, n_inactive, fp_by_k, engines = _run_cycles(
-        pattern,
-        config,
-        J,
-        seed,
-        mode,
-        pool_inactive,
-        threads,
+    base_miss, fp, n_inactive, engines = _run_cycles(
+        pattern, config, J, seed, mode, pool_inactive, threads,
         skip_subsets=frozenset({designated.subset}),
     )
     reports = []
     for alpha in alphas:
-        miss_extra = _active_block(engines[1], designated.scaled(alpha), rank, J, seed)
-        losses = base_miss + base_fp + miss_extra
-        reports.append(
-            RiskReport(
-                err=float(losses.mean()),
-                per_cycle_losses=tuple(int(v) for v in losses),
-                J=J,
-                alpha=float(alpha),
-                mode=mode,
-                seed=seed,
-                false_positives=int(base_fp.sum()),
-                misses=int(base_miss.sum() + miss_extra.sum()),
-                evaluated_inactive=n_inactive,
-                extrapolated_fp=_extrapolated_fp(
-                    config.dim.d, fp_by_k, n_inactive, J, pattern
-                ),
-            )
-        )
+        miss = base_miss + _active_block(engines[1], designated.scaled(alpha), rank, J, seed)
+        reports.append(_report(pattern, miss, fp, n_inactive, seed, mode, float(alpha)))
     return reports
 
 

@@ -402,8 +402,12 @@ def null_stat_batches(
     disjoint offsets get independent samples and reruns are bit-identical.
     Batches run on ``threads`` workers (0 = auto), at most two per worker ahead
     of the one yielded, and come out in batch order.  Closing the generator
-    cancels the batches not yet started.
+    cancels the batches not yet started.  ``trials`` and ``chunk`` must be
+    >= 1; the check runs at the first draw.
     """
+    for name, value in (("trials", trials), ("chunk", chunk)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     n_threads = _resolve_threads(threads)
     pool = ThreadPoolExecutor(max_workers=n_threads)
     pending: deque = deque()
@@ -447,8 +451,6 @@ def tail_bound_audit(
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     upper_hits = 0
     for stats in null_stat_batches(w, trials, seed, 0, chunk, threads):
         upper_hits += int(np.count_nonzero(stats > T))

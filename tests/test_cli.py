@@ -266,6 +266,13 @@ class TestTable2:
         assert [row[0] for row in rows] == ["0.001", "1"]  # ascending alphas
         assert rows[1][1] == "0"  # full-strength signal fully recovered
 
+    def test_empty_alphas_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cycles = 1\nalphas =\npool_size = 5\n")
+        out = tmp_path / "out"
+        assert run(["table2", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "alphas must hold at least one value" in capsys.readouterr().err
+        assert not (out / "table2.csv").exists()
+
     def test_bytes_match_benchmark_fixture(self, tmp_path):
         # the table2-d50 workload's keys (bench/run.py WORKLOADS) at seed 10
         cfg = write_config(

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -84,6 +85,12 @@ def small_pattern():
     )
 
 
+@pytest.fixture(scope="module")
+def noisy_config(tiny_config):
+    """``tiny_config`` with thresholds low enough that null subsets get selected."""
+    return dataclasses.replace(tiny_config, thresholds={1: 1.5, 2: 2.0})
+
+
 class TestEstimateRisk:
     def test_bit_reproducible(self, small_pattern, tiny_config):
         a = estimate_risk(small_pattern, tiny_config, J=4, seed=77, mode="full", threads=1)
@@ -108,6 +115,23 @@ class TestEstimateRisk:
         assert rep.mode == "pool"
         assert rep.evaluated_inactive == {1: 6, 2: 6}
         assert all(v == 0.0 for v in rep.extrapolated_fp.values())
+
+    def test_extrapolated_fp_counts_selected_nulls(self, small_pattern, noisy_config):
+        # in full mode every inactive subset is evaluated, so extrapolated_fp[k]
+        # * J is the number of (cycle, inactive order-k subset) pairs selected
+        J, seed = 3, 41
+        rep = estimate_risk(small_pattern, noisy_config, J=J, seed=seed, mode="full")
+        subsets = [Subset(c) for k in (1, 2) for c in itertools.combinations(range(1, 13), k)]
+        selected = {1: 0, 2: 0}
+        for j in range(J):
+            result = select(small_pattern, noisy_config, subsets, seed, cycle=j)
+            for subset, decision in result.decisions.items():
+                if decision.selected and not small_pattern.eta(subset):
+                    selected[subset.k] += 1
+        assert min(selected.values()) > 0
+        assert rep.false_positives == sum(selected.values())
+        for k in (1, 2):
+            assert rep.extrapolated_fp[k] * J == pytest.approx(selected[k], rel=1e-12)
 
     def test_noise_free_limit(self):
         epsilon = 1e-12
@@ -353,22 +377,28 @@ class TestStreamedActivePath:
 
 
 class TestAttenuation:
-    def test_matches_independent_runs(self, small_pattern, tiny_config):
+    def test_matches_independent_runs(self, small_pattern, tiny_config, noisy_config):
         alphas = [0.05, 0.4, 1.0]
-        series = attenuation_experiment(
-            alphas, small_pattern, tiny_config, J=5, seed=29, mode="full"
-        )
-        for alpha, rep in zip(alphas, series):
-            solo = estimate_risk(
-                small_pattern.with_attenuated(alpha),
-                tiny_config,
-                J=5,
-                seed=29,
-                mode="full",
-                alpha=alpha,
+        for config in (tiny_config, noisy_config):
+            series = attenuation_experiment(
+                alphas, small_pattern, config, J=5, seed=29, mode="full"
             )
-            assert rep.per_cycle_losses == solo.per_cycle_losses
-            assert rep.err == solo.err
+            for alpha, rep in zip(alphas, series):
+                solo = estimate_risk(
+                    small_pattern.with_attenuated(alpha),
+                    config,
+                    J=5,
+                    seed=29,
+                    mode="full",
+                    alpha=alpha,
+                )
+                assert rep.per_cycle_losses == solo.per_cycle_losses
+                assert rep.err == solo.err
+                assert rep.false_positives == solo.false_positives
+                assert rep.misses == solo.misses
+                assert rep.evaluated_inactive == solo.evaluated_inactive
+                assert rep.extrapolated_fp == solo.extrapolated_fp
+        assert series[0].false_positives > 0  # the lowered thresholds do select nulls
 
     def test_alpha_validation(self, small_pattern, tiny_config):
         with pytest.raises(ValueError):
@@ -377,6 +407,13 @@ class TestAttenuation:
             attenuation_experiment(
                 [0.5], explicit_pattern(12, 2, []), tiny_config, J=1, seed=0
             )
+
+    def test_empty_alphas_refused_before_any_draw(self, small_pattern, tiny_config, monkeypatch):
+        draws = []
+        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
+        with pytest.raises(ValueError, match="alphas must hold at least one value"):
+            attenuation_experiment([], small_pattern, tiny_config, J=1, seed=0)
+        assert draws == []
 
     @pytest.mark.parametrize("key,bad", [("J", 0), ("pool_inactive", -3)])
     def test_cycle_inputs_validated(self, small_pattern, tiny_config, key, bad):

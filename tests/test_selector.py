@@ -378,6 +378,16 @@ class TestAuditBatches:
             tracemalloc.stop()
         assert peak < 3 * 8 * BLOCK_ENTRIES
 
+    @pytest.mark.parametrize("key,bad", [("trials", 0), ("chunk", 0), ("chunk", -5)])
+    def test_batch_inputs_validated(self, key, bad):
+        # a negative chunk must not run zero batches and report a tail of 0.0
+        w = weights(0.1, 1, 1.0, 0.01)
+        inputs = {"trials": 1000, "chunk": 100, key: bad}
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            list(null_stat_batches(w, inputs["trials"], 0, 0, inputs["chunk"]))
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            tail_bound_audit(3.0, inputs["trials"], 0, w, chunk=inputs["chunk"])
+
     def test_close_cancels_pending_batches(self, bench_k1_config, monkeypatch):
         prof = bench_k1_config.profiles[1][9]
         started = []
