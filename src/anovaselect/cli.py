@@ -36,7 +36,8 @@ ENV_PREFIX = "ANOVASELECT_"
 DEFAULT_SEED = 10
 
 # key -> (type tag, default, allowed values).  "flist"/"ilist" are
-# comma-separated lists whose every element must be allowed.  Allowed values
+# comma-separated lists whose every element must be allowed; a list with a
+# non-empty default must not be empty.  Allowed values
 # are a tuple of choices, an interval in the usual notation whose bounds are
 # numbers, "inf" or the name of another key, or None for any value.
 _KEY_SPECS: dict[str, tuple[str, object, object]] = {
@@ -66,8 +67,8 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
     "beta_min": ("float", 0.05, "(0, 1)"),
     "beta_max": ("float", 0.95, "(0, 1)"),
     "beta_steps": ("int", 25, "[1, inf)"),
-    "r_frac_min": ("float", 0.02, "(0, 1]"),
-    "r_frac_max": ("float", 0.9, "(0, 1]"),
+    "r_frac_min": ("float", 0.02, "(0, 1)"),
+    "r_frac_max": ("float", 0.9, "(0, 1)"),
     "r_steps": ("int", 20, "[1, inf)"),
     "band": ("float", 0.05, "[0, inf)"),
     "audit_k": ("int", 1, "[1, s]"),
@@ -128,8 +129,10 @@ def read_config_file(path: str) -> dict[str, object]:
 
 
 def _check_allowed(key: str, cfg: dict) -> None:
-    allowed = _KEY_SPECS[key][2]
+    _, default, allowed = _KEY_SPECS[key]
     value = cfg[key]
+    if value == [] and default:
+        raise ValueError(f"{key} must hold at least one value")
     if allowed is None:
         return
     if isinstance(allowed, tuple):
@@ -296,14 +299,15 @@ def run_risk(cfg: dict):
 
 def run_calibrate(cfg: dict):
     """Emit the calibrated grid: beta_m, targets, radii, residuals, thresholds."""
-    config = _config_for(cfg)
     ks = cfg["k_list"] or list(range(1, cfg["s"] + 1))
+    for k in ks:
+        if k > cfg["s"]:
+            raise ValueError(f"k={k} exceeds the configured maximal order s={cfg['s']}")
+    config = _config_for(cfg)
     header = ["k", "m", "beta", "target", "r_star", "a_value", "residual",
               "threshold", "trunc_n", "support_points", "max_weight"]
     rows = []
     for k in ks:
-        if k not in config.profiles:
-            raise ValueError(f"k={k} exceeds the configured maximal order s={cfg['s']}")
         grid = config.grid
         for m in range(grid.M):
             target = grid.targets[k][m]
@@ -448,7 +452,7 @@ def main(argv=None) -> int:
     except (CapacityError, CalibrationError, FloatingPointError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

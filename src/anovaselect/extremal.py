@@ -32,6 +32,9 @@ from .lattice import log_binomial, shell_counts
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
+# Relative residual in a(r*) at which the exact calibration's bisection stops.
+RTOL = 1e-8
+
 
 def admissible_r_max(k: int, sigma: float) -> float:
     """Upper endpoint of the admissible radius interval, (2 pi)^-sigma k^(-sigma/2)."""
@@ -162,13 +165,12 @@ def solve_r_star(
     sigma: float,
     epsilon: float,
     mode: str = "exact",
-    rtol: float = 1e-8,
 ) -> float:
     """Solve a(r*) = target_a for r*.
 
     ``mode="asymptotic"`` inverts the closed form.  ``mode="exact"`` brackets
     around the asymptotic solution and bisects the monotone exact lattice sum
-    until the relative residual in a is below ``rtol``.
+    until the relative residual in a is below ``RTOL``.
     """
     if target_a <= 0:
         raise ValueError(f"target must be positive, got {target_a}")
@@ -204,14 +206,14 @@ def solve_r_star(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = residual(mid)
-        if abs(f_mid) <= rtol * target_a:
+        if abs(f_mid) <= RTOL * target_a:
             return mid
         if f_mid < 0.0:
             lo = mid
         else:
             hi = mid
     raise CalibrationError(
-        f"bisection failed to reach rtol={rtol} for target a={target_a} (k={k})"
+        f"bisection failed to reach rtol={RTOL} for target a={target_a} (k={k})"
     )
 
 
@@ -330,7 +332,6 @@ class GridSpec:
     r_stars: dict[int, tuple[float, ...]] = field(default_factory=dict)
     a_values: dict[int, tuple[float, ...]] = field(default_factory=dict)
     eps_hat: dict[int, float] = field(default_factory=dict)
-    calibration_mode: str = "exact"
 
 
 def calibrate_radii(

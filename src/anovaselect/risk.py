@@ -22,9 +22,10 @@ results are bit-reproducible, full and pooled enumeration agree on shared
 subsets, :func:`select` sees exactly the draws of the matching risk cycle,
 and re-running a single subset (as the attenuation experiment does)
 reproduces exactly what a full rerun would see.  The risk driver runs each
-active component and each block of inactive ranks as one job on a thread
-pool; the jobs' counts add into per-cycle misses and per-order, per-cycle
-false positives, from which one function builds every :class:`RiskReport`.
+active component and each block of inactive ranks as one job on the worker
+pool of ``selector._run_jobs``, which also runs the audit's batches; the
+jobs' counts add into per-cycle misses and per-order, per-cycle false
+positives, from which one function builds every :class:`RiskReport`.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
 tables, ball tails) are memoised where they are computed.
@@ -33,7 +34,6 @@ tables, ball tails) are memoised where they are computed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -51,7 +51,7 @@ from .lattice import (
 )
 from .selector import (
     SelectorConfig,
-    _resolve_threads,
+    _run_jobs,
     null_shell_draw,
     observation_stream,
     pool_stream,
@@ -225,10 +225,7 @@ class RiskReport:
 
     err: float
     per_cycle_losses: tuple[int, ...]
-    J: int
     alpha: float | None
-    mode: str
-    seed: int
     false_positives: int
     misses: int
     evaluated_inactive: dict[int, int]
@@ -283,10 +280,6 @@ def _active_block(
     return (~(stats.max(axis=1) > engine.threshold)).astype(np.int64)
 
 
-def _run_block(job):
-    return job[0](*job[1])  # (block function, arguments, tally)
-
-
 def _run_cycles(
     pattern: SparsityPattern,
     config: SelectorConfig,
@@ -299,12 +292,12 @@ def _run_cycles(
 ) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int], dict[int, _OrderEngine]]:
     """Shared cycle driver.
 
-    Every active component and every block of inactive ranks is one job,
-    ``(block function, arguments, tally)``: an active block's miss indicators
-    add into the per-cycle miss tally, a null block's counts into its order's
-    per-cycle false-positive tally.  The jobs run on ``threads`` workers
-    (0 = auto), all submitted at once so that no worker idles behind a long
-    active block, and their counts are added in job order.  Returns
+    Every active component and every block of inactive ranks is one
+    ``(block function, arguments)`` job with a tally: an active block's miss
+    indicators add into the per-cycle miss tally, a null block's counts into
+    its order's per-cycle false-positive tally.  The jobs run on ``threads``
+    workers (0 = auto), all submitted at once so that no worker idles behind
+    a long active block, and their counts are added in job order.  Returns
     (miss_per_cycle, fp_per_cycle_by_k, n_inactive, engines).  The ball tail
     of every order with an active job is built here, on the calling thread,
     before any draw: workers only read it from the cache, and a
@@ -324,6 +317,7 @@ def _run_cycles(
     n_inactive: dict[int, int] = {}
     engines: dict[int, _OrderEngine] = {}
     jobs = []
+    tallies = []
     for k in range(1, pattern.s + 1):
         engine = engines[k] = _OrderEngine(config, k)
         actives = [c for c in pattern.active(k) if c.subset not in skip_subsets]
@@ -331,7 +325,8 @@ def _run_cycles(
             _ball_tail(k, engine.r2_max)  # before the pool starts: workers only read it
         for comp in actives:
             rank = subset_rank(comp.subset, d)
-            jobs.append((_active_block, (engine, comp, rank, J, seed), miss))
+            jobs.append((_active_block, (engine, comp, rank, J, seed)))
+            tallies.append(miss)
         total = math.comb(d, k)
         if mode == "full" and total > MAX_FULL_SUBSETS:
             raise CapacityError(
@@ -346,17 +341,17 @@ def _run_cycles(
         chunk = max(64, len(ranks) // 32 or 1)
         for start in range(0, len(ranks), chunk):
             block = ranks[start : start + chunk]
-            jobs.append((_null_block, (engine, block, J, seed), fp[k]))
+            jobs.append((_null_block, (engine, block, J, seed)))
+            tallies.append(fp[k])
 
-    with ThreadPoolExecutor(_resolve_threads(threads)) as pool:
-        for (_, _, tally), counts in zip(jobs, pool.map(_run_block, jobs)):
-            tally += counts
+    for counts, tally in zip(_run_jobs(jobs, threads), tallies):
+        tally += counts
     return miss, fp, n_inactive, engines
 
 
 def _report(
     pattern: SparsityPattern, miss: np.ndarray, fp: Mapping[int, np.ndarray],
-    n_inactive: dict[int, int], seed: int, mode: str, alpha: float | None,
+    n_inactive: dict[int, int], alpha: float | None,
 ) -> RiskReport:
     """The report of the tallies; each order's false-positive rate over its
     evaluated inactive subsets is extrapolated to all its inactive subsets."""
@@ -370,10 +365,7 @@ def _report(
     return RiskReport(
         err=float(losses.mean()),
         per_cycle_losses=tuple(int(v) for v in losses),
-        J=J,
         alpha=alpha,
-        mode=mode,
-        seed=seed,
         false_positives=int(fp_per_cycle.sum()),
         misses=int(miss.sum()),
         evaluated_inactive=n_inactive,
@@ -399,7 +391,7 @@ def estimate_risk(
     subset population in the report.
     """
     miss, fp, n_inactive, _ = _run_cycles(pattern, config, J, seed, mode, pool_inactive, threads)
-    return _report(pattern, miss, fp, n_inactive, seed, mode, alpha)
+    return _report(pattern, miss, fp, n_inactive, alpha)
 
 
 def attenuation_experiment(
@@ -435,7 +427,7 @@ def attenuation_experiment(
     reports = []
     for alpha in alphas:
         miss = base_miss + _active_block(engines[1], designated.scaled(alpha), rank, J, seed)
-        reports.append(_report(pattern, miss, fp, n_inactive, seed, mode, float(alpha)))
+        reports.append(_report(pattern, miss, fp, n_inactive, float(alpha)))
     return reports
 
 
@@ -459,9 +451,6 @@ class RegimeVerdict:
 
     ratio: float
     per_order: dict[int, float]
-    selection_threshold: float
-    detection_threshold: float
-    band: float
     verdict: str  # selectable | detectable_only | undetectable | boundary
 
 
@@ -493,16 +482,8 @@ def classify_regime(
             log_binomial(spec.d, k)
         )
     ratio = min(per_order.values())
-    sel = selection_boundary(spec.beta)
-    det = DETECTION_BOUNDARY
-    return RegimeVerdict(
-        ratio=ratio,
-        per_order=per_order,
-        selection_threshold=sel,
-        detection_threshold=det,
-        band=band,
-        verdict=_verdict(ratio, sel, det, band),
-    )
+    verdict = _verdict(ratio, selection_boundary(spec.beta), DETECTION_BOUNDARY, band)
+    return RegimeVerdict(ratio=ratio, per_order=per_order, verdict=verdict)
 
 
 @dataclass(frozen=True)

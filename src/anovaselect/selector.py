@@ -30,15 +30,15 @@ would; the null blocks of the risk estimators draw every subset and cycle
 through one generator this way.
 
 The tail audit and the null moments draw S = sum omega Q in batches of
-``chunk`` rows, and batch ``idx`` owns the audit substream ``offset + idx``, so
-batches are independent and may run in any order.  ``null_stat_batches`` runs
-them on a pool of the resolved worker count and yields their S vectors in
-batch order, so callers sum in a fixed order.  Each batch draws its stream in
-row blocks of at most ``lattice.BLOCK_ENTRIES`` entries, 512 kB of float64
-(numpy fills C-order rows from one stream, so the variates are those of one
-call), and reduces each block with ``np.einsum("ij,j->i", ...)``: a fixed-order
-loop per row, with no BLAS, so the S bits depend neither on the block size nor
-on the CPU count.
+``BATCH_ROWS`` rows, and batch ``idx`` owns the audit substream ``offset + idx``,
+so batches are independent and may run in any order.  ``null_stat_batches``
+runs them through :func:`_run_jobs`, the one worker pool that also runs the
+risk driver's blocks, and yields their S vectors in batch order, so callers
+sum in a fixed order.  Each batch draws its stream in row blocks of at most
+``lattice.BLOCK_ENTRIES`` entries, 512 kB of float64 (numpy fills C-order rows
+from one stream, so the variates are those of one call), and reduces each
+block with ``np.einsum("ij,j->i", ...)``: a fixed-order loop per row, with no
+BLAS, so the S bits depend neither on the block size nor on the CPU count.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -62,6 +61,9 @@ _PHASE_POOL = 2
 _PHASE_AUDIT = 3
 
 PRESET_TRUNCATION = {1: 622, 2: 154, 3: 65, 4: 36}
+
+# Rows per audit batch: the unit of work a worker takes and of the substreams.
+BATCH_ROWS = 20_000
 
 
 # Constants of numpy's seed hash (numpy/random/bit_generator.pyx): a pool of
@@ -268,8 +270,6 @@ class SelectorConfig:
     weight_matrix: Mapping[int, np.ndarray]
     thresholds: Mapping[int, float]
     truncation: Mapping[int, int]
-    truncation_mode: str
-    eps_hat_rule: str
 
     def __post_init__(self):
         for k, profiles in self.profiles.items():
@@ -327,7 +327,6 @@ def build_selector_config(
         r_stars=r_stars,
         a_values=a_values,
         eps_hat=eps_hats,
-        calibration_mode=calibration,
     )
     return SelectorConfig(
         dim=dim,
@@ -336,8 +335,6 @@ def build_selector_config(
         weight_matrix=matrices,
         thresholds=thresholds_map,
         truncation=trunc,
-        truncation_mode=truncation,
-        eps_hat_rule=eps_hat_rule,
     )
 
 
@@ -377,6 +374,19 @@ def _resolve_threads(threads: int) -> int:
     return threads
 
 
+def _run_job(job: tuple[Callable, tuple]) -> object:
+    fn, args = job
+    return fn(*args)
+
+
+def _run_jobs(jobs: Iterable[tuple[Callable, tuple]], threads: int) -> Iterator:
+    """Results of ``(function, arguments)`` jobs, in job order, run on ``threads``
+    workers (0 = auto).  Every job is submitted at once; closing the iterator
+    cancels the jobs not yet started and waits for the running ones."""
+    with ThreadPoolExecutor(_resolve_threads(threads)) as pool:
+        yield from pool.map(_run_job, jobs)
+
+
 def _batch_stats(w: WeightProfile, seed: int, stream: int, size: int) -> np.ndarray:
     """S for ``size`` null draws of one audit substream, one row block at a time."""
     rng = audit_stream(seed, stream)
@@ -389,46 +399,29 @@ def _batch_stats(w: WeightProfile, seed: int, stream: int, size: int) -> np.ndar
 
 
 def null_stat_batches(
-    w: WeightProfile,
-    trials: int,
-    seed: int,
-    offset: int,
-    chunk: int = 20_000,
-    threads: int = 0,
+    w: WeightProfile, trials: int, seed: int, offset: int, threads: int = 0
 ) -> Iterator[np.ndarray]:
-    """Yield ``trials`` null draws of S = sum omega Q, in batches of <= ``chunk``.
+    """Yield ``trials`` null draws of S = sum omega Q, in batches of <= ``BATCH_ROWS``.
 
     Batch idx draws from the audit substream ``offset + idx``, so callers with
     disjoint offsets get independent samples and reruns are bit-identical.
-    Batches run on ``threads`` workers (0 = auto), at most two per worker ahead
-    of the one yielded, and come out in batch order.  Closing the generator
-    cancels the batches not yet started.  ``trials`` and ``chunk`` must be
-    >= 1; the check runs at the first draw.
+    Batches run on ``threads`` workers (0 = auto) and come out in batch order.
+    Closing the generator cancels the batches not yet started.  ``trials``
+    must be >= 1; the check runs at the first draw.
     """
-    for name, value in (("trials", trials), ("chunk", chunk)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    n_threads = _resolve_threads(threads)
-    pool = ThreadPoolExecutor(max_workers=n_threads)
-    pending: deque = deque()
-    try:
-        for idx, start in enumerate(range(0, trials, chunk)):
-            size = min(chunk, trials - start)
-            pending.append(pool.submit(_batch_stats, w, seed, offset + idx, size))
-            if len(pending) > 2 * n_threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    jobs = [
+        (_batch_stats, (w, seed, offset + idx, min(BATCH_ROWS, trials - start)))
+        for idx, start in enumerate(range(0, trials, BATCH_ROWS))
+    ]
+    yield from _run_jobs(jobs, threads)
 
 
 @dataclass(frozen=True)
 class TailAudit:
     """Empirical tail frequency of a null statistic against exp(-T^2/2)."""
 
-    T: float
-    trials: int
     empirical_upper: float
     reference: float
     max_weight: float
@@ -436,12 +429,7 @@ class TailAudit:
 
 
 def tail_bound_audit(
-    T: float,
-    trials: int,
-    seed: int,
-    w: WeightProfile,
-    chunk: int = 20_000,
-    threads: int = 0,
+    T: float, trials: int, seed: int, w: WeightProfile, threads: int = 0
 ) -> TailAudit:
     """Estimate P0(S > T) and compare with exp(-T^2/2).
 
@@ -452,11 +440,9 @@ def tail_bound_audit(
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
     upper_hits = 0
-    for stats in null_stat_batches(w, trials, seed, 0, chunk, threads):
+    for stats in null_stat_batches(w, trials, seed, 0, threads):
         upper_hits += int(np.count_nonzero(stats > T))
     return TailAudit(
-        T=T,
-        trials=trials,
         empirical_upper=upper_hits / trials,
         reference=math.exp(-T * T / 2.0),
         max_weight=w.max_weight,

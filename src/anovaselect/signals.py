@@ -8,14 +8,15 @@ the trigonometric basis
 
 are computed by composite Gauss-Legendre quadrature (the integrands are smooth
 but not periodic, so panel quadrature beats trapezoid here).  Quadrature grids
-and coefficients are pure functions of (function, frequency or truncation,
-rule), so private helpers memoise them with ``functools.cache`` and hand out
-read-only arrays (two threads that miss at once may both compute a value,
-which is harmless for a pure result); the public functions validate and
-resolve the rule, then delegate.  Coefficient tables are kept in factored
-form: a k-variate table stores its k coefficient vectors, and its norms are
-summed per squared-norm shell, so order-4 boxes (72^4 entries) never enter
-memory.
+and coefficients are pure functions of their inputs, so private helpers
+memoise them with ``functools.cache`` and hand out read-only arrays (two
+threads that miss at once may both compute a value, which is harmless for a
+pure result): a scalar coefficient per (function, frequency, rule), a
+coefficient vector per (function, truncation n), always on the rule
+``quadrature_for(n)``.  The public functions validate, then delegate.
+Coefficient tables are kept in factored form: a k-variate table stores its k
+coefficient vectors, and its norms are summed per squared-norm shell, so
+order-4 boxes (72^4 entries) never enter memory.
 """
 
 from __future__ import annotations
@@ -147,11 +148,11 @@ def _coeff_1d(i: int, l: int, quad: QuadratureSpec) -> float:
 
 
 @functools.cache
-def _coeff_vector(i: int, n: int, quad: QuadratureSpec) -> np.ndarray:
-    """Frequencies l = 1..n in row blocks of at most ``BLOCK_ENTRIES`` phases,
-    each reduced by einsum's fixed-order loop (no BLAS), so the bits depend
-    neither on the block size nor on the CPU count."""
-    x, w = quad.grid()
+def _coeff_vector(i: int, n: int) -> np.ndarray:
+    """Frequencies l = 1..n on ``quadrature_for(n)``, in row blocks of at most
+    ``BLOCK_ENTRIES`` phases, each reduced by einsum's fixed-order loop (no
+    BLAS), so the bits depend neither on the block size nor on the CPU count."""
+    x, w = quadrature_for(n).grid()
     g = eval_g(i, x) * w
     cos_part = np.empty(n)
     sin_part = np.empty(n)
@@ -185,22 +186,16 @@ def fourier_coeff_1d(i: int, l: int, quad: QuadratureSpec | None = None) -> floa
     return _coeff_1d(i, l, quad)
 
 
-def coeff_vector(i: int, n: int, quad: QuadratureSpec | None = None) -> np.ndarray:
+def coeff_vector(i: int, n: int) -> np.ndarray:
     """All coefficients (g_i, phi_l) for l = -n..n, as an array indexed by l + n.
 
-    The l = 0 slot holds the mean residual of g_i; lattice consumers mask it.
-    The array is memoised per (i, n, rule) and read-only.
+    They are integrated on the rule ``quadrature_for(n)``.  The l = 0 slot
+    holds the mean residual of g_i; lattice consumers mask it.  The array is
+    memoised per (i, n) and read-only.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if quad is None:
-        quad = quadrature_for(n)
-    elif quad.total_nodes < 2 * n + 16:
-        raise ValueError(
-            f"quadrature {quad.signature} has {quad.total_nodes} nodes; "
-            f"truncation n={n} needs at least {2 * n + 16}"
-        )
-    return _coeff_vector(i, n, quad)
+    return _coeff_vector(i, n)
 
 
 @dataclass(frozen=True)
@@ -268,25 +263,18 @@ class CoefficientTable:
     """Fourier coefficients of one component over the box |l_j| <= n, l_j != 0,
     stored in factored form: amplitude * prod_j factors[j][l_j + n]."""
 
-    owner: Subset
     n: int
     factors: tuple[np.ndarray, ...]
     amplitude: float = 1.0
 
     @classmethod
-    def from_component(
-        cls, comp: ComponentSpec, n: int, quad: QuadratureSpec | None = None
-    ) -> "CoefficientTable":
-        vecs = tuple(coeff_vector(fid, n, quad=quad) for fid in comp.factor_ids)
-        return cls(owner=comp.subset, n=n, factors=vecs, amplitude=comp.amplitude)
+    def from_component(cls, comp: ComponentSpec, n: int) -> "CoefficientTable":
+        vecs = tuple(coeff_vector(fid, n) for fid in comp.factor_ids)
+        return cls(n=n, factors=vecs, amplitude=comp.amplitude)
 
     @property
     def k(self) -> int:
-        return self.owner.k
-
-    def l2_norm_sq(self) -> float:
-        """sum theta^2 over the table."""
-        return self.sobolev_norm(0.0)
+        return len(self.factors)
 
     def sobolev_norm(self, sigma: float) -> float:
         """Truncated squared semi-norm sum theta^2 c^2, c^2 = (sum (2 pi l_j)^2)^sigma.
@@ -355,27 +343,15 @@ class SparsityPattern:
     def counts(self) -> dict[int, int]:
         return {k: len(self.components.get(k, ())) for k in range(1, self.s + 1)}
 
-    def with_attenuated(self, alpha: float, subset: Subset | None = None) -> "SparsityPattern":
-        """Copy with one first-order component scaled by alpha (default: first)."""
+    def with_attenuated(self, alpha: float) -> "SparsityPattern":
+        """Copy with the first first-order component scaled by alpha."""
         if not 0.0 < alpha:
             raise ValueError(f"alpha must be positive, got {alpha}")
         firsts = self.components.get(1, ())
         if not firsts:
             raise ValueError("pattern has no first-order component to attenuate")
-        target = subset if subset is not None else firsts[0].subset
-        found = False
-        new_components = dict(self.components)
-        scaled = []
-        for comp in firsts:
-            if comp.subset == target:
-                scaled.append(comp.scaled(alpha))
-                found = True
-            else:
-                scaled.append(comp)
-        if not found:
-            raise ValueError(f"subset {target} is not an active first-order component")
-        new_components[1] = tuple(scaled)
-        return SparsityPattern(d=self.d, s=self.s, beta=self.beta, components=new_components)
+        components = {**self.components, 1: (firsts[0].scaled(alpha), *firsts[1:])}
+        return SparsityPattern(d=self.d, s=self.s, beta=self.beta, components=components)
 
 
 # Active subsets of the bundled order-4 benchmark; the factor id of every

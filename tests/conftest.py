@@ -177,7 +177,6 @@ def manual_config(d, r_by_order, epsilon, sigma=1.0, M=1, trunc_pad=2):
         r_stars={k: tuple(p.source_r for p in v) for k, v in profiles.items()},
         a_values={k: tuple(p.a_value for p in v) for k, v in profiles.items()},
         eps_hat=eps_hats,
-        calibration_mode="manual",
     )
     dim = DimensionSpec(d=d, s=max(r_by_order), beta=0.5, sigma=sigma, epsilon=epsilon)
     return SelectorConfig(
@@ -187,6 +186,4 @@ def manual_config(d, r_by_order, epsilon, sigma=1.0, M=1, trunc_pad=2):
         weight_matrix=matrices,
         thresholds=thresholds,
         truncation=trunc,
-        truncation_mode="rule",
-        eps_hat_rule="fixed",
     )

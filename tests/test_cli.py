@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from anovaselect import lattice
+from anovaselect import cli, lattice
 from anovaselect.cli import build_parser, main, read_config_file, resolve_config, write_csv
 
 
@@ -14,6 +14,13 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def forbid_calibration(monkeypatch):
+    def fail(cfg):
+        raise AssertionError("the selector was calibrated before the config was checked")
+
+    monkeypatch.setattr(cli, "_config_for", fail)
 
 
 # Read only: the calibrate CSVs of the benchmark's problem keys at d = 50, 200,
@@ -150,6 +157,37 @@ class TestValidation:
         assert err.startswith("config error: " + line.split()[0])
         assert not (tmp_path / "audit.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command,line,message",
+        [
+            ("table1", "d_list =", "d_list must hold at least one value"),
+            ("calibrate", "k_list = 1,5", "k=5 exceeds the configured maximal order s=4"),
+        ],
+        ids=["table1-d_list", "calibrate-k_list"],
+    )
+    def test_bad_list_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, line, message
+    ):
+        forbid_calibration(monkeypatch)
+        path = write_config(tmp_path, line + "\n")
+        out = tmp_path / "out"
+        assert run([command, "--config", path, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / f"{command}.csv").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert run(["table1", "--config", str(missing), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(missing) in err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n", encoding="utf-8")
+        assert run(["table1", "--out", str(taken), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert taken.read_text(encoding="utf-8") == "keep me\n"
+
     def test_range_edges_accepted(self, tmp_path):
         path = write_config(tmp_path, TINY_AUDIT_CFG + "audit_k = 2\naudit_m = 3\n")
         args = build_parser().parse_args(["audit", "--config", path])
@@ -266,7 +304,8 @@ class TestTable2:
         assert [row[0] for row in rows] == ["0.001", "1"]  # ascending alphas
         assert rows[1][1] == "0"  # full-strength signal fully recovered
 
-    def test_empty_alphas_exits_2(self, tmp_path, capsys):
+    def test_empty_alphas_exits_2(self, tmp_path, capsys, monkeypatch):
+        forbid_calibration(monkeypatch)
         cfg = write_config(tmp_path, "cycles = 1\nalphas =\npool_size = 5\n")
         out = tmp_path / "out"
         assert run(["table2", "--config", cfg, "--out", str(out), "--quiet"]) == 2
@@ -300,6 +339,15 @@ class TestBoundaryAndAudit:
         verdicts = {line.split(",")[-1] for line in lines[1:]}
         assert verdicts <= {"selectable", "detectable_only", "undetectable", "boundary"}
 
+    @pytest.mark.parametrize("line", ["r_frac_min = 1", "r_frac_max = 1"])
+    def test_radius_fraction_one_exits_2(self, tmp_path, capsys, line):
+        # a radius at the admissible maximum would be dropped from the sweep
+        cfg = write_config(tmp_path, f"d = 50\ns = 2\nr_steps = 5\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["boundary", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]} = 1 ")
+        assert not (out / "boundary.csv").exists()
+
     def test_audit_checks_pass(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -316,3 +364,18 @@ class TestBoundaryAndAudit:
         failures = [row for row in rows if row[-1] == "false"
                     and row[0] not in ("ellipsoid_membership", "tail_regime")]
         assert failures == []
+
+    def test_audit_bytes_independent_of_threads(self, tmp_path):
+        # several 20000-row batches per sample, summed in batch order
+        cfg = write_config(
+            tmp_path,
+            "d = 12\ns = 2\nbeta = 0.6\nepsilon = 0.01\ngrid_m = 3\ntruncation = rule\n"
+            "trials_null = 50000\ntrials_tail = 70000\n",
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            args = ["audit", "--config", cfg, "--threads", threads, "--out", str(out), "--quiet"]
+            assert run(args) == 0
+            outputs.append((out / "audit.csv").read_bytes())
+        assert outputs[0] == outputs[1]

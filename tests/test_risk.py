@@ -112,7 +112,6 @@ class TestEstimateRisk:
         rep = estimate_risk(
             small_pattern, tiny_config, J=2, seed=11, mode="pool", pool_inactive=6
         )
-        assert rep.mode == "pool"
         assert rep.evaluated_inactive == {1: 6, 2: 6}
         assert all(v == 0.0 for v in rep.extrapolated_fp.values())
 

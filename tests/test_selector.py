@@ -199,8 +199,6 @@ class TestStatistic:
                 weight_matrix=tiny_config.weight_matrix,
                 thresholds=tiny_config.thresholds,
                 truncation={**tiny_config.truncation, 2: 1},
-                truncation_mode="rule",
-                eps_hat_rule="fixed",
             )
 
     def test_null_moments_small_mc(self, bench_k1_config):
@@ -351,17 +349,18 @@ class TestTailAudit:
 class TestAuditBatches:
     def test_bits_independent_of_threads_and_blocks(self, bench_k1_config, monkeypatch):
         prof = bench_k1_config.profiles[1][9]
-        chunk, trials, offset = 5000, 12_000, 40
+        rows, trials, offset = 5000, 12_000, 40
+        monkeypatch.setattr(selector, "BATCH_ROWS", rows)
         expected = [
             np.einsum("ij,j->i", null_shell_draw(audit_stream(3, offset + idx), prof.counts,
-                                                 min(chunk, trials - start)), prof.values)
-            for idx, start in enumerate(range(0, trials, chunk))
+                                                 min(rows, trials - start)), prof.values)
+            for idx, start in enumerate(range(0, trials, rows))
         ]
         shells = len(prof.counts)
-        for entries in (7 * shells, BLOCK_ENTRIES, chunk * shells):
+        for entries in (7 * shells, BLOCK_ENTRIES, rows * shells):
             monkeypatch.setattr(selector, "BLOCK_ENTRIES", entries)
             for threads in (1, 2, 4):
-                got = list(null_stat_batches(prof, trials, 3, offset, chunk, threads))
+                got = list(null_stat_batches(prof, trials, 3, offset, threads))
                 assert len(got) == len(expected)
                 for a, b in zip(got, expected):
                     assert np.array_equal(a, b)
@@ -378,15 +377,14 @@ class TestAuditBatches:
             tracemalloc.stop()
         assert peak < 3 * 8 * BLOCK_ENTRIES
 
-    @pytest.mark.parametrize("key,bad", [("trials", 0), ("chunk", 0), ("chunk", -5)])
-    def test_batch_inputs_validated(self, key, bad):
-        # a negative chunk must not run zero batches and report a tail of 0.0
+    @pytest.mark.parametrize("trials", [0, -5], ids=lambda v: f"trials-{v}")
+    def test_batch_inputs_validated(self, trials):
+        # no trials must not run zero batches and report a tail of 0.0
         w = weights(0.1, 1, 1.0, 0.01)
-        inputs = {"trials": 1000, "chunk": 100, key: bad}
-        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
-            list(null_stat_batches(w, inputs["trials"], 0, 0, inputs["chunk"]))
-        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
-            tail_bound_audit(3.0, inputs["trials"], 0, w, chunk=inputs["chunk"])
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            list(null_stat_batches(w, trials, 0, 0))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            tail_bound_audit(3.0, trials, 0, w)
 
     def test_close_cancels_pending_batches(self, bench_k1_config, monkeypatch):
         prof = bench_k1_config.profiles[1][9]
@@ -402,7 +400,7 @@ class TestAuditBatches:
         assert len(next(batches)) == 20_000
         batches.close()
         assert time.perf_counter() - begin < 10.0
-        # two batches queued per worker beyond the first; the rest never start
+        # closing cancels the queued batches and waits for the running ones
         settled = len(started)
         assert settled <= 5
         time.sleep(0.2)

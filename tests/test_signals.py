@@ -104,13 +104,14 @@ class TestFourierCoeff:
             fourier_coeff_1d(1, 600, quad=QuadratureSpec(panels=4, nodes=16))
 
     def test_quadrature_halving_stable(self):
-        # halving the panel width changes no coefficient by more than 1e-9
+        # halving the panel width changes no coefficient by more than 1e-9: the
+        # vector's own rule against the scalar path on the finer rule
         base = quadrature_for(700)
         fine = QuadratureSpec(panels=2 * base.panels, nodes=base.nodes)
         for i in range(1, 10):
-            coarse_vec = coeff_vector(i, 700, quad=base)
-            fine_vec = coeff_vector(i, 700, quad=fine)
-            assert np.max(np.abs(coarse_vec - fine_vec)) <= 1e-9
+            vec = coeff_vector(i, 700)
+            for l in range(-700, 701, 35):
+                assert abs(vec[l + 700] - fourier_coeff_1d(i, l, quad=fine)) <= 1e-9
 
     def test_sobolev_decay_envelope(self):
         # |c(l)| <= K / |l| with K fitted on moderate frequencies
@@ -141,19 +142,18 @@ class TestFourierCoeff:
         compute = signals._coeff_vector.__wrapped__  # bypass the memo
         quad = quadrature_for(154)
         for i in (1, 3, 9):
-            default = compute(i, 154, quad)
+            default = compute(i, 154)
             monkeypatch.setattr(signals, "BLOCK_ENTRIES", 7 * quad.total_nodes)
-            seven_rows = compute(i, 154, quad)
+            seven_rows = compute(i, 154)
             monkeypatch.setattr(signals, "BLOCK_ENTRIES", BLOCK_ENTRIES)
             assert np.array_equal(seven_rows, default)
-            assert np.array_equal(compute(i, 154, quad), default)
+            assert np.array_equal(compute(i, 154), default)
 
     def test_vector_memory_below_four_blocks(self):
         # a block is at most 512 kB of float64; at n = 622 one-shot phase, cos
         # and sin matrices would be 24.8 MB each
-        quad = quadrature_for(622)
-        quad.grid()  # memoised before the trace
-        out, peak = traced_peak(signals._coeff_vector.__wrapped__, 1, 622, quad)
+        quadrature_for(622).grid()  # memoised before the trace
+        out, peak = traced_peak(signals._coeff_vector.__wrapped__, 1, 622)
         assert 8 * BLOCK_ENTRIES <= 512 * 1024
         assert peak < 4 * 8 * BLOCK_ENTRIES + out.nbytes
 
@@ -235,7 +235,7 @@ class TestCoefficientTable:
         table = CoefficientTable.from_component(comp, 8)
         quad = quadrature_for(8)
         brute = sum(product_coeff(comp, c, quad=quad) ** 2 for c in box_points(2, 8))
-        assert table.l2_norm_sq() == pytest.approx(brute, rel=1e-12)
+        assert table.sobolev_norm(0.0) == pytest.approx(brute, rel=1e-12)
 
     def test_sobolev_norm_examples(self):
         comp = ComponentSpec(Subset((3,)), (4,))
@@ -244,7 +244,6 @@ class TestCoefficientTable:
         assert doubled.sobolev_norm(1.0) == pytest.approx(
             4 * single.sobolev_norm(1.0), rel=1e-12
         )
-        assert single.sobolev_norm(0.0) == pytest.approx(single.l2_norm_sq(), rel=1e-15)
         # g4 = t - 1/2 has only sine coefficients -sqrt(2)/(2 pi l), so each
         # frequency contributes (4 pi^2 l^2) * 2 / (4 pi^2 l^2) = 2 at sigma = 1
         assert single.sobolev_norm(1.0) == pytest.approx(2.0 * 5, rel=1e-9)
@@ -370,8 +369,6 @@ class TestSparsityPattern:
         assert pattern.active(1)[0].amplitude == 1.0  # original untouched
         with pytest.raises(ValueError):
             pattern.with_attenuated(0.0)
-        with pytest.raises(ValueError):
-            pattern.with_attenuated(0.5, subset=Subset((9,)))
 
     def test_duplicate_actives_rejected(self):
         comp = ComponentSpec(Subset((1,)), (1,))
