@@ -22,10 +22,11 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CalibrationError, CapacityError
+from .extremal import admissible_r_max
 from .lattice import DimensionSpec, active_count
 from .risk import attenuation_experiment, boundary_sweep, estimate_risk
 from .selector import build_selector_config, null_stat_batches, tail_bound_audit
-from .signals import CoefficientTable, build_pattern
+from .signals import CoefficientTable, build_pattern, has_benchmark_bank
 
 import numpy as np
 
@@ -63,7 +64,7 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
     "pattern": ("str", "benchmark", ("benchmark", "none")),
     "d_list": ("ilist", [50, 100, 200], "[1, inf)"),
     "k_max": ("int", 4, "[1, inf)"),
-    "k_list": ("ilist", [], "[1, d]"),  # empty = all orders 1..s
+    "k_list": ("ilist", [], "[1, d)"),  # empty = the subcommand's orders
     "beta_min": ("float", 0.05, "(0, 1)"),
     "beta_max": ("float", 0.95, "(0, 1)"),
     "beta_steps": ("int", 25, "[1, inf)"),
@@ -215,10 +216,6 @@ def _config_for(cfg: dict):
     )
 
 
-def _benchmark_bank_available(d: int, beta: float) -> bool:
-    return d in (50, 100, 200) and abs(beta - 0.87) <= 1e-12
-
-
 def _pattern_for(cfg: dict):
     if cfg["pattern"] == "none":
         return build_pattern(_dim(cfg), mode="explicit", components=[])
@@ -239,7 +236,7 @@ def run_table1(cfg: dict):
     rows = []
     for d in cfg["d_list"]:
         bank = None
-        if _benchmark_bank_available(d, cfg["beta"]) and cfg["k_max"] <= 4:
+        if has_benchmark_bank(d, cfg["beta"]) and cfg["k_max"] <= 4:
             spec = DimensionSpec(d=d, s=4, beta=cfg["beta"], sigma=cfg["sigma"],
                                  epsilon=cfg["epsilon"])
             bank = build_pattern(spec, mode="benchmark").counts()
@@ -306,21 +303,19 @@ def run_calibrate(cfg: dict):
     config = _config_for(cfg)
     header = ["k", "m", "beta", "target", "r_star", "a_value", "residual",
               "threshold", "trunc_n", "support_points", "max_weight"]
+    grid = config.grid
     rows = []
     for k in ks:
-        grid = config.grid
-        for m in range(grid.M):
+        for m, prof in enumerate(config.profiles[k]):
             target = grid.targets[k][m]
-            a_val = grid.a_values[k][m]
-            prof = config.profiles[k][m]
             rows.append([
                 k,
                 m + 1,
                 grid.betas[m],
                 target,
                 grid.r_stars[k][m],
-                a_val,
-                abs(a_val - target) / target,
+                prof.a_value,
+                abs(prof.a_value - target) / target,
                 config.thresholds[k],
                 config.truncation[k],
                 prof.support_size,
@@ -336,14 +331,12 @@ def run_boundary(cfg: dict):
     ks = cfg["k_list"] or [1, 2]
     rows = []
     header = ["beta", "sigma", "d", "k", "r", "ratio", "verdict"]
-    from .extremal import admissible_r_max
-
     for k in ks:
         r_hi = admissible_r_max(k, dim.sigma)
         radii = np.geomspace(cfg["r_frac_min"] * r_hi, cfg["r_frac_max"] * r_hi,
                              cfg["r_steps"])
         for row in boundary_sweep(dim, betas, radii, [k], band=cfg["band"]):
-            rows.append([row.beta, row.sigma, row.d, row.k, row.r, row.ratio, row.verdict])
+            rows.append([row.beta, dim.sigma, dim.d, row.k, row.r, row.ratio, row.verdict])
     return header, rows
 
 
@@ -372,10 +365,10 @@ def run_audit(cfg: dict):
     slack_bound = math.exp(-cfg["tail_t"] ** 2 / 2.0 * 0.8)
     rows.append(["tail_upper", k_a, m_a, audit.empirical_upper, audit.reference,
                  audit.empirical_upper <= slack_bound])
-    rows.append(["tail_regime", k_a, m_a, cfg["tail_t"] * audit.max_weight, 0.1,
+    rows.append(["tail_regime", k_a, m_a, cfg["tail_t"] * prof.max_weight, 0.1,
                  audit.regime_ok])
 
-    if _benchmark_bank_available(cfg["d"], cfg["beta"]) and cfg["s"] == 4:
+    if has_benchmark_bank(cfg["d"], cfg["beta"]) and cfg["s"] == 4:
         pattern = _pattern_for(cfg)
         for k in sorted(pattern.counts()):
             for i, comp in enumerate(pattern.active(k), start=1):

@@ -16,7 +16,8 @@ Weights omega_l = theta*^2(l) / (2 eps^2 a(r)) then satisfy
 sum omega^2 = 1/2 identically, which the test statistics rely on.
 
 Radius calibration solves a(r*) = target by safeguarded bisection; in
-asymptotic mode the equation inverts in closed form.
+asymptotic mode the equation inverts in closed form.  In both, a(r*) is the
+exact sum over the radius's one profile, built once by :func:`order_weights`.
 """
 
 from __future__ import annotations
@@ -67,13 +68,10 @@ def _log_amplitude(r: float, k: int, sigma: float) -> float:
 class ExtremalProfile:
     """Radial extremal profile: squared amplitudes per squared-norm shell."""
 
-    r: float
-    k: int
-    sigma: float
     rho: np.ndarray        # occupied squared norms, increasing
     counts: np.ndarray     # lattice points per shell
     theta_sq: np.ndarray   # theta*^2 on each shell (all > 0)
-    support_radius: float  # (1+4s/k)^(1/2s) / (2 pi r^(1/s))
+    support_radius: float  # R: the support is the ball |l| < R
 
     @property
     def support_size(self) -> int:
@@ -98,9 +96,6 @@ def extremal_sequence(r: float, k: int, sigma: float) -> ExtremalProfile:
     bracket = 1.0 - (FOUR_PI_SQ * rho.astype(np.float64)) ** sigma * (r * r / bound)
     stop = int(np.count_nonzero(bracket > 0.0))  # the positive entries lead
     return ExtremalProfile(
-        r=r,
-        k=k,
-        sigma=sigma,
         rho=rho[:stop],
         counts=counts[:stop],
         theta_sq=amp * bracket[:stop],
@@ -237,14 +232,14 @@ class WeightProfile:
     """Statistic weights omega per squared-norm shell, for one grid radius.
 
     Built by :func:`order_weights`, so ``values`` is a read-only prefix view
-    of the radius's row in its order's weight matrix.
+    of the radius's row in its order's weight matrix, and ``a_value`` and
+    ``support_radius`` are those of the radius's one extremal profile.
     """
 
     k: int
-    sigma: float
-    epsilon: float
     source_r: float
     a_value: float
+    support_radius: float
     rho: np.ndarray
     counts: np.ndarray
     values: np.ndarray  # omega on each shell
@@ -252,13 +247,6 @@ class WeightProfile:
     @property
     def support_size(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def support_radius(self) -> float:
-        bound = 1.0 + 4.0 * self.sigma / self.k
-        return bound ** (1.0 / (2.0 * self.sigma)) / (
-            2.0 * math.pi * self.source_r ** (1.0 / self.sigma)
-        )
 
     @property
     def max_weight(self) -> float:
@@ -283,35 +271,34 @@ def order_weights(
     Row m of the read-only ``(len(radii), shells)`` matrix holds
     omega = theta*^2 / (2 eps^2 a(r_m)) on the shells of the widest support,
     which belongs to the smallest radius (the support shrinks as r grows), and
-    0 past its own support.  Each row is written in place from its extremal
-    profile, so no other copy of the weights exists: profile m's ``rho`` and
-    ``counts`` are prefix views of the widest support's shells, and its
-    ``values`` the matching prefix view of row m.
+    0 past its own support.  The rows are filled widest first, each in place
+    from its radius's one extremal profile, so no profile is built twice and
+    no other copy of the weights exists: profile m's ``rho`` and ``counts``
+    are prefix views of the widest support's shells, and its ``values`` the
+    matching prefix view of row m.
     """
-    widest = extremal_sequence(min(radii), k, sigma)
-    rho, counts = widest.rho, widest.counts
-    del widest  # hold one profile's arrays at a time, not the widest's as well
-    matrix = np.zeros((len(radii), len(rho)))
-    profiles = []
-    for row, r in zip(matrix, radii):
-        profile = extremal_sequence(r, k, sigma)
-        a_value = a_exact(r, k, sigma, epsilon, profile=profile)
-        n = len(profile.rho)
+    order = sorted(range(len(radii)), key=radii.__getitem__)
+    profiles: list[WeightProfile | None] = [None] * len(radii)
+    for m in order:
+        r = radii[m]
+        extremal = extremal_sequence(r, k, sigma)
+        if m == order[0]:
+            rho, counts = extremal.rho, extremal.counts
+            matrix = np.zeros((len(radii), len(rho)))
+        a_value = a_exact(r, k, sigma, epsilon, profile=extremal)
+        n = len(extremal.rho)
         values = np.multiply(
-            profile.theta_sq, 1.0 / (2.0 * epsilon * epsilon * a_value), out=row[:n]
+            extremal.theta_sq, 1.0 / (2.0 * epsilon * epsilon * a_value), out=matrix[m, :n]
         )
         values.setflags(write=False)
-        profiles.append(
-            WeightProfile(
-                k=k,
-                sigma=sigma,
-                epsilon=epsilon,
-                source_r=r,
-                a_value=a_value,
-                rho=rho[:n],
-                counts=counts[:n],
-                values=values,
-            )
+        profiles[m] = WeightProfile(
+            k=k,
+            source_r=r,
+            a_value=a_value,
+            support_radius=extremal.support_radius,
+            rho=rho[:n],
+            counts=counts[:n],
+            values=values,
         )
     matrix.setflags(write=False)
     return tuple(profiles), matrix
@@ -341,13 +328,9 @@ def calibrate_radii(
     epsilon: float,
     M: int,
     mode: str = "exact",
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """Per-order grid calibration: betas, targets, radii, and a(r*) values."""
-    betas = beta_grid(M)
-    targets = [calibration_target(d, k, b) for b in betas]
-    r_stars = [solve_r_star(t, k, sigma, epsilon, mode=mode) for t in targets]
-    if mode == "exact":
-        a_vals = [a_exact(r, k, sigma, epsilon) for r in r_stars]
-    else:
-        a_vals = [a_asymp(r, k, sigma, epsilon) for r in r_stars]
-    return betas, targets, r_stars, a_vals
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Per-order grid calibration: betas, targets and radii r*."""
+    betas = tuple(beta_grid(M))
+    targets = tuple(calibration_target(d, k, b) for b in betas)
+    r_stars = tuple(solve_r_star(t, k, sigma, epsilon, mode=mode) for t in targets)
+    return betas, targets, r_stars

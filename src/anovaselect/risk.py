@@ -454,6 +454,14 @@ class RegimeVerdict:
     verdict: str  # selectable | detectable_only | undetectable | boundary
 
 
+def _boundary_ratio(r: float, k: int, spec: DimensionSpec) -> float:
+    """a(r)/sqrt(log C(d,k)), the ratio both sharp boundaries are stated in."""
+    log_c = log_binomial(spec.d, k)
+    if log_c <= 0.0:
+        raise ValueError(f"no boundary ratio at k={k}, d={spec.d}: log C(d,k) = 0")
+    return a_exact(r, k, spec.sigma, spec.epsilon) / math.sqrt(log_c)
+
+
 def _verdict(ratio: float, sel: float, det: float, band: float) -> str:
     if ratio > sel + band:
         return "selectable"
@@ -476,11 +484,7 @@ def classify_regime(
     """
     if not r_family:
         raise ValueError("r_family must contain at least one order")
-    per_order = {}
-    for k, r in r_family.items():
-        per_order[k] = a_exact(r, k, spec.sigma, spec.epsilon) / math.sqrt(
-            log_binomial(spec.d, k)
-        )
+    per_order = {k: _boundary_ratio(r, k, spec) for k, r in r_family.items()}
     ratio = min(per_order.values())
     verdict = _verdict(ratio, selection_boundary(spec.beta), DETECTION_BOUNDARY, band)
     return RegimeVerdict(ratio=ratio, per_order=per_order, verdict=verdict)
@@ -489,8 +493,6 @@ def classify_regime(
 @dataclass(frozen=True)
 class SweepRow:
     beta: float
-    sigma: float
-    d: int
     k: int
     r: float
     ratio: float
@@ -510,25 +512,21 @@ def boundary_sweep(
     once per (k, r) and classified against each beta's thresholds.
     """
     rows: list[SweepRow] = []
-    det = DETECTION_BOUNDARY
     for k in ks:
         r_hi = admissible_r_max(k, spec.sigma)
-        log_c = math.sqrt(log_binomial(spec.d, k))
         for r in radii:
             if not 0.0 < r < r_hi:
                 continue
-            ratio = a_exact(r, k, spec.sigma, spec.epsilon) / log_c
+            ratio = _boundary_ratio(r, k, spec)
             for beta in betas:
                 sel = selection_boundary(beta)
                 rows.append(
                     SweepRow(
                         beta=float(beta),
-                        sigma=spec.sigma,
-                        d=spec.d,
                         k=int(k),
                         r=float(r),
                         ratio=ratio,
-                        verdict=_verdict(ratio, sel, det, band),
+                        verdict=_verdict(ratio, sel, DETECTION_BOUNDARY, band),
                     )
                 )
     return rows

@@ -297,7 +297,9 @@ def build_selector_config(
     a(r*) = (1 + sqrt(1-beta_m)) sqrt(2 log C(d,k)), weight profiles built from
     the exact lattice sum (so their squared sum is exactly 1/2) and written
     into the order's weight matrix, the threshold t_k, and a truncation box,
-    which the config checks to cover every nonzero weight.
+    which the config checks to cover every nonzero weight.  In both modes the
+    grid's a(r*) are the profiles' exact ``a_value``, so ``asymptotic`` radii
+    show the closed form's error against the targets.
     """
     targets: dict[int, tuple[float, ...]] = {}
     r_stars: dict[int, tuple[float, ...]] = {}
@@ -309,15 +311,12 @@ def build_selector_config(
     trunc: dict[int, int] = {}
     betas: tuple[float, ...] = ()
     for k in range(1, dim.s + 1):
-        blist, tlist, rlist, alist = calibrate_radii(
+        betas, targets[k], r_stars[k] = calibrate_radii(
             dim.d, k, dim.sigma, dim.epsilon, M, mode=calibration
         )
-        betas = tuple(blist)
-        targets[k] = tuple(tlist)
-        r_stars[k] = tuple(rlist)
-        a_values[k] = tuple(alist)
         eps_hats[k] = epsilon_hat(dim.d, k, rule=eps_hat_rule, s=dim.s)
-        profiles[k], matrices[k] = order_weights(rlist, k, dim.sigma, dim.epsilon)
+        profiles[k], matrices[k] = order_weights(r_stars[k], k, dim.sigma, dim.epsilon)
+        a_values[k] = tuple(p.a_value for p in profiles[k])
         thresholds_map[k] = threshold(dim.d, k, M, eps_hats[k])
         trunc[k] = truncation_radius(k, profiles[k], mode=truncation)
     grid = GridSpec(
@@ -424,7 +423,6 @@ class TailAudit:
 
     empirical_upper: float
     reference: float
-    max_weight: float
     regime_ok: bool
 
 
@@ -445,6 +443,5 @@ def tail_bound_audit(
     return TailAudit(
         empirical_upper=upper_hits / trials,
         reference=math.exp(-T * T / 2.0),
-        max_weight=w.max_weight,
         regime_ok=T * w.max_weight <= 0.1,
     )

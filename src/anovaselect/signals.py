@@ -314,7 +314,6 @@ class SparsityPattern:
 
     d: int
     s: int
-    beta: float | None
     components: dict[int, tuple[ComponentSpec, ...]]
     _active: dict[int, frozenset[Subset]] = field(init=False, repr=False)
 
@@ -351,14 +350,16 @@ class SparsityPattern:
         if not firsts:
             raise ValueError("pattern has no first-order component to attenuate")
         components = {**self.components, 1: (firsts[0].scaled(alpha), *firsts[1:])}
-        return SparsityPattern(d=self.d, s=self.s, beta=self.beta, components=components)
+        return SparsityPattern(d=self.d, s=self.s, components=components)
+
+
+def has_benchmark_bank(d: int, beta: float) -> bool:
+    """Whether the bundled order-4 benchmark bank exists at (d, beta)."""
+    return d in (50, 100, 200) and abs(beta - 0.87) <= 1e-12
 
 
 # Active subsets of the bundled order-4 benchmark; the factor id of every
 # coordinate equals the coordinate itself (g_j acts on t_j throughout).
-_BENCHMARK_DIMENSIONS = (50, 100, 200)
-
-
 def _benchmark_active_indices(d: int) -> dict[int, list[tuple[int, ...]]]:
     table: dict[int, list[tuple[int, ...]]] = {
         1: [(1,), (2,)],
@@ -387,7 +388,7 @@ def build_pattern(
     accepts any list of components (possibly empty).
     """
     if mode == "benchmark":
-        if spec.d not in _BENCHMARK_DIMENSIONS or spec.s != 4 or abs(spec.beta - 0.87) > 1e-12:
+        if not has_benchmark_bank(spec.d, spec.beta) or spec.s != 4:
             raise ValueError(
                 "benchmark pattern requires d in {50, 100, 200}, s = 4, "
                 "beta = 0.87; use explicit mode for other configurations"
@@ -398,7 +399,7 @@ def build_pattern(
             )
             for k, rows in _benchmark_active_indices(spec.d).items()
         }
-        return SparsityPattern(d=spec.d, s=spec.s, beta=spec.beta, components=comp_map)
+        return SparsityPattern(d=spec.d, s=spec.s, components=comp_map)
     if mode != "explicit":
         raise ValueError(f"mode must be 'benchmark' or 'explicit', got {mode!r}")
     comp_map2: dict[int, list[ComponentSpec]] = {}
@@ -407,6 +408,5 @@ def build_pattern(
     return SparsityPattern(
         d=spec.d,
         s=spec.s,
-        beta=spec.beta,
         components={k: tuple(v) for k, v in comp_map2.items()},
     )

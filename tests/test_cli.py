@@ -1,9 +1,13 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from anovaselect import cli, lattice
 from anovaselect.cli import build_parser, main, read_config_file, resolve_config, write_csv
+from anovaselect.extremal import a_exact
+from anovaselect.lattice import DimensionSpec
+from anovaselect.selector import build_selector_config
 
 
 def run(args):
@@ -64,6 +68,13 @@ class TestConfigHandling:
         )
         cfg = read_config_file(path)
         assert cfg == {"d": 20, "alphas": [0.1, 0.5, 1.0], "quiet": True}
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+        rows = [line for line in table.splitlines() if line.startswith("| `")]
+        documented = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        assert documented == set(cli._KEY_SPECS)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "dee = 5\n")
@@ -146,6 +157,7 @@ class TestValidation:
             "pattern = random",
             "alphas = 0.5,0",
             "k_list = 1,13",
+            "k_list = 12",
             "trials_tail = 0",
             "tail_t = -1",
         ],
@@ -236,6 +248,24 @@ class TestCalibrate:
         assert run(["calibrate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         fixture = BENCH_FIXTURES / f"calibrate-d{d}.csv"
         assert (tmp_path / "calibrate.csv").read_bytes() == fixture.read_bytes()
+
+    def test_asymptotic_residual_is_closed_form_error(self, tmp_path):
+        # asymptotic radii invert the closed form, but a(r*) is the exact sum
+        keys = "d = 12\ns = 2\nbeta = 0.6\nepsilon = 0.01\ngrid_m = 3\ntruncation = rule\n"
+        cfg = write_config(tmp_path, keys + "calibration = asymptotic\n")
+        assert run(["calibrate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        lines = (tmp_path / "calibrate.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = {(int(f[0]), int(f[1])): f for f in (line.split(",") for line in lines[1:])}
+        dim = DimensionSpec(d=12, s=2, beta=0.6, sigma=1.0, epsilon=0.01)
+        config = build_selector_config(dim, M=3, calibration="asymptotic", truncation="rule")
+        for k in (1, 2):
+            for m, (r, target) in enumerate(zip(config.grid.r_stars[k], config.grid.targets[k])):
+                a_value = a_exact(r, k, 1.0, 0.01)
+                assert config.grid.a_values[k][m] == config.profiles[k][m].a_value == a_value
+                residual = rows[k, m + 1][header.index("residual")]
+                assert residual == cli._fmt(abs(a_value - target) / target)
+                assert float(residual) > 1e-3
 
     def test_order_five_calibrates(self, tmp_path):
         # calibration builds per-shell arrays only: the k = 5 support of about

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from anovaselect import lattice
+from anovaselect import extremal, lattice
 from anovaselect.errors import CalibrationError
 from anovaselect.extremal import (
     FOUR_PI_SQ,
@@ -294,6 +294,21 @@ class TestWeights:
         w = weights(0.07, 2, 1.0, 0.01)
         assert (w.values >= 0).all()
 
+    def test_order_weights_builds_each_profile_once(self, monkeypatch):
+        calls = []
+
+        def counted(r, k, sigma):
+            calls.append(r)
+            return extremal_sequence(r, k, sigma)
+
+        monkeypatch.setattr(extremal, "extremal_sequence", counted)
+        radii = (0.08, 0.07, 0.09)
+        profiles, _ = extremal.order_weights(radii, 2, 1.0, 0.01)
+        assert sorted(calls) == sorted(radii)
+        for r, prof in zip(radii, profiles):
+            assert prof.source_r == r
+            assert prof.support_radius == extremal_sequence(r, 2, 1.0).support_radius
+
     def test_max_abs_coord_matches_table(self):
         w = weights(0.08, 2, 1.0, 0.01)
         coords, _ = ball_coords(2, float(w.rho[-1]) + 0.5)
@@ -302,9 +317,9 @@ class TestWeights:
 
 class TestCalibrateRadii:
     def test_grid_invariants(self):
-        betas, targets, r_stars, a_vals = calibrate_radii(20, 1, 1.0, 0.01, M=5)
+        betas, targets, r_stars = calibrate_radii(20, 1, 1.0, 0.01, M=5)
         assert all(a < b for a, b in zip(betas, betas[1:]))
         hi = admissible_r_max(1, 1.0)
         assert all(0 < r < hi for r in r_stars)
-        for target, a_val in zip(targets, a_vals):
-            assert abs(a_val - target) / target <= 1e-8
+        for target, r in zip(targets, r_stars):
+            assert abs(a_exact(r, 1, 1.0, 0.01) - target) / target <= 1e-8

@@ -473,6 +473,13 @@ class TestRegimeClassification:
         assert verdict.ratio == pytest.approx(1.6, rel=1e-6)
         assert verdict.verdict == "detectable_only"
 
+    def test_order_equal_to_d_raises(self):
+        # log C(d, d) = 0, so the ratio a(r)/sqrt(log C(d,k)) is undefined
+        spec = DimensionSpec(d=3, s=3, beta=0.5, sigma=1.0, epsilon=0.01)
+        r = 0.5 * admissible_r_max(3, 1.0)
+        with pytest.raises(ValueError, match="k=3, d=3"):
+            classify_regime({3: r}, spec)
+
     def test_rescaling_invariance(self):
         # a(r) eps^2 is epsilon-free, so verdicts survive joint rescaling
         spec = DimensionSpec(d=50, s=1, beta=0.87, sigma=1.0, epsilon=0.01)
@@ -516,6 +523,12 @@ class TestBoundarySweep:
         codes = [order[row.verdict] for row in rows]
         assert all(b >= a for a, b in zip(codes, codes[1:]))
         assert codes[0] == 0 and codes[-1] == 4
+
+    def test_order_equal_to_d_raises(self):
+        spec = DimensionSpec(d=3, s=3, beta=0.5, sigma=1.0, epsilon=0.01)
+        r = 0.5 * admissible_r_max(3, 1.0)
+        with pytest.raises(ValueError, match="k=3, d=3"):
+            boundary_sweep(spec, [0.5], [r], [3])
 
     def test_inadmissible_radii_skipped(self):
         spec = DimensionSpec(d=50, s=1, beta=0.5, sigma=1.0, epsilon=0.01)

@@ -373,4 +373,4 @@ class TestSparsityPattern:
     def test_duplicate_actives_rejected(self):
         comp = ComponentSpec(Subset((1,)), (1,))
         with pytest.raises(ValueError, match="duplicate"):
-            SparsityPattern(d=5, s=1, beta=0.5, components={1: (comp, comp)})
+            SparsityPattern(d=5, s=1, components={1: (comp, comp)})
