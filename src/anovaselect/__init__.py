@@ -24,7 +24,6 @@ from .extremal import (
     weights,
 )
 from .signals import (
-    CoefficientTable,
     ComponentSpec,
     SparsityPattern,
     build_pattern,
@@ -32,6 +31,7 @@ from .signals import (
     fourier_coeff_1d,
     orthogonality_check,
     product_coeff,
+    sobolev_norm,
 )
 from .selector import (
     SelectorConfig,
@@ -70,7 +70,6 @@ __all__ = [
     "extremal_sequence",
     "solve_r_star",
     "weights",
-    "CoefficientTable",
     "ComponentSpec",
     "SparsityPattern",
     "build_pattern",
@@ -78,6 +77,7 @@ __all__ = [
     "fourier_coeff_1d",
     "orthogonality_check",
     "product_coeff",
+    "sobolev_norm",
     "SelectorConfig",
     "build_selector_config",
     "epsilon_hat",

@@ -26,7 +26,7 @@ from .extremal import admissible_r_max
 from .lattice import DimensionSpec, active_count
 from .risk import attenuation_experiment, boundary_sweep, estimate_risk
 from .selector import build_selector_config, null_stat_batches, tail_bound_audit
-from .signals import CoefficientTable, build_pattern, has_benchmark_bank
+from .signals import build_pattern, has_benchmark_bank, sobolev_norm
 
 import numpy as np
 
@@ -43,7 +43,7 @@ DEFAULT_SEED = 10
 # numbers, "inf" or the name of another key, or None for any value.
 _KEY_SPECS: dict[str, tuple[str, object, object]] = {
     "d": ("int", 50, "[1, inf)"),
-    "s": ("int", 4, "[1, d]"),
+    "s": ("int", 4, "[1, d)"),
     "beta": ("float", 0.87, "(0, 1)"),
     "sigma": ("float", 1.0, "(0, inf)"),
     "epsilon": ("float", 5e-5, "(0, inf)"),
@@ -286,7 +286,6 @@ def run_risk(cfg: dict):
         mode=cfg["mode"],
         pool_inactive=cfg["pool_size"],
         threads=cfg["threads"],
-        alpha=cfg["alpha"],
     )
     header = ["alpha", "err", "false_positives", "misses"] + _loss_header(cfg["cycles"])
     rows = [[cfg["alpha"], report.err, report.false_positives, report.misses,
@@ -313,7 +312,7 @@ def run_calibrate(cfg: dict):
                 m + 1,
                 grid.betas[m],
                 target,
-                grid.r_stars[k][m],
+                prof.source_r,
                 prof.a_value,
                 abs(prof.a_value - target) / target,
                 config.thresholds[k],
@@ -354,7 +353,7 @@ def run_audit(cfg: dict):
         rows.append(["truncation_coverage", k, 0, covered, n_k, covered <= n_k])
 
     k_a = cfg["audit_k"]
-    m_a = cfg["audit_m"] or (config.grid.M + 1) // 2
+    m_a = cfg["audit_m"] or (len(config.grid.betas) + 1) // 2
     prof = config.profiles[k_a][m_a - 1]
     moments = _null_moments(prof, cfg["trials_null"], cfg["seed"], cfg["threads"])
     rows.append(["null_mean", k_a, m_a, moments[0], 0.02, abs(moments[0]) <= 0.02])
@@ -372,8 +371,7 @@ def run_audit(cfg: dict):
         pattern = _pattern_for(cfg)
         for k in sorted(pattern.counts()):
             for i, comp in enumerate(pattern.active(k), start=1):
-                table = CoefficientTable.from_component(comp, config.truncation[k])
-                norm = table.sobolev_norm(cfg["sigma"])
+                norm = sobolev_norm(comp, config.truncation[k], cfg["sigma"])
                 rows.append(["ellipsoid_membership", k, i, norm, 1.0, norm <= 1.0])
     return header, rows
 

@@ -23,7 +23,7 @@ exact sum over the radius's one profile, built once by :func:`order_weights`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -72,10 +72,6 @@ class ExtremalProfile:
     counts: np.ndarray     # lattice points per shell
     theta_sq: np.ndarray   # theta*^2 on each shell (all > 0)
     support_radius: float  # R: the support is the ball |l| < R
-
-    @property
-    def support_size(self) -> int:
-        return int(self.counts.sum())
 
 
 def extremal_sequence(r: float, k: int, sigma: float) -> ExtremalProfile:
@@ -311,14 +307,13 @@ def weights(r_star: float, k: int, sigma: float, epsilon: float) -> WeightProfil
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Calibrated sparsity grid: radii r*_{k,m} solving a(r*) = target(beta_m)."""
+    """Calibrated sparsity grid: per order, the targets(beta_m) and the exact
+    a(r*_{k,m}) that calibration reached; the radii r* are the profiles'
+    ``source_r``."""
 
-    M: int
     betas: tuple[float, ...]
-    targets: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    r_stars: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    a_values: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    eps_hat: dict[int, float] = field(default_factory=dict)
+    targets: dict[int, tuple[float, ...]]
+    a_values: dict[int, tuple[float, ...]]
 
 
 def calibrate_radii(

@@ -16,7 +16,10 @@ no per-point array of the ball's size exists and the statistic is the
 unchunked one, bit for bit.  Nor is any array sized by the tail: each
 component keeps only the tail's k - 1 small-integer coordinate columns and
 gathers its coefficients per piece, and each stream draws its normals into
-one buffer sized to the largest piece.
+one buffer sized to the largest piece.  The per-shell sums of the squared
+means, which fix the statistic means, need no ball walk: they are the
+component's ``signals.shell_energy`` on the engine's shells
+(``_OrderEngine.shell_lam``).
 Both paths draw from the same per-(cycle, order, subset-rank) substreams, so
 results are bit-reproducible, full and pooled enumeration agree on shared
 subsets, :func:`select` sees exactly the draws of the matching risk cycle,
@@ -56,7 +59,7 @@ from .selector import (
     observation_stream,
     pool_stream,
 )
-from .signals import ComponentSpec, SparsityPattern, coeff_vector
+from .signals import ComponentSpec, SparsityPattern, coeff_vector, shell_energy
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,12 +144,16 @@ class _OrderEngine:
         # one gemv per row: a blocked matrix product would change the last bits
         return np.array([self.W @ acc for acc in q])
 
-    def mean_stats(self, means: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Deterministic statistic means E S_m = sum omega (theta/eps)^2."""
-        q = np.zeros(len(self.rho))
-        for idx, mu in means:
-            np.add.at(q, idx, mu * mu)
-        return self.W @ q
+    def shell_lam(self, comp: ComponentSpec) -> np.ndarray:
+        """Noncentralities lam_rho = sum over shell rho of (theta_l / eps)^2.
+
+        They are the component's ``shell_energy`` on the engine's shells,
+        times (amplitude / eps)^2; the config's coverage check puts every
+        point of those shells inside the truncation box.  The statistic means
+        are ``W @ shell_lam(comp)``.
+        """
+        rho, energy = shell_energy(comp.factor_ids, self.truncation)
+        return (comp.amplitude / self.epsilon) ** 2 * energy[np.searchsorted(rho, self.rho)]
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,6 @@ class SelectionResult:
     """Selector output: per-subset indicators with all M statistics recorded."""
 
     decisions: dict[Subset, SubsetDecision]
-    thresholds: Mapping[int, float]
 
 
 def hamming_loss(estimate: SelectionResult, truth: SparsityPattern) -> int:
@@ -216,7 +222,7 @@ def select(
             selected=selected,
             argmax=int(np.argmax(stats)) + 1 if selected else None,
         )
-    return SelectionResult(decisions=decisions, thresholds=dict(config.thresholds))
+    return SelectionResult(decisions=decisions)
 
 
 @dataclass(eq=False)
@@ -381,7 +387,6 @@ def estimate_risk(
     mode: str = "pool",
     pool_inactive: int = 2000,
     threads: int = 0,
-    alpha: float | None = None,
 ) -> RiskReport:
     """Estimate the Hamming risk over J independent simulation cycles.
 
@@ -391,7 +396,7 @@ def estimate_risk(
     subset population in the report.
     """
     miss, fp, n_inactive, _ = _run_cycles(pattern, config, J, seed, mode, pool_inactive, threads)
-    return _report(pattern, miss, fp, n_inactive, alpha)
+    return _report(pattern, miss, fp, n_inactive, None)
 
 
 def attenuation_experiment(

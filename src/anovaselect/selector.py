@@ -297,36 +297,30 @@ def build_selector_config(
     a(r*) = (1 + sqrt(1-beta_m)) sqrt(2 log C(d,k)), weight profiles built from
     the exact lattice sum (so their squared sum is exactly 1/2) and written
     into the order's weight matrix, the threshold t_k, and a truncation box,
-    which the config checks to cover every nonzero weight.  In both modes the
-    grid's a(r*) are the profiles' exact ``a_value``, so ``asymptotic`` radii
-    show the closed form's error against the targets.
+    which the config checks to cover every nonzero weight.  The grid keeps
+    only what calibration solved for: the betas, the targets and the a(r*),
+    which in both modes are the profiles' exact ``a_value``, so
+    ``asymptotic`` radii show the closed form's error against the targets.
+    Each r* is its profile's ``source_r``, M is ``len(grid.betas)``, and
+    eps_hat enters only t_k.
     """
     targets: dict[int, tuple[float, ...]] = {}
-    r_stars: dict[int, tuple[float, ...]] = {}
     a_values: dict[int, tuple[float, ...]] = {}
-    eps_hats: dict[int, float] = {}
     profiles: dict[int, tuple[WeightProfile, ...]] = {}
     matrices: dict[int, np.ndarray] = {}
     thresholds_map: dict[int, float] = {}
     trunc: dict[int, int] = {}
     betas: tuple[float, ...] = ()
     for k in range(1, dim.s + 1):
-        betas, targets[k], r_stars[k] = calibrate_radii(
+        betas, targets[k], r_stars = calibrate_radii(
             dim.d, k, dim.sigma, dim.epsilon, M, mode=calibration
         )
-        eps_hats[k] = epsilon_hat(dim.d, k, rule=eps_hat_rule, s=dim.s)
-        profiles[k], matrices[k] = order_weights(r_stars[k], k, dim.sigma, dim.epsilon)
+        profiles[k], matrices[k] = order_weights(r_stars, k, dim.sigma, dim.epsilon)
         a_values[k] = tuple(p.a_value for p in profiles[k])
-        thresholds_map[k] = threshold(dim.d, k, M, eps_hats[k])
+        eps_hat = epsilon_hat(dim.d, k, rule=eps_hat_rule, s=dim.s)
+        thresholds_map[k] = threshold(dim.d, k, M, eps_hat)
         trunc[k] = truncation_radius(k, profiles[k], mode=truncation)
-    grid = GridSpec(
-        M=M,
-        betas=betas,
-        targets=targets,
-        r_stars=r_stars,
-        a_values=a_values,
-        eps_hat=eps_hats,
-    )
+    grid = GridSpec(betas=betas, targets=targets, a_values=a_values)
     return SelectorConfig(
         dim=dim,
         grid=grid,

@@ -14,9 +14,10 @@ threads that miss at once may both compute a value, which is harmless for a
 pure result): a scalar coefficient per (function, frequency, rule), a
 coefficient vector per (function, truncation n), always on the rule
 ``quadrature_for(n)``.  The public functions validate, then delegate.
-Coefficient tables are kept in factored form: a k-variate table stores its k
-coefficient vectors, and its norms are summed per squared-norm shell, so
-order-4 boxes (72^4 entries) never enter memory.
+No k-variate coefficient table is built: squared coefficients factorise over
+coordinates, so :func:`shell_energy` sums a component's per squared-norm
+shell from its k coefficient vectors, and order-4 boxes (72^4 entries) never
+enter memory.  Ellipsoid norms and the statistic means read that one sum.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -200,7 +202,6 @@ def coeff_vector(i: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrthogonalityResult:
-    factor: int
     residual: float
     tol: float
 
@@ -214,11 +215,11 @@ def orthogonality_check(i: int, tol: float) -> OrthogonalityResult:
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     residual = abs(fourier_coeff_1d(i, 0))
-    return OrthogonalityResult(factor=i, residual=residual, tol=tol)
+    return OrthogonalityResult(residual=residual, tol=tol)
 
 
 # ---------------------------------------------------------------------------
-# Components and coefficient tables
+# Components and their shell energies
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -258,50 +259,44 @@ def product_coeff(spec: ComponentSpec, coords, quad: QuadratureSpec | None = Non
     return value
 
 
-@dataclass(eq=False)
-class CoefficientTable:
-    """Fourier coefficients of one component over the box |l_j| <= n, l_j != 0,
-    stored in factored form: amplitude * prod_j factors[j][l_j + n]."""
+def shell_energy(factor_ids: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-shell energy of a unit-amplitude tensor product over the box
+    |l_j| <= n, l_j != 0: entry i of ``energy`` sums prod_j c_j(l_j)^2, with
+    c_j = ``coeff_vector(factor_ids[j], n)``, over the box points of squared
+    norm ``rho[i]``.
 
-    n: int
-    factors: tuple[np.ndarray, ...]
-    amplitude: float = 1.0
+    theta^2 factorises over coordinates, so the sum is one convolution of
+    each factor's mass c_j(l)^2 + c_j(-l)^2 over l^2 (``shell_convolve``).
+    At k = 1 the occupied shells are rho = l^2, one per root, so the n roots
+    are returned; at k >= 2 every rho < k n^2 + 1, occupied or not.
+    """
+    masses = []
+    for fid in factor_ids:
+        vec = coeff_vector(fid, n)
+        masses.append(vec[n + 1 :] ** 2 + vec[:n][::-1] ** 2)
+    if len(masses) == 1:
+        return np.arange(1, n + 1, dtype=np.int64) ** 2, masses[0]
+    size = len(masses) * n * n + 1
+    return np.arange(size, dtype=np.int64), shell_convolve(masses, size)
 
-    @classmethod
-    def from_component(cls, comp: ComponentSpec, n: int) -> "CoefficientTable":
-        vecs = tuple(coeff_vector(fid, n) for fid in comp.factor_ids)
-        return cls(n=n, factors=vecs, amplitude=comp.amplitude)
 
-    @property
-    def k(self) -> int:
-        return len(self.factors)
+def sobolev_norm(comp: ComponentSpec, n: int, sigma: float) -> float:
+    """Truncated squared semi-norm sum theta^2 c^2, c^2 = (sum (2 pi l_j)^2)^sigma,
+    over the box |l_j| <= n, l_j != 0.
 
-    def sobolev_norm(self, sigma: float) -> float:
-        """Truncated squared semi-norm sum theta^2 c^2, c^2 = (sum (2 pi l_j)^2)^sigma.
-
-        c^2 is constant on each squared-norm shell rho, and theta^2 factorises
-        over coordinates, so the squared coefficients are summed per shell by
-        convolving each factor's mass c_j(l)^2 + c_j(-l)^2 over l^2; the sum
-        is then weighted by (4 pi^2 rho)^sigma.  Exact for every sigma.  At
-        k = 1 the occupied shells are rho = l^2, one per root, so the sum runs
-        over the n roots instead of the (n^2 + 1)-entry table.  The weighted
-        terms are summed by numpy's pairwise summation, in a fixed order, not
-        by a BLAS dot, so the bits do not depend on the number of BLAS threads;
-        on the benchmark's components they lie within 2 ulp of ``math.fsum``
-        of the same terms (``np.einsum`` strays by up to 19).
-        """
-        n = self.n
-        masses = [vec[n + 1 :] ** 2 + vec[:n][::-1] ** 2 for vec in self.factors]
-        if self.k == 1:
-            per_shell = masses[0]
-            weight = np.arange(1, n + 1, dtype=np.float64) ** 2
-        else:
-            per_shell = shell_convolve(masses, self.k * n * n + 1)
-            weight = np.arange(len(per_shell), dtype=np.float64)
-        weight *= 4.0 * math.pi**2
-        weight **= sigma
-        weight *= per_shell
-        return self.amplitude**2 * float(weight.sum())
+    c^2 is constant on each squared-norm shell rho, so the component's
+    ``shell_energy`` is weighted by (4 pi^2 rho)^sigma.  Exact for every
+    sigma.  The weighted terms are summed by numpy's pairwise summation, in a
+    fixed order, not by a BLAS dot, so the bits do not depend on the number of
+    BLAS threads; on the benchmark's components they lie within 2 ulp of
+    ``math.fsum`` of the same terms (``np.einsum`` strays by up to 19).
+    """
+    rho, energy = shell_energy(comp.factor_ids, n)
+    weight = rho.astype(np.float64)
+    weight *= 4.0 * math.pi**2
+    weight **= sigma
+    weight *= energy
+    return comp.amplitude**2 * float(weight.sum())
 
 
 # ---------------------------------------------------------------------------

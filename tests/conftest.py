@@ -6,7 +6,7 @@ import pytest
 
 from anovaselect import lattice
 from anovaselect.extremal import GridSpec, order_weights
-from anovaselect.lattice import DimensionSpec, shell_convolve
+from anovaselect.lattice import DimensionSpec
 from anovaselect.selector import (
     SelectorConfig,
     build_selector_config,
@@ -14,7 +14,7 @@ from anovaselect.selector import (
     observation_stream,
     threshold,
 )
-from anovaselect.signals import coeff_vector, product_coeff, quadrature_for
+from anovaselect.signals import product_coeff, quadrature_for
 
 
 def brute_ball(k, radius):
@@ -101,16 +101,9 @@ def shell_active_stats(engine, comp, rng, size):
 
     Weights are constant on each squared-norm shell, so the shell sum of
     (mu_l + xi_l)^2 is noncentral chi2(N_rho, lam_rho) with lam_rho the shell
-    sum of mu_l^2 = (theta_l / eps)^2.  theta^2 factorises over coordinates,
-    so lam is the shell convolution of each factor's mass c(l)^2 + c(-l)^2.
+    sum of mu_l^2 = (theta_l / eps)^2, which ``engine.shell_lam`` gives.
     """
-    n = engine.truncation
-    masses = []
-    for fid in comp.factor_ids:
-        vec = coeff_vector(fid, n)
-        masses.append(vec[n + 1 :] ** 2 + vec[:n][::-1] ** 2)
-    per_shell = shell_convolve(masses, int(engine.rho[-1]) + 1)[engine.rho]
-    lam = (comp.amplitude / engine.epsilon) ** 2 * per_shell
+    lam = engine.shell_lam(comp)
     counts = engine.counts
     q = rng.noncentral_chisquare(counts, lam, size=(size, len(counts))) - counts
     return q @ engine.W.T
@@ -151,7 +144,7 @@ def bench_k1_config():
     return build_selector_config(dim, M=20)
 
 
-def manual_config(d, r_by_order, epsilon, sigma=1.0, M=1, trunc_pad=2):
+def manual_config(d, r_by_order, epsilon, sigma=1.0, trunc_pad=2):
     """Hand-assembled selector config with fixed (uncalibrated) radii.
 
     Lets tests pin tiny supports at extreme noise levels where the grid
@@ -161,23 +154,15 @@ def manual_config(d, r_by_order, epsilon, sigma=1.0, M=1, trunc_pad=2):
     matrices = {}
     thresholds = {}
     trunc = {}
-    eps_hats = {}
     for k, radii in r_by_order.items():
         profs, matrices[k] = order_weights(radii, k, sigma, epsilon)
         profiles[k] = profs
-        eps_hats[k] = epsilon_hat(d, k)
-        thresholds[k] = threshold(d, k, max(len(profs), 1), eps_hats[k])
+        thresholds[k] = threshold(d, k, max(len(profs), 1), epsilon_hat(d, k))
         trunc[k] = max(p.max_abs_coord for p in profs) + trunc_pad
     n_profiles = max(len(v) for v in profiles.values())
     betas = tuple((m + 1) / (n_profiles + 1) for m in range(n_profiles))
-    grid = GridSpec(
-        M=n_profiles,
-        betas=betas,
-        targets={k: tuple(p.a_value for p in v) for k, v in profiles.items()},
-        r_stars={k: tuple(p.source_r for p in v) for k, v in profiles.items()},
-        a_values={k: tuple(p.a_value for p in v) for k, v in profiles.items()},
-        eps_hat=eps_hats,
-    )
+    a_values = {k: tuple(p.a_value for p in v) for k, v in profiles.items()}
+    grid = GridSpec(betas=betas, targets=a_values, a_values=a_values)
     dim = DimensionSpec(d=d, s=max(r_by_order), beta=0.5, sigma=sigma, epsilon=epsilon)
     return SelectorConfig(
         dim=dim,

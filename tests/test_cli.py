@@ -174,8 +174,9 @@ class TestValidation:
         [
             ("table1", "d_list =", "d_list must hold at least one value"),
             ("calibrate", "k_list = 1,5", "k=5 exceeds the configured maximal order s=4"),
+            ("calibrate", "d = 3\ns = 3", "s = 3 lies outside [1, d) (d = 3)"),
         ],
-        ids=["table1-d_list", "calibrate-k_list"],
+        ids=["table1-d_list", "calibrate-k_list", "calibrate-s"],
     )
     def test_bad_list_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, line, message
@@ -260,9 +261,9 @@ class TestCalibrate:
         dim = DimensionSpec(d=12, s=2, beta=0.6, sigma=1.0, epsilon=0.01)
         config = build_selector_config(dim, M=3, calibration="asymptotic", truncation="rule")
         for k in (1, 2):
-            for m, (r, target) in enumerate(zip(config.grid.r_stars[k], config.grid.targets[k])):
-                a_value = a_exact(r, k, 1.0, 0.01)
-                assert config.grid.a_values[k][m] == config.profiles[k][m].a_value == a_value
+            for m, (prof, target) in enumerate(zip(config.profiles[k], config.grid.targets[k])):
+                a_value = a_exact(prof.source_r, k, 1.0, 0.01)
+                assert config.grid.a_values[k][m] == prof.a_value == a_value
                 residual = rows[k, m + 1][header.index("residual")]
                 assert residual == cli._fmt(abs(a_value - target) / target)
                 assert float(residual) > 1e-3

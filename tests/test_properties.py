@@ -1,7 +1,7 @@
 """Property tests: lattice shells, lattice balls, shell convolution, subset
 ranks, weight normalisation, the inactive-rank pool and the substream key
 derivation against brute force or numpy's SeedSequence over generated inputs,
-and the monotonicity of the statistic means in the signal."""
+and the monotonicity of the statistic means in the signal amplitude."""
 
 import itertools
 import math
@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_coords, brute_ball, brute_lattice, engine_ball
+from conftest import ball_coords, brute_ball, brute_lattice
 
 from anovaselect import lattice
 from anovaselect.extremal import admissible_r_max, weights
 from anovaselect.lattice import Subset, shell_convolve, shell_counts, subset_rank
 from anovaselect.risk import _OrderEngine, _inactive_ranks
 from anovaselect.selector import substream
+from anovaselect.signals import N_FACTORS, ComponentSpec
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -188,17 +189,19 @@ def test_negative_key_part_rejected(seed, key, where, negative):
 
 
 @FAST
-@given(k=st.integers(1, 2), data=st.data(), scale=st.floats(1.0, 1e3))
-def test_scaling_the_means_up_never_lowers_a_mean_stat(tiny_config, k, data, scale):
-    # E S_m = sum omega mu^2 with omega >= 0: every term grows with |mu|
+@given(
+    k=st.integers(1, 2),
+    factor_ids=st.lists(st.integers(1, N_FACTORS), min_size=2, max_size=2),
+    amplitude=st.floats(1e-3, 1e3),
+    scale=st.floats(1.0, 1e3),
+)
+def test_scaling_the_means_up_never_lowers_a_mean_stat(
+    tiny_config, k, factor_ids, amplitude, scale
+):
+    # E S_m = sum omega lam with omega >= 0 and lam growing with the amplitude
     engine = _OrderEngine(tiny_config, k)
     assert (engine.W >= 0.0).all()
-    _, shell = engine_ball(engine)
-    points = len(shell)
-    mu = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=points,
-                                     max_size=points)))
-    split = data.draw(st.integers(0, points))
-    halves = (shell[:split], shell[split:])
-    before = engine.mean_stats(zip(halves, [mu[:split], mu[split:]]))
-    after = engine.mean_stats(zip(halves, [scale * mu[:split], scale * mu[split:]]))
+    comp = ComponentSpec(Subset(tuple(range(1, k + 1))), factor_ids[:k], amplitude)
+    before = engine.W @ engine.shell_lam(comp)
+    after = engine.W @ engine.shell_lam(comp.scaled(scale))
     assert (after >= before).all()

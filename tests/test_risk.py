@@ -43,7 +43,6 @@ def decisions(mapping):
             subset: SubsetDecision(stats=(), selected=bool(sel), argmax=None)
             for subset, sel in mapping.items()
         },
-        thresholds={},
     )
 
 
@@ -389,7 +388,6 @@ class TestAttenuation:
                     J=5,
                     seed=29,
                     mode="full",
-                    alpha=alpha,
                 )
                 assert rep.per_cycle_losses == solo.per_cycle_losses
                 assert rep.err == solo.err

@@ -121,11 +121,11 @@ class TestWeightMatrix:
         for k in bench_config.orders():
             W = bench_config.weight_matrix[k]
             expected = np.zeros(W.shape)
-            for m, r in enumerate(bench_config.grid.r_stars[k]):
-                prof = extremal_sequence(r, k, sigma)
-                a_value = a_exact(r, k, sigma, eps, profile=prof)
+            for m, weight_prof in enumerate(bench_config.profiles[k]):
+                prof = extremal_sequence(weight_prof.source_r, k, sigma)
+                a_value = a_exact(weight_prof.source_r, k, sigma, eps, profile=prof)
                 expected[m, : len(prof.rho)] = prof.theta_sq * (1.0 / (2.0 * eps * eps * a_value))
-                assert bench_config.profiles[k][m].a_value == a_value
+                assert weight_prof.a_value == a_value
             assert W.tobytes() == expected.tobytes()
 
 
@@ -269,7 +269,8 @@ class TestSelect:
 
     def test_threshold_identity(self, tiny_config, tiny_dim):
         for k, t in tiny_config.thresholds.items():
-            rebuilt = threshold(tiny_dim.d, k, tiny_config.grid.M, tiny_config.grid.eps_hat[k])
+            M = len(tiny_config.grid.betas)
+            rebuilt = threshold(tiny_dim.d, k, M, epsilon_hat(tiny_dim.d, k))
             assert abs(t - rebuilt) <= 1e-12 * rebuilt
 
     def test_order_without_grid_rejected(self, tiny_config):
@@ -421,13 +422,33 @@ class TestShellFastPathConsistency:
     def test_mean_stats_identity(self, tiny_config):
         comp = ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.7)
         engine = _OrderEngine(tiny_config, 2)
-        means = engine.mean_stats(engine.component_means(comp))
+        means = engine.W @ engine.shell_lam(comp)
         for m, prof in enumerate(tiny_config.profiles[2]):
             coords, shell = ball_coords(2, float(prof.rho[-1]) + 0.5)
             omega = prof.values[shell]
             theta = np.array([product_coeff(comp, c) for c in coords.tolist()])
             expected = float(omega @ (theta / 0.01) ** 2)
             assert means[m] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "config_name,k,comp",
+        [
+            ("tiny_config", 1, ComponentSpec(Subset((4,)), (3,), amplitude=0.4)),
+            ("tiny_config", 2, ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.7)),
+            ("k4_config", 4, ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))),
+        ],
+        ids=["k1", "k2", "k4"],
+    )
+    def test_shell_lam_matches_ball_walk(self, request, config_name, k, comp):
+        # the shell energies give the means the ball walk's per-point
+        # squares give; at k = 1 the energies sit on root-indexed shells
+        engine = _OrderEngine(request.getfixturevalue(config_name), k)
+        lam = engine.shell_lam(comp)
+        assert lam.shape == engine.rho.shape and (lam > 0.0).all()
+        _, shell = engine_ball(engine)
+        mu = engine_means(engine, comp)
+        walked = engine.W @ np.bincount(shell, mu * mu, minlength=len(engine.rho))
+        np.testing.assert_allclose(engine.W @ lam, walked, rtol=1e-12, atol=0.0)
 
     def test_point_path_matches_shell_oracle_in_distribution(self, bench_k1_config):
         # per-point active draws against noncentral chi-square draws per shell

@@ -14,7 +14,6 @@ from anovaselect import signals
 from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset
 from anovaselect.selector import PRESET_TRUNCATION
 from anovaselect.signals import (
-    CoefficientTable,
     ComponentSpec,
     QuadratureSpec,
     SparsityPattern,
@@ -25,6 +24,8 @@ from anovaselect.signals import (
     orthogonality_check,
     product_coeff,
     quadrature_for,
+    shell_energy,
+    sobolev_norm,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -221,32 +222,47 @@ class TestProductCoeff:
 
 
 class TestCoefficientTable:
+    """The box's coefficients in factored form: shell energies and norms."""
+
     def test_factored_matches_product_coeff(self):
-        comp = ComponentSpec(Subset((1, 3)), (2, 7), amplitude=0.8)
-        table = CoefficientTable.from_component(comp, 12)
-        for coords in [(1, 1), (-5, 9), (12, -12)]:
-            factored = table.amplitude * math.prod(
-                vec[l + table.n] for vec, l in zip(table.factors, coords)
-            )
-            assert factored == pytest.approx(product_coeff(comp, coords), rel=1e-12)
+        # per-shell sums of the unit-amplitude squares, point by point
+        cases = [
+            (ComponentSpec(Subset((1, 3)), (2, 7), amplitude=0.8), 12),
+            (ComponentSpec(Subset((5,)), (9,)), 10),
+            (ComponentSpec(Subset((1, 2, 4)), (3, 1, 6)), 4),
+        ]
+        for comp, n in cases:
+            k = comp.subset.k
+            quad = quadrature_for(n)
+            brute: dict[int, float] = {}
+            for coords in box_points(k, n):
+                rho = sum(v * v for v in coords)
+                square = (product_coeff(comp, coords, quad=quad) / comp.amplitude) ** 2
+                brute[rho] = brute.get(rho, 0.0) + square
+            rho, energy = shell_energy(comp.factor_ids, n)
+            assert rho.dtype == np.int64
+            if k == 1:
+                assert rho.tolist() == [l * l for l in range(1, n + 1)]
+            else:
+                assert rho.tolist() == list(range(k * n * n + 1))
+            got = dict(zip(rho.tolist(), energy.tolist()))
+            assert {r for r, e in got.items() if e != 0.0} == set(brute)
+            for r, value in brute.items():
+                assert got[r] == pytest.approx(value, rel=1e-12)
 
     def test_l2_norm_matches_bruteforce(self):
         comp = ComponentSpec(Subset((1, 2)), (4, 6))
-        table = CoefficientTable.from_component(comp, 8)
         quad = quadrature_for(8)
         brute = sum(product_coeff(comp, c, quad=quad) ** 2 for c in box_points(2, 8))
-        assert table.sobolev_norm(0.0) == pytest.approx(brute, rel=1e-12)
+        assert sobolev_norm(comp, 8, 0.0) == pytest.approx(brute, rel=1e-12)
 
     def test_sobolev_norm_examples(self):
         comp = ComponentSpec(Subset((3,)), (4,))
-        single = CoefficientTable.from_component(comp, 5)
-        doubled = CoefficientTable.from_component(comp.scaled(2.0), 5)
-        assert doubled.sobolev_norm(1.0) == pytest.approx(
-            4 * single.sobolev_norm(1.0), rel=1e-12
-        )
+        single = sobolev_norm(comp, 5, 1.0)
+        assert sobolev_norm(comp.scaled(2.0), 5, 1.0) == pytest.approx(4 * single, rel=1e-12)
         # g4 = t - 1/2 has only sine coefficients -sqrt(2)/(2 pi l), so each
         # frequency contributes (4 pi^2 l^2) * 2 / (4 pi^2 l^2) = 2 at sigma = 1
-        assert single.sobolev_norm(1.0) == pytest.approx(2.0 * 5, rel=1e-9)
+        assert single == pytest.approx(2.0 * 5, rel=1e-9)
 
     def test_sobolev_separable_path_matches_bruteforce(self):
         cases = [
@@ -255,7 +271,6 @@ class TestCoefficientTable:
             (ComponentSpec(Subset((1, 2, 5)), (1, 8, 3)), 4),
         ]
         for comp, n in cases:
-            table = CoefficientTable.from_component(comp, n)
             quad = quadrature_for(n)
             for sigma in (0.5, 1.0, 2.0):
                 brute = sum(
@@ -263,15 +278,15 @@ class TestCoefficientTable:
                     * (4 * math.pi**2 * sum(v * v for v in c)) ** sigma
                     for c in box_points(comp.subset.k, n)
                 )
-                assert table.sobolev_norm(sigma) == pytest.approx(brute, rel=1e-12)
+                assert sobolev_norm(comp, n, sigma) == pytest.approx(brute, rel=1e-12)
 
     def test_sobolev_norm_memory_below_three_tables(self):
         # k = 1, n = 622: the sum runs over the n roots, so no (n^2 + 1)-entry
         # array is built at all
         n = PRESET_TRUNCATION[1]
         comp = build_pattern(bench_spec(50)).active(1)[0]
-        table = CoefficientTable.from_component(comp, n)
-        _, peak = traced_peak(table.sobolev_norm, 1.0)
+        coeff_vector(comp.factor_ids[0], n)  # memoised before the trace
+        _, peak = traced_peak(sobolev_norm, comp, n, 1.0)
         assert peak < 3 * 8 * (n * n + 1)
 
     def test_ellipsoid_memberships_match_audit_fixture(self):
@@ -281,12 +296,11 @@ class TestCoefficientTable:
             expected = [(int(row["k"]), row["value"]) for row in csv.DictReader(fh)
                         if row["check"] == "ellipsoid_membership"]
         pattern = build_pattern(bench_spec(50))
-        tables = [
-            (k, CoefficientTable.from_component(comp, PRESET_TRUNCATION[k]))
+        got = [
+            (k, f"{sobolev_norm(comp, PRESET_TRUNCATION[k], 1.0):.12g}")
             for k in sorted(pattern.counts())
             for comp in pattern.active(k)
         ]
-        got = [(k, f"{table.sobolev_norm(1.0):.12g}") for k, table in tables]
         assert len(expected) == 14
         assert got == expected
 
@@ -297,14 +311,14 @@ class TestCoefficientTable:
             "import hashlib\n"
             "from anovaselect.lattice import DimensionSpec\n"
             "from anovaselect.selector import PRESET_TRUNCATION\n"
-            "from anovaselect.signals import CoefficientTable, build_pattern\n"
+            "from anovaselect.signals import build_pattern, sobolev_norm\n"
             "pattern = build_pattern(DimensionSpec(50, 4, 0.87, 1.0, 5e-5))\n"
             "h = hashlib.sha256()\n"
             "for k in sorted(pattern.counts()):\n"
             "    for comp in pattern.active(k):\n"
-            "        table = CoefficientTable.from_component(comp, PRESET_TRUNCATION[k])\n"
             "        for sigma in (0.5, 1.0, 2.0):\n"
-            "            h.update(repr(table.sobolev_norm(sigma)).encode())\n"
+            "            value = sobolev_norm(comp, PRESET_TRUNCATION[k], sigma)\n"
+            "            h.update(repr(value).encode())\n"
             "print(h.hexdigest())\n"
         )
         digests = digests_under_blas_threads(script)
@@ -313,9 +327,8 @@ class TestCoefficientTable:
     def test_sobolev_norm_order_four_box(self):
         # the k = 4, n = 36 box holds 26.9M entries; the shell sum never builds it
         comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
-        table = CoefficientTable.from_component(comp, 36)
-        value = table.sobolev_norm(2.0)
-        assert math.isfinite(value) and value > table.sobolev_norm(1.0) > 0.0
+        value = sobolev_norm(comp, 36, 2.0)
+        assert math.isfinite(value) and value > sobolev_norm(comp, 36, 1.0) > 0.0
 
 
 def box_points(k, n):
