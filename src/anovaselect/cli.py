@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -29,8 +28,6 @@ from .selector import build_selector_config, null_stat_batches, tail_bound_audit
 from .signals import build_pattern, has_benchmark_bank, sobolev_norm
 
 import numpy as np
-
-ENV_PREFIX = "ANOVASELECT_"
 
 # Results at the benchmark scale are seed-level reproductions; this default is
 # the documented seed for the shipped tables (see README on reproducibility).
@@ -55,7 +52,6 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
     "out": ("str", "out", None),
     "mode": ("str", "pool", ("full", "pool")),
     "pool_size": ("int", 2000, "[0, inf)"),
-    "threads": ("int", 0, "[0, inf)"),
     "quiet": ("bool", False, None),
     "cycles": ("int", 15, "[1, inf)"),
     "alpha": ("float", 1.0, "(0, inf)"),
@@ -152,7 +148,7 @@ def _check_allowed(key: str, cfg: dict) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> dict[str, object]:
-    """Defaults < subcommand defaults < config file < environment < flags.
+    """Defaults < subcommand defaults < config file < ``--seed``, ``--out``, ``--quiet``.
 
     Every key is then checked against its allowed values in ``_KEY_SPECS``.
     """
@@ -160,11 +156,7 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     cfg.update(_SUBCOMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
         cfg.update(read_config_file(args.config))
-    for key in _KEY_SPECS:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            cfg[key] = _parse_value(key, env)
-    for flag in ("seed", "out", "mode", "pool_size", "threads"):
+    for flag in ("seed", "out"):
         value = getattr(args, flag, None)
         if value is not None:
             cfg[flag] = value
@@ -233,6 +225,9 @@ def run_table1(cfg: dict):
     itself (which pins three two-way components for every d); elsewhere they
     follow the rounding rule round(C(d,k)^(1-beta)).
     """
+    d_min = min(cfg["d_list"])
+    if cfg["k_max"] > d_min:
+        raise ValueError(f"k_max = {cfg['k_max']} exceeds d = {d_min} in d_list")
     rows = []
     for d in cfg["d_list"]:
         bank = None
@@ -262,7 +257,6 @@ def run_table2(cfg: dict):
         seed=cfg["seed"],
         mode=cfg["mode"],
         pool_inactive=cfg["pool_size"],
-        threads=cfg["threads"],
     )
     header = ["alpha", "err", "false_positives"] + _loss_header(cfg["cycles"])
     rows = [
@@ -285,7 +279,6 @@ def run_risk(cfg: dict):
         seed=cfg["seed"],
         mode=cfg["mode"],
         pool_inactive=cfg["pool_size"],
-        threads=cfg["threads"],
     )
     header = ["alpha", "err", "false_positives", "misses"] + _loss_header(cfg["cycles"])
     rows = [[cfg["alpha"], report.err, report.false_positives, report.misses,
@@ -355,12 +348,11 @@ def run_audit(cfg: dict):
     k_a = cfg["audit_k"]
     m_a = cfg["audit_m"] or (len(config.grid.betas) + 1) // 2
     prof = config.profiles[k_a][m_a - 1]
-    moments = _null_moments(prof, cfg["trials_null"], cfg["seed"], cfg["threads"])
+    moments = _null_moments(prof, cfg["trials_null"], cfg["seed"])
     rows.append(["null_mean", k_a, m_a, moments[0], 0.02, abs(moments[0]) <= 0.02])
     rows.append(["null_var", k_a, m_a, moments[1], 0.05, abs(moments[1] - 1.0) <= 0.05])
 
-    audit = tail_bound_audit(cfg["tail_t"], cfg["trials_tail"], cfg["seed"], prof,
-                             threads=cfg["threads"])
+    audit = tail_bound_audit(cfg["tail_t"], cfg["trials_tail"], cfg["seed"], prof)
     slack_bound = math.exp(-cfg["tail_t"] ** 2 / 2.0 * 0.8)
     rows.append(["tail_upper", k_a, m_a, audit.empirical_upper, audit.reference,
                  audit.empirical_upper <= slack_bound])
@@ -376,11 +368,11 @@ def run_audit(cfg: dict):
     return header, rows
 
 
-def _null_moments(profile, trials: int, seed: int, threads: int):
+def _null_moments(profile, trials: int, seed: int):
     """Sample mean and variance of the null statistic over `trials` draws."""
     total = 0.0
     total_sq = 0.0
-    for s in null_stat_batches(profile, trials, seed, offset=1_000_000, threads=threads):
+    for s in null_stat_batches(profile, trials, seed, offset=1_000_000):
         total += float(s.sum())
         total_sq += float((s * s).sum())
     mean = total / trials
@@ -411,12 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flat key = value configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--mode", choices=("full", "pool"), default=None,
-                       help="subset enumeration mode")
-        p.add_argument("--pool-size", dest="pool_size", type=int, default=None,
-                       help="inactive subsets sampled per order in pool mode")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads of risk, table2 and audit (0 = auto)")
         p.add_argument("--quiet", action="store_true", help="do not print the final 'wrote ...' line")
     return parser
 

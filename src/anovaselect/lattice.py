@@ -83,8 +83,8 @@ class DimensionSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d}")
-        if not 1 <= self.s <= self.d:
-            raise ValueError(f"s must satisfy 1 <= s <= d, got s={self.s}, d={self.d}")
+        if not 1 <= self.s < self.d:
+            raise ValueError(f"s must satisfy 1 <= s < d, got s={self.s}, d={self.d}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not 0.0 < self.sigma < math.inf:

@@ -26,9 +26,11 @@ subsets, :func:`select` sees exactly the draws of the matching risk cycle,
 and re-running a single subset (as the attenuation experiment does)
 reproduces exactly what a full rerun would see.  The risk driver runs each
 active component and each block of inactive ranks as one job on the worker
-pool of ``selector._run_jobs``, which also runs the audit's batches; the
-jobs' counts add into per-cycle misses and per-order, per-cycle false
-positives, from which one function builds every :class:`RiskReport`.
+pool of ``selector._run_jobs``, which also runs the audit's batches and has
+one thread per CPU this process may run on, at most 8 (``taskset`` sets
+fewer); the jobs' counts add, in job order, into per-cycle misses and
+per-order, per-cycle false positives, from which one function builds every
+:class:`RiskReport`, so no result depends on the worker count.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
 tables, ball tails) are memoised where they are computed.
@@ -293,7 +295,6 @@ def _run_cycles(
     seed: int,
     mode: str,
     pool_inactive: int,
-    threads: int,
     skip_subsets: frozenset[Subset] = frozenset(),
 ) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int], dict[int, _OrderEngine]]:
     """Shared cycle driver.
@@ -301,9 +302,10 @@ def _run_cycles(
     Every active component and every block of inactive ranks is one
     ``(block function, arguments)`` job with a tally: an active block's miss
     indicators add into the per-cycle miss tally, a null block's counts into
-    its order's per-cycle false-positive tally.  The jobs run on ``threads``
-    workers (0 = auto), all submitted at once so that no worker idles behind
-    a long active block, and their counts are added in job order.  Returns
+    its order's per-cycle false-positive tally.  The jobs run on the worker
+    pool of ``selector._run_jobs``, all submitted at once so that no worker
+    idles behind a long active block, and their counts are added in job
+    order, so no result depends on the worker count.  Returns
     (miss_per_cycle, fp_per_cycle_by_k, n_inactive, engines).  The ball tail
     of every order with an active job is built here, on the calling thread,
     before any draw: workers only read it from the cache, and a
@@ -350,7 +352,7 @@ def _run_cycles(
             jobs.append((_null_block, (engine, block, J, seed)))
             tallies.append(fp[k])
 
-    for counts, tally in zip(_run_jobs(jobs, threads), tallies):
+    for counts, tally in zip(_run_jobs(jobs), tallies):
         tally += counts
     return miss, fp, n_inactive, engines
 
@@ -386,7 +388,6 @@ def estimate_risk(
     seed: int,
     mode: str = "pool",
     pool_inactive: int = 2000,
-    threads: int = 0,
 ) -> RiskReport:
     """Estimate the Hamming risk over J independent simulation cycles.
 
@@ -395,7 +396,7 @@ def estimate_risk(
     false-positive rate observed on the pool is extrapolated to the full
     subset population in the report.
     """
-    miss, fp, n_inactive, _ = _run_cycles(pattern, config, J, seed, mode, pool_inactive, threads)
+    miss, fp, n_inactive, _ = _run_cycles(pattern, config, J, seed, mode, pool_inactive)
     return _report(pattern, miss, fp, n_inactive, None)
 
 
@@ -407,7 +408,6 @@ def attenuation_experiment(
     seed: int,
     mode: str = "pool",
     pool_inactive: int = 2000,
-    threads: int = 0,
 ) -> list[RiskReport]:
     """Hamming risk as one first-order component is attenuated by alpha.
 
@@ -426,7 +426,7 @@ def attenuation_experiment(
     designated = firsts[0]
     rank = subset_rank(designated.subset, pattern.d)
     base_miss, fp, n_inactive, engines = _run_cycles(
-        pattern, config, J, seed, mode, pool_inactive, threads,
+        pattern, config, J, seed, mode, pool_inactive,
         skip_subsets=frozenset({designated.subset}),
     )
     reports = []

@@ -33,12 +33,14 @@ The tail audit and the null moments draw S = sum omega Q in batches of
 ``BATCH_ROWS`` rows, and batch ``idx`` owns the audit substream ``offset + idx``,
 so batches are independent and may run in any order.  ``null_stat_batches``
 runs them through :func:`_run_jobs`, the one worker pool that also runs the
-risk driver's blocks, and yields their S vectors in batch order, so callers
-sum in a fixed order.  Each batch draws its stream in row blocks of at most
-``lattice.BLOCK_ENTRIES`` entries, 512 kB of float64 (numpy fills C-order rows
-from one stream, so the variates are those of one call), and reduces each
-block with ``np.einsum("ij,j->i", ...)``: a fixed-order loop per row, with no
-BLAS, so the S bits depend neither on the block size nor on the CPU count.
+risk driver's blocks, with one thread per CPU in the process's affinity set
+(at most 8; ``taskset`` sets fewer), and yields their S vectors in batch
+order, so callers sum in a fixed order.  Each batch draws its stream in row
+blocks of at most ``lattice.BLOCK_ENTRIES`` entries, 512 kB of float64 (numpy
+fills C-order rows from one stream, so the variates are those of one call),
+and reduces each block with ``np.einsum("ij,j->i", ...)``: a fixed-order loop
+per row, with no BLAS, so the S bits depend neither on the block size nor on
+the CPU count.
 """
 
 from __future__ import annotations
@@ -356,15 +358,11 @@ def null_shell_draw(rng: np.random.Generator, counts: np.ndarray, size: int) -> 
     return q
 
 
-def _resolve_threads(threads: int) -> int:
-    """Worker count; 0 means the CPUs this process may run on, at most 8."""
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-    if threads == 0:
-        if hasattr(os, "sched_getaffinity"):
-            return min(8, len(os.sched_getaffinity(0)))
-        return min(8, os.cpu_count() or 1)
-    return threads
+def _resolve_threads() -> int:
+    """Worker count: the CPUs this process may run on, at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
+    return min(8, os.cpu_count() or 1)
 
 
 def _run_job(job: tuple[Callable, tuple]) -> object:
@@ -372,11 +370,12 @@ def _run_job(job: tuple[Callable, tuple]) -> object:
     return fn(*args)
 
 
-def _run_jobs(jobs: Iterable[tuple[Callable, tuple]], threads: int) -> Iterator:
-    """Results of ``(function, arguments)`` jobs, in job order, run on ``threads``
-    workers (0 = auto).  Every job is submitted at once; closing the iterator
-    cancels the jobs not yet started and waits for the running ones."""
-    with ThreadPoolExecutor(_resolve_threads(threads)) as pool:
+def _run_jobs(jobs: Iterable[tuple[Callable, tuple]]) -> Iterator:
+    """Results of ``(function, arguments)`` jobs, in job order, run on one worker
+    thread per CPU this process may run on, at most 8.  Every job is submitted
+    at once; closing the iterator cancels the jobs not yet started and waits
+    for the running ones."""
+    with ThreadPoolExecutor(_resolve_threads()) as pool:
         yield from pool.map(_run_job, jobs)
 
 
@@ -392,15 +391,15 @@ def _batch_stats(w: WeightProfile, seed: int, stream: int, size: int) -> np.ndar
 
 
 def null_stat_batches(
-    w: WeightProfile, trials: int, seed: int, offset: int, threads: int = 0
+    w: WeightProfile, trials: int, seed: int, offset: int
 ) -> Iterator[np.ndarray]:
     """Yield ``trials`` null draws of S = sum omega Q, in batches of <= ``BATCH_ROWS``.
 
     Batch idx draws from the audit substream ``offset + idx``, so callers with
     disjoint offsets get independent samples and reruns are bit-identical.
-    Batches run on ``threads`` workers (0 = auto) and come out in batch order.
-    Closing the generator cancels the batches not yet started.  ``trials``
-    must be >= 1; the check runs at the first draw.
+    Batches run on the worker pool of :func:`_run_jobs` and come out in batch
+    order.  Closing the generator cancels the batches not yet started.
+    ``trials`` must be >= 1; the check runs at the first draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -408,7 +407,7 @@ def null_stat_batches(
         (_batch_stats, (w, seed, offset + idx, min(BATCH_ROWS, trials - start)))
         for idx, start in enumerate(range(0, trials, BATCH_ROWS))
     ]
-    yield from _run_jobs(jobs, threads)
+    yield from _run_jobs(jobs)
 
 
 @dataclass(frozen=True)
@@ -420,9 +419,7 @@ class TailAudit:
     regime_ok: bool
 
 
-def tail_bound_audit(
-    T: float, trials: int, seed: int, w: WeightProfile, threads: int = 0
-) -> TailAudit:
+def tail_bound_audit(T: float, trials: int, seed: int, w: WeightProfile) -> TailAudit:
     """Estimate P0(S > T) and compare with exp(-T^2/2).
 
     The bound is asymptotic and only meaningful while T * max omega stays
@@ -432,7 +429,7 @@ def tail_bound_audit(
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
     upper_hits = 0
-    for stats in null_stat_batches(w, trials, seed, 0, threads):
+    for stats in null_stat_batches(w, trials, seed, 0):
         upper_hits += int(np.count_nonzero(stats > T))
     return TailAudit(
         empirical_upper=upper_hits / trials,

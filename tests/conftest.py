@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,11 @@ from anovaselect.selector import (
     threshold,
 )
 from anovaselect.signals import product_coeff, quadrature_for
+
+
+def fake_cpus(monkeypatch, n):
+    """Let this process run on ``n`` CPUs, as ``taskset`` would, for the worker pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def brute_ball(k, radius):

@@ -1,7 +1,10 @@
+import argparse
 import re
 from pathlib import Path
 
 import pytest
+
+from conftest import fake_cpus
 
 from anovaselect import cli, lattice
 from anovaselect.cli import build_parser, main, read_config_file, resolve_config, write_csv
@@ -76,6 +79,16 @@ class TestConfigHandling:
         documented = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
         assert documented == set(cli._KEY_SPECS)
 
+    def test_readme_synopsis_lists_every_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        synopsis = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+        documented = set(re.findall(r"--[\w-]+", synopsis))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for parser in sub.choices.values() for action in parser._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        assert documented == flags - {"--help"}
+
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "dee = 5\n")
         with pytest.raises(ValueError, match="unknown config key"):
@@ -111,13 +124,13 @@ class TestConfigHandling:
         assert run(["risk", "--config", path, "--out", str(out), "--quiet"]) == 3
         assert not (out / "risk.csv").exists()
 
-    def test_env_override_and_flag_precedence(self, tmp_path, monkeypatch):
+    def test_environment_ignored_and_flag_precedence(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, SMALL_RISK_CFG)
         out_env = tmp_path / "env"
         monkeypatch.setenv("ANOVASELECT_SEED", "9")
         assert run(["risk", "--config", cfg, "--out", str(out_env), "--quiet"]) == 0
         manifest = (out_env / "risk_manifest.txt").read_text()
-        assert "seed = 9" in manifest
+        assert "seed = 5" in manifest
         out_flag = tmp_path / "flag"
         assert (
             run(["risk", "--config", cfg, "--out", str(out_flag), "--seed", "4", "--quiet"])
@@ -150,7 +163,6 @@ class TestValidation:
             "s = 13",
             "grid_m = 1",
             "cycles = 0",
-            "threads = -1",
             "seed = -3",
             "mode = everything",
             "calibration = fast",
@@ -175,8 +187,9 @@ class TestValidation:
             ("table1", "d_list =", "d_list must hold at least one value"),
             ("calibrate", "k_list = 1,5", "k=5 exceeds the configured maximal order s=4"),
             ("calibrate", "d = 3\ns = 3", "s = 3 lies outside [1, d) (d = 3)"),
+            ("table1", "d_list = 50,3\nk_max = 5", "k_max = 5 exceeds d = 3 in d_list"),
         ],
-        ids=["table1-d_list", "calibrate-k_list", "calibrate-s"],
+        ids=["table1-d_list", "calibrate-k_list", "calibrate-s", "table1-k_max"],
     )
     def test_bad_list_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, line, message
@@ -396,7 +409,7 @@ class TestBoundaryAndAudit:
                     and row[0] not in ("ellipsoid_membership", "tail_regime")]
         assert failures == []
 
-    def test_audit_bytes_independent_of_threads(self, tmp_path):
+    def test_audit_bytes_independent_of_threads(self, tmp_path, monkeypatch):
         # several 20000-row batches per sample, summed in batch order
         cfg = write_config(
             tmp_path,
@@ -404,9 +417,9 @@ class TestBoundaryAndAudit:
             "trials_null = 50000\ntrials_tail = 70000\n",
         )
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            args = ["audit", "--config", cfg, "--threads", threads, "--out", str(out), "--quiet"]
-            assert run(args) == 0
+        for cpus in (1, 2):
+            fake_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert run(["audit", "--config", cfg, "--out", str(out), "--quiet"]) == 0
             outputs.append((out / "audit.csv").read_bytes())
         assert outputs[0] == outputs[1]

@@ -313,6 +313,7 @@ class TestDimensionSpec:
             dict(d=5, s=2, beta=0.5, sigma=math.nan, epsilon=0.1),
             dict(d=5, s=2, beta=0.5, sigma=math.inf, epsilon=0.1),
             dict(d=5, s=2, beta=math.nan, sigma=1.0, epsilon=0.1),
+            dict(d=5, s=5, beta=0.5, sigma=1.0, epsilon=0.1),
         ],
     )
     def test_invalid(self, kwargs):

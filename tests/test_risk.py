@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import engine_ball, manual_config
+from conftest import engine_ball, fake_cpus, manual_config
 
 from anovaselect import lattice, risk
 from anovaselect.errors import CapacityError
@@ -91,9 +91,11 @@ def noisy_config(tiny_config):
 
 
 class TestEstimateRisk:
-    def test_bit_reproducible(self, small_pattern, tiny_config):
-        a = estimate_risk(small_pattern, tiny_config, J=4, seed=77, mode="full", threads=1)
-        b = estimate_risk(small_pattern, tiny_config, J=4, seed=77, mode="full", threads=2)
+    def test_bit_reproducible(self, small_pattern, tiny_config, monkeypatch):
+        fake_cpus(monkeypatch, 1)
+        a = estimate_risk(small_pattern, tiny_config, J=4, seed=77, mode="full")
+        fake_cpus(monkeypatch, 2)
+        b = estimate_risk(small_pattern, tiny_config, J=4, seed=77, mode="full")
         assert a.per_cycle_losses == b.per_cycle_losses
         assert a.err == b.err
 
@@ -215,17 +217,14 @@ class TestThreadsAndBallCache:
     def test_auto_threads_follow_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert _resolve_threads(0) == 3
+        assert _resolve_threads() == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)),
                             raising=False)
-        assert _resolve_threads(0) == 8
+        assert _resolve_threads() == 8
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert _resolve_threads(0) == 8
+        assert _resolve_threads() == 8
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _resolve_threads(0) == 1
-        assert _resolve_threads(5) == 5
-        with pytest.raises(ValueError):
-            _resolve_threads(-1)
+        assert _resolve_threads() == 1
 
     def test_one_ball_per_active_order(self, tiny_config, monkeypatch):
         # one tail build per active order, through the cache: the attenuated
@@ -245,9 +244,8 @@ class TestThreadsAndBallCache:
             ComponentSpec(Subset((2,)), (2,)),
             ComponentSpec(Subset((1, 2)), (1, 2)),
         ])
-        attenuation_experiment(
-            [0.5, 1.0], pattern, tiny_config, J=3, seed=5, pool_inactive=20, threads=4
-        )
+        fake_cpus(monkeypatch, 4)
+        attenuation_experiment([0.5, 1.0], pattern, tiny_config, J=3, seed=5, pool_inactive=20)
         assert sorted(calls) == [1, 2]
 
 
@@ -369,8 +367,9 @@ class TestStreamedActivePath:
         monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
         monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 100_000)
         lattice._ball_tail.cache_clear()
+        fake_cpus(monkeypatch, 2)
         with pytest.raises(CapacityError, match="lattice ball for k=4"):
-            risk._run_cycles(pattern, bench_config, 2, 5, "pool", 8, threads=2)
+            risk._run_cycles(pattern, bench_config, 2, 5, "pool", 8)
         assert draws == []
 
 
@@ -473,7 +472,7 @@ class TestRegimeClassification:
 
     def test_order_equal_to_d_raises(self):
         # log C(d, d) = 0, so the ratio a(r)/sqrt(log C(d,k)) is undefined
-        spec = DimensionSpec(d=3, s=3, beta=0.5, sigma=1.0, epsilon=0.01)
+        spec = DimensionSpec(d=3, s=2, beta=0.5, sigma=1.0, epsilon=0.01)
         r = 0.5 * admissible_r_max(3, 1.0)
         with pytest.raises(ValueError, match="k=3, d=3"):
             classify_regime({3: r}, spec)
@@ -523,7 +522,7 @@ class TestBoundarySweep:
         assert codes[0] == 0 and codes[-1] == 4
 
     def test_order_equal_to_d_raises(self):
-        spec = DimensionSpec(d=3, s=3, beta=0.5, sigma=1.0, epsilon=0.01)
+        spec = DimensionSpec(d=3, s=2, beta=0.5, sigma=1.0, epsilon=0.01)
         r = 0.5 * admissible_r_max(3, 1.0)
         with pytest.raises(ValueError, match="k=3, d=3"):
             boundary_sweep(spec, [0.5], [r], [3])

@@ -10,6 +10,7 @@ from conftest import (
     dense_active_stats,
     engine_ball,
     engine_means,
+    fake_cpus,
     manual_config,
     shell_active_stats,
 )
@@ -360,8 +361,9 @@ class TestAuditBatches:
         shells = len(prof.counts)
         for entries in (7 * shells, BLOCK_ENTRIES, rows * shells):
             monkeypatch.setattr(selector, "BLOCK_ENTRIES", entries)
-            for threads in (1, 2, 4):
-                got = list(null_stat_batches(prof, trials, 3, offset, threads))
+            for cpus in (1, 2, 4):
+                fake_cpus(monkeypatch, cpus)
+                got = list(null_stat_batches(prof, trials, 3, offset))
                 assert len(got) == len(expected)
                 for a, b in zip(got, expected):
                     assert np.array_equal(a, b)
@@ -396,7 +398,8 @@ class TestAuditBatches:
             return audit_stream(seed, chunk)
 
         monkeypatch.setattr(selector, "audit_stream", recording_stream)
-        batches = null_stat_batches(prof, 200 * 20_000, 5, 0, threads=2)
+        fake_cpus(monkeypatch, 2)
+        batches = null_stat_batches(prof, 200 * 20_000, 5, 0)
         begin = time.perf_counter()
         assert len(next(batches)) == 20_000
         batches.close()
