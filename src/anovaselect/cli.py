@@ -78,8 +78,9 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
 # Manifest bookkeeping keys, ignored when a manifest is read back as a config.
 _RESERVED_KEYS = {"command", "version", "wall_time_s"}
 
-# The boundary sweep is about ratios, not the benchmark noise level; a larger
-# default epsilon keeps its supports tiny without changing any verdict logic.
+# The boundary sweep is about ratios, not the benchmark noise level.  Supports
+# do not depend on epsilon, but a(r) scales as 1/epsilon^2, so this default
+# moves every ratio and verdict of the sweep.
 _SUBCOMMAND_DEFAULTS = {"boundary": {"epsilon": 0.01}}
 
 

@@ -7,9 +7,9 @@ resource guards tripping and calibration targets that cannot be reached.
 
 
 class CapacityError(RuntimeError):
-    """A bound was exceeded: a per-shell array (``MAX_SHELL_INDEX``), the stored
-    tail of a lattice ball (``MAX_BALL_POINTS``), or the subsets of one order
-    under full enumeration (``MAX_FULL_SUBSETS``).
+    """A bound was exceeded: a per-shell array (``MAX_SHELL_INDEX``), a shell
+    count beyond int64, or the subsets of one order under full enumeration
+    (``MAX_FULL_SUBSETS``).
     """
 
 

@@ -16,21 +16,13 @@ of Z^k with every coordinate nonzero.  This module provides
   smaller ball: :func:`shell_counts` returns read-only prefix views of it,
   cut by ``searchsorted``, so the calibration's thousands of supports share
   it,
-* the ball's points for the active path, never stored whole: the
-  ball of Z^k is the lexicographic walk over leading-coordinate slabs of a
-  (k - 1)-dimensional tail, so :func:`_ball_tail` memoises the small tail
-  (the package's one cache policy: ``functools.cache`` on a pure helper that
-  returns read-only arrays) and :func:`_ball_chunks` streams the points in
-  the slab walk's own pieces of at most ``BLOCK_ENTRIES`` points, each point
-  as its lead position, tail index and shell index, so that past the
-  memoised tail no array is sized by the tail or the ball,
-* the two capacity guards of the package, each checked where its array is
-  allocated: ``MAX_SHELL_INDEX`` bounds every per-shell array that
-  :func:`shell_counts` builds, and ``MAX_BALL_POINTS`` bounds the one stored
-  array of lattice points, the tail above; ``BLOCK_ENTRIES`` is the
-  package's one block size, bounding every temporary of a blocked loop (the
-  slab walk's masks and pieces, the audit's null-draw rows and the
-  coefficient vectors' cos/sin rows) at 512 kB of float64,
+* the package's capacity guards on lattice arrays: ``MAX_SHELL_INDEX``
+  bounds every per-shell array that :func:`shell_counts` builds, and an
+  integer :func:`shell_convolve` refuses a count beyond int64;
+  ``BLOCK_ENTRIES`` is the package's one block size, bounding every
+  temporary of a blocked loop (the first-order active draw's pieces, the
+  audit's null-draw rows and the coefficient vectors' cos/sin rows) at
+  512 kB of float64,
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
@@ -40,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,17 +119,12 @@ def active_count(d: int, k: int, beta: float) -> int:
 # per root, isqrt(m) of them).
 MAX_SHELL_INDEX = 5_000_000
 
-# Largest number of lattice points stored at once, which only the memoised
-# (k - 1)-dimensional tail of a ball does, checked level by level where it is
-# allocated (the largest any benchmark configuration builds is 162848 points
-# at k = 4, 973696 at k = 5 with truncation = rule).
-MAX_BALL_POINTS = 10_000_000
-
-# Entries per block of every blocked loop: the slab walk's masks and the
-# pieces in which the active path streams the ball, the audit's null-draw
-# rows and the coefficient vectors' cos/sin rows.  A float64 block is 512 kB,
-# so it stays in cache.
+# Entries per block of every blocked loop: the pieces in which a first-order
+# active draws its points, the audit's null-draw rows and the coefficient
+# vectors' cos/sin rows.  A float64 block is 512 kB, so it stays in cache.
 BLOCK_ENTRIES = 1 << 16
+
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def shell_convolve(masses: Sequence[np.ndarray], size: int) -> np.ndarray:
@@ -147,20 +134,35 @@ def shell_convolve(masses: Sequence[np.ndarray], size: int) -> np.ndarray:
     together.  Entry rho (0 <= rho < size) of the result is the sum, over the
     points l with all l_j != 0 and sum l_j^2 = rho, of prod_j masses[j][|l_j| - 1].
     Each coordinate is one pass over its roots, so the cost is
-    O(size * sum_j len(masses[j])) and no point is materialised.
+    O(size * sum_j len(masses[j])) and no point is materialised.  A pass
+    fills only the entries that can still reach the result (each later
+    coordinate adds at least 1 to rho).  With nonnegative integer masses, a
+    pass whose entries could pass int64 is summed in exact Python integers,
+    and ``CapacityError`` is raised if one does; for point counts (mass 2 at
+    every l) that happens only when a count of the result passes int64.
     """
     first = np.asarray(masses[0])
     acc = np.zeros(size, dtype=first.dtype)
     roots = np.arange(1, len(first) + 1)
     inside = roots * roots < size
     acc[roots[inside] ** 2] = first[inside]
-    for mass in masses[1:]:
+    integer = acc.dtype.kind in "iu"
+    for j, mass in enumerate(masses[1:], start=1):
+        reach = size - (len(masses) - 1 - j)
+        if integer and int(acc[:reach].max(initial=0)) * int(np.sum(mass)) > INT64_MAX:
+            acc, mass = acc.astype(object), [int(w) for w in mass]
         nxt = np.zeros_like(acc)
         for l, weight in enumerate(mass, start=1):
             sq = l * l
-            if sq >= size:
+            if sq >= reach:
                 break
-            nxt[sq:] += weight * acc[: size - sq]
+            nxt[sq:reach] += weight * acc[: reach - sq]
+        if nxt.dtype == object:
+            if nxt.max() > INT64_MAX:
+                raise CapacityError(
+                    f"a shell count of order {len(masses)} exceeds the int64 limit {INT64_MAX}"
+                )
+            nxt = nxt.astype(np.int64)
         acc = nxt
     return acc
 
@@ -224,116 +226,6 @@ def shell_counts(k: int, r2_max: float) -> tuple[np.ndarray, np.ndarray]:
     rho, counts = _occupied_shells(k, _table_size(n))
     stop = int(np.searchsorted(rho, m, side="right"))
     return rho[:stop], counts[:stop]
-
-
-def _slabs(
-    axis: np.ndarray, tail_rho: np.ndarray, r2_max: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(lead position, tail index, squared norm) of the points l1 x t of the ball.
-
-    Slab l1 keeps the tail points with ``tail_rho < r2_max - l1^2``, in tail
-    order, so lead-major order over a lexicographic tail is lexicographic.
-    Each block masks at most ``BLOCK_ENTRIES`` (slab, tail point) pairs: a
-    window of one slab of a long tail, or many slabs of a short one, and
-    every array it yields holds at most that many points.  Norms are
-    integers, so each compares with the integer ``ceil`` of its float bound,
-    which keeps the same points without casting the block to float.
-    """
-    n = len(tail_rho)
-    if len(axis) == 0 or n == 0:
-        return
-    sq = axis.astype(np.int64) ** 2
-    rows = BLOCK_ENTRIES // n
-    if rows <= 1:
-        for pos, lead_sq in enumerate(sq.tolist()):
-            bound = math.ceil(r2_max - lead_sq)
-            for t in range(0, n, BLOCK_ENTRIES):
-                window = tail_rho[t : t + BLOCK_ENTRIES]
-                idx = np.flatnonzero(window < bound)
-                rho = window.take(idx)
-                rho += lead_sq
-                idx += t
-                yield np.broadcast_to(pos, idx.shape), idx, rho
-        return
-    bound = math.ceil(r2_max)
-    for a in range(0, len(sq), rows):
-        rho = tail_rho + sq[a : a + rows, None]
-        keep = rho < bound
-        lead, idx = np.nonzero(keep)
-        lead += a
-        rho = rho[keep]
-        yield lead, idx, rho
-
-
-@functools.cache
-def _ball_tail(
-    k: int, r2_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pieces from which :func:`_ball_chunks` streams the ball of Z^k.
-
-    Returns read-only ``(axis, tail, tail_rho, shell_of)``: the nonzero lead
-    coordinates in increasing order, in the smallest signed integer dtype
-    that holds them (int8 up to |l| = 127); the (k - 1)-dimensional tail, the
-    all-nonzero points with squared norm < r2_max - 1 (room for l1^2 >= 1),
-    in lexicographic order and the same dtype; their int32 squared norms; and
-    the map from a squared norm to its shell index in
-    ``shell_counts(k, r2_max)[0]`` (empty at k = 1, whose shells are l1^2).
-    The tail grows one leading coordinate at a time, each level the slabs of
-    the one before, so no box of the whole cube is formed; every level is
-    guarded by ``MAX_BALL_POINTS`` where it is allocated.
-    """
-    rho_vals, _ = shell_counts(k, r2_max)
-    limit = math.isqrt(int(rho_vals[-1]) - (k - 1)) if len(rho_vals) else 0
-    dtype = np.min_scalar_type(-limit - 1)  # signed, holds -limit..limit
-    axis = np.concatenate([np.arange(-limit, 0), np.arange(1, limit + 1)]).astype(dtype)
-    tail = np.empty((1, 0), dtype=dtype)
-    tail_rho = np.zeros(1, dtype=np.int32)
-    for j in range(1, k):
-        # the ball of Z^j inside r2_max - (k - j): the later coordinates need >= 1 each
-        r2 = r2_max - (k - j)
-        sizes = np.searchsorted(np.sort(tail_rho), r2 - axis.astype(np.int64) ** 2)
-        total = int(sizes.sum())
-        if total > MAX_BALL_POINTS:
-            raise CapacityError(
-                f"lattice ball for k={k} stores a {j}-dimensional tail of {total} "
-                f"points, exceeding the cap of {MAX_BALL_POINTS}"
-            )
-        grown = np.empty((total, j), dtype=dtype)
-        grown_rho = np.empty(total, dtype=np.int32)
-        start = 0
-        for lead, idx, rho in _slabs(axis, tail_rho, r2):
-            stop = start + len(lead)
-            grown[start:stop, 0] = axis[lead]
-            grown[start:stop, 1:] = tail[idx]
-            grown_rho[start:stop] = rho
-            start = stop
-        tail, tail_rho = grown, grown_rho
-    shell_of = np.zeros(0, dtype=np.int32)
-    if k > 1 and len(rho_vals):
-        shell_of = np.zeros(int(rho_vals[-1]) + 1, dtype=np.int32)
-        shell_of[rho_vals] = np.arange(len(rho_vals), dtype=np.int32)
-    for arr in (axis, tail, tail_rho, shell_of):
-        arr.setflags(write=False)
-    return axis, tail, tail_rho, shell_of
-
-
-def _ball_chunks(
-    k: int, r2_max: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The ball of Z^k in lexicographic order, streamed from its memoised tail.
-
-    Yields ``(lead, idx, shell)`` per piece of the slab walk, as
-    :func:`_slabs` yields them: each point's position in the tail's ``axis``
-    and its index in ``tail`` (both intp, so gathers take them without
-    conversion), and its int32 shell index.  A piece holds at most
-    ``BLOCK_ENTRIES`` points, possibly none, and stays valid after the next
-    is yielded.  No array is sized by the tail.
-    """
-    axis, _, tail_rho, shell_of = _ball_tail(k, r2_max)
-    if k == 1:  # shell l1^2 is the (|l1| - 1)-th: map lead positions, not norms
-        shell_of = np.abs(axis.astype(np.int32)) - 1
-    for lead, idx, rho in _slabs(axis, tail_rho, r2_max):
-        yield lead, idx, shell_of.take(lead if k == 1 else rho)
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,14 @@ detection boundaries.
 
 One engine evaluates the statistics S_{u,m} for :func:`select` and the risk
 estimators alike, with the config's weight matrix of its order as it is.
-Because every weight is radial, a null subset's statistics depend on the
-noise only through per-shell sums of xi^2, which are sampled directly as
-chi-square variates; active subsets are drawn point-by-point on the
-weight-support ball so their means enter exactly.  The ball is never
-stored: each active draw streams it from the memoised (k - 1)-dimensional
-tail of its order (``lattice._ball_tail``) in the slab walk's pieces of at
-most ``lattice.BLOCK_ENTRIES`` points (512 kB per float64 temporary), and
-means, normals and shell sums are formed piece by piece, in point order, so
-no per-point array of the ball's size exists and the statistic is the
-unchunked one, bit for bit.  Nor is any array sized by the tail: each
-component keeps only the tail's k - 1 small-integer coordinate columns and
-gathers its coefficients per piece, and each stream draws its normals into
-one buffer sized to the largest piece.  The per-shell sums of the squared
-means, which fix the statistic means, need no ball walk: they are the
-component's ``signals.shell_energy`` on the engine's shells
-(``_OrderEngine.shell_lam``).
+Every weight is radial, so a subset's statistics depend on its noise only
+through per-shell sums: a null subset's are drawn as chi-square variates,
+and an active subset of order k >= 2 draws each shell sum of
+(mu_l + xi_l)^2 as one noncentral chi-square variate
+(:meth:`_OrderEngine.active_stats`).  A first-order active subset is drawn
+point by point over its 2n points, in pieces of at most
+``lattice.BLOCK_ENTRIES``, so its draws are those of one call of 2n normals;
+the acceptance gate freezes the attenuated first-order component's draws.
 Both paths draw from the same per-(cycle, order, subset-rank) substreams, so
 results are bit-reproducible, full and pooled enumeration agree on shared
 subsets, :func:`select` sees exactly the draws of the matching risk cycle,
@@ -33,27 +25,20 @@ per-order, per-cycle false positives, from which one function builds every
 :class:`RiskReport`, so no result depends on the worker count.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
-tables, ball tails) are memoised where they are computed.
+tables) are memoised where they are computed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
 from .extremal import a_exact, admissible_r_max
-from .lattice import (
-    DimensionSpec,
-    Subset,
-    _ball_chunks,
-    _ball_tail,
-    log_binomial,
-    subset_rank,
-)
+from .lattice import BLOCK_ENTRIES, DimensionSpec, Subset, log_binomial, subset_rank
 from .selector import (
     SelectorConfig,
     _run_jobs,
@@ -81,70 +66,57 @@ class _OrderEngine:
         self.rho = widest.rho
         self.counts = widest.counts.astype(np.float64)
         self.W = config.weight_matrix[k]  # the config's own, read-only
-        self.r2_max = float(self.rho[-1]) + 0.5  # the ball of the union support
-
-    def component_means(
-        self, comp: ComponentSpec
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(shell index, theta_l / eps) over the ball, one slab piece at a time.
-
-        The pieces are those of :func:`lattice._ball_chunks`, at most
-        ``BLOCK_ENTRIES`` points each.  The lead factor is gathered once over
-        the short lead axis, with the amplitude folded in.  The tail factors
-        are gathered per piece: each tail coordinate is kept as one
-        contiguous column of the tail's small integer dtype, and a piece
-        takes its coordinates from it and then their coefficients from the
-        factor's vector, rolled by n so that a negative coordinate indexes
-        from the end.  No array is sized by the tail.  A piece's means
-        multiply the factors at its points in factor order, (amplitude / eps)
-        * c_1 * ... * c_k as a per-point gather over the whole ball does, so
-        every mean has the same bits.
-        """
-        axis, tail, _, _ = _ball_tail(self.k, self.r2_max)
-        n = self.truncation
-        lead_vec, *tail_vecs = (coeff_vector(fid, n) for fid in comp.factor_ids)
-        lead_factor = comp.amplitude / self.epsilon * lead_vec[axis.astype(np.intp) + n]
-        tail_factors = [
-            (np.ascontiguousarray(tail[:, p]), np.roll(vec, -n))
-            for p, vec in enumerate(tail_vecs)
-        ]
-        for lead, idx, shell in _ball_chunks(self.k, self.r2_max):
-            mu = lead_factor[lead]
-            for col, vec in tail_factors:
-                mu *= vec[col.take(idx).astype(np.intp)]
-            yield shell, mu
 
     def null_stats(self, rng: np.random.Generator) -> np.ndarray:
         q = null_shell_draw(rng, self.counts, 1)[0]
         return self.W @ q
 
-    def active_stats(
-        self,
-        rngs: Sequence[np.random.Generator],
-        means: Iterable[tuple[np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """One row of S_m per stream, from one pass over the (shell, mean) pieces.
+    def active_means(self, comp: ComponentSpec) -> np.ndarray:
+        """What :meth:`active_stats` draws an active component from.
 
-        Stream j draws its normals piece by piece into one buffer sized to
-        the largest piece, which is the sequence one call of ``len(ball)``
-        normals gives, and ``np.add.at`` adds the piece into the shell sums
-        in point order, as ``np.bincount`` over the whole ball would: each
-        row is bit-identical to the unchunked statistic.
+        At k = 1, theta_l / eps at the 2n points l = -n..-1, 1..n, where n is
+        the number of shells (shell l^2 holds -l and l); at k >= 2 the shell
+        noncentralities :meth:`shell_lam`.
         """
-        q = np.zeros((len(rngs), len(self.rho)))
-        buf = np.empty(0)
-        for idx, mu in means:
-            if len(buf) < len(mu):
-                buf = np.empty(len(mu))
-            y = buf[: len(mu)]
-            for rng, acc in zip(rngs, q):
-                rng.standard_normal(out=y)
-                y += mu
-                y *= y
-                y -= 1.0
-                np.add.at(acc, idx, y)
+        if self.k > 1:
+            return self.shell_lam(comp)
+        n, trunc = len(self.rho), self.truncation
+        vec = coeff_vector(comp.factor_ids[0], trunc)
+        return comp.amplitude / self.epsilon * vec[np.r_[-n:0, 1 : n + 1] + trunc]
+
+    def active_stats(self, rngs: Sequence[np.random.Generator], means: np.ndarray) -> np.ndarray:
+        """One row of S_m per stream for an active component, from its ``active_means``.
+
+        At k >= 2 a stream draws one row, q = chi2(N_rho, lam_rho) - N_rho
+        per shell.  This is exact in distribution: the weights are constant
+        on a shell, so S_m = sum_rho w_m(rho) (Y_rho - N_rho) with Y_rho the
+        shell sum of (mu_l + xi_l)^2 over its N_rho points, and Y_rho is
+        noncentral chi2(N_rho, lam_rho), lam_rho the shell sum of mu_l^2,
+        independently across shells.
+        At k = 1 a stream draws normals over the 2n points, piece by piece
+        into one buffer of at most ``BLOCK_ENTRIES``, which is the sequence
+        one call of 2n normals gives, and ``np.add.at`` adds each piece into
+        the shell sums in point order: the first-order draws, which the
+        acceptance gate freezes, are those of a point-by-point statistic.
+        """
+        if self.k > 1:
+            rows = [rng.noncentral_chisquare(self.counts, means) - self.counts for rng in rngs]
+        else:
+            half = len(means) // 2
+            shell = np.concatenate([np.arange(half - 1, -1, -1), np.arange(half)])
+            rows = np.zeros((len(rngs), len(self.rho)))
+            buf = np.empty(min(BLOCK_ENTRIES, len(means)))
+            for start in range(0, len(means), BLOCK_ENTRIES):
+                mu = means[start : start + BLOCK_ENTRIES]
+                y = buf[: len(mu)]
+                for rng, acc in zip(rngs, rows):
+                    rng.standard_normal(out=y)
+                    y += mu
+                    y *= y
+                    y -= 1.0
+                    np.add.at(acc, shell[start : start + BLOCK_ENTRIES], y)
         # one gemv per row: a blocked matrix product would change the last bits
-        return np.array([self.W @ acc for acc in q])
+        return np.array([self.W @ q for q in rows])
 
     def shell_lam(self, comp: ComponentSpec) -> np.ndarray:
         """Noncentralities lam_rho = sum over shell rho of (theta_l / eps)^2.
@@ -217,7 +189,7 @@ def select(
         if comp is None:
             stats = engine.null_stats(rng)
         else:
-            stats = engine.active_stats([rng], engine.component_means(comp))[0]
+            stats = engine.active_stats([rng], engine.active_means(comp))[0]
         selected = bool(stats.max() > engine.threshold)
         decisions[subset] = SubsetDecision(
             stats=tuple(float(v) for v in stats),
@@ -280,11 +252,11 @@ def _null_block(
 
 
 def _active_block(
-    engine: _OrderEngine, comp: ComponentSpec, rank: int, J: int, seed: int
+    engine: _OrderEngine, means: np.ndarray, rank: int, J: int, seed: int
 ) -> np.ndarray:
-    """Miss indicators per cycle for one active component, in one ball pass."""
+    """Miss indicators per cycle for one active subset, from its ``active_means``."""
     rngs = [observation_stream(seed, j, engine.k, rank) for j in range(J)]
-    stats = engine.active_stats(rngs, engine.component_means(comp))
+    stats = engine.active_stats(rngs, means)
     return (~(stats.max(axis=1) > engine.threshold)).astype(np.int64)
 
 
@@ -306,10 +278,9 @@ def _run_cycles(
     pool of ``selector._run_jobs``, all submitted at once so that no worker
     idles behind a long active block, and their counts are added in job
     order, so no result depends on the worker count.  Returns
-    (miss_per_cycle, fp_per_cycle_by_k, n_inactive, engines).  The ball tail
-    of every order with an active job is built here, on the calling thread,
-    before any draw: workers only read it from the cache, and a
-    ``CapacityError`` surfaces before the pool starts.
+    (miss_per_cycle, fp_per_cycle_by_k, n_inactive, engines).  Each active
+    job's ``active_means`` are computed here, on the calling thread, so a
+    failure surfaces before the pool starts.
     """
     d = config.dim.d
     _check_pattern(pattern, config)
@@ -328,12 +299,11 @@ def _run_cycles(
     tallies = []
     for k in range(1, pattern.s + 1):
         engine = engines[k] = _OrderEngine(config, k)
-        actives = [c for c in pattern.active(k) if c.subset not in skip_subsets]
-        if actives:
-            _ball_tail(k, engine.r2_max)  # before the pool starts: workers only read it
-        for comp in actives:
+        for comp in pattern.active(k):
+            if comp.subset in skip_subsets:
+                continue
             rank = subset_rank(comp.subset, d)
-            jobs.append((_active_block, (engine, comp, rank, J, seed)))
+            jobs.append((_active_block, (engine, engine.active_means(comp), rank, J, seed)))
             tallies.append(miss)
         total = math.comb(d, k)
         if mode == "full" and total > MAX_FULL_SUBSETS:
@@ -431,7 +401,8 @@ def attenuation_experiment(
     )
     reports = []
     for alpha in alphas:
-        miss = base_miss + _active_block(engines[1], designated.scaled(alpha), rank, J, seed)
+        means = engines[1].active_means(designated.scaled(alpha))
+        miss = base_miss + _active_block(engines[1], means, rank, J, seed)
         reports.append(_report(pattern, miss, fp, n_inactive, float(alpha)))
     return reports
 

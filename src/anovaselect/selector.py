@@ -242,8 +242,11 @@ def truncation_radius(
     """Lattice truncation n per order.
 
     ``preset`` returns the benchmark constants {622, 154, 65, 36} for
-    k in 1..4.  ``rule`` returns ceil(max_m R(r*_{k,m})), the smallest box
-    covering every weight support of the grid.
+    k in 1..4.  ``rule`` returns ceil(max_m R(r*_{k,m})), which covers every
+    weight support of the grid but is not the smallest such box: a support
+    point has |l_j| < R, so n is at least one above the largest |l_j|, and
+    two above at k = 3, R^2 = 17.5 (n = 5, largest |l_j| = 3).  Changing the
+    rule would move bits, because n picks the quadrature rule.
     """
     if mode == "preset":
         if k not in PRESET_TRUNCATION:

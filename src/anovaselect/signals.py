@@ -315,6 +315,10 @@ class SparsityPattern:
     def __post_init__(self):
         active: dict[int, frozenset[Subset]] = {}
         for k, comps in self.components.items():
+            if comps and k > self.s:
+                raise ValueError(
+                    f"active component of order {k} above the maximal order s={self.s}"
+                )
             subsets = [c.subset for c in comps]
             if len(set(subsets)) != len(subsets):
                 raise ValueError(f"duplicate active subsets at order {k}")

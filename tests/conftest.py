@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from anovaselect import lattice
 from anovaselect.extremal import GridSpec, order_weights
 from anovaselect.lattice import DimensionSpec
 from anovaselect.selector import (
@@ -15,7 +14,7 @@ from anovaselect.selector import (
     observation_stream,
     threshold,
 )
-from anovaselect.signals import product_coeff, quadrature_for
+from anovaselect.signals import coeff_vector, product_coeff, quadrature_for
 
 
 def fake_cpus(monkeypatch, n):
@@ -35,50 +34,42 @@ def brute_ball(k, radius):
     return pts
 
 
-def brute_lattice(k, r2_max, rho):
+def brute_lattice(k, r2_max, rho=None):
     """Independent oracle for a ball's points and shells, enumerated whole.
 
     A meshgrid of the box [-L, L]^k without zeros, a filter on the squared
     norm, and each kept point's index in ``rho``, the ball's occupied squared
-    norms.  ``indexing="ij"`` over an increasing axis is lexicographic order.
+    norms (by default those of the kept points).  ``indexing="ij"`` over an
+    increasing axis is lexicographic order.
     """
     limit = math.isqrt(max(math.ceil(r2_max) - 1, 0))
     axis = np.array([v for v in range(-limit, limit + 1) if v], dtype=np.int16)
     grid = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
     norm = sum(grid[:, p].astype(np.int64) ** 2 for p in range(k))
     keep = norm < r2_max
+    rho = np.unique(norm[keep]) if rho is None else rho
     shell = np.searchsorted(rho, norm[keep])
     assert np.array_equal(np.asarray(rho)[shell], norm[keep])
     return grid[keep], shell
 
 
-def ball_coords(k, r2_max):
-    """All-nonzero lattice points with squared norm < r2_max, concatenated.
-
-    Returns ``(coords, shell)``: the points ``lattice._ball_chunks`` streams,
-    as an (n, k) array in lexicographic order in the dtype of the tail's axis,
-    and the int32 index of each point's shell in ``shell_counts(k, r2_max)[0]``.
-    """
-    axis, tail, _, _ = lattice._ball_tail(k, r2_max)
-    chunks = list(lattice._ball_chunks(k, r2_max))
-    if not chunks:
-        return np.empty((0, k), dtype=axis.dtype), np.empty(0, dtype=np.int32)
-    lead, idx, shell = (np.concatenate(col) for col in zip(*chunks))
-    return np.column_stack([axis[lead], tail[idx]]), shell
-
-
 def engine_ball(engine):
     """(coords, shell index) of an engine's ball, by brute force."""
-    return brute_lattice(engine.k, engine.r2_max, engine.rho)
+    return brute_lattice(engine.k, float(engine.rho[-1]) + 0.5, engine.rho)
 
 
 def engine_means(engine, comp):
-    """The means ``engine.component_means`` streams, concatenated in ball order."""
-    return np.concatenate([mu for _, mu in engine.component_means(comp)])
+    """theta_l / eps at the points of ``engine_ball``, from the coefficient vectors."""
+    coords, _ = engine_ball(engine)
+    n = engine.truncation
+    mu = np.full(coords.shape[0], comp.amplitude / engine.epsilon)
+    for p, fid in enumerate(comp.factor_ids):
+        mu *= coeff_vector(fid, n)[coords[:, p].astype(np.int64) + n]
+    return mu
 
 
-def dense_active_stats(config, comp, seed, cycle, rank):
-    """Per-point reference for the statistics of one active subset.
+def dense_active_stats(config, comp, seed, cycles, rank):
+    """Per-point reference for the statistics of one active subset, one row per cycle.
 
     X_l = theta_l + eps xi_l on the union of the weight supports, with theta_l
     from ``product_coeff`` and xi from the subset's (seed, cycle, k, rank)
@@ -89,17 +80,19 @@ def dense_active_stats(config, comp, seed, cycle, rank):
     eps = config.dim.epsilon
     quad = quadrature_for(config.truncation[k])
     union = max(float(p.rho[-1]) for p in config.profiles[k]) + 0.5
-    coords, _ = ball_coords(k, union)
-    xi = observation_stream(seed, cycle, k, rank).standard_normal(len(coords))
+    coords, _ = brute_lattice(k, union)
     theta = np.array([product_coeff(comp, c, quad=quad) for c in coords])
-    x = dict(zip(map(tuple, coords.tolist()), theta + eps * xi))
-    stats = []
+    index = {p: i for i, p in enumerate(map(tuple, coords.tolist()))}
+    supports = []
     for prof in config.profiles[k]:
-        pts, shell = ball_coords(k, float(prof.rho[-1]) + 0.5)
-        omega = prof.values[shell]
-        y = np.array([(x[p] / eps) ** 2 - 1.0 for p in map(tuple, pts.tolist())])
-        stats.append(float(omega @ y))
-    return np.array(stats)
+        pts, shell = brute_lattice(k, float(prof.rho[-1]) + 0.5, prof.rho)
+        supports.append(([index[p] for p in map(tuple, pts.tolist())], prof.values[shell]))
+    rows = []
+    for cycle in cycles:
+        xi = observation_stream(seed, cycle, k, rank).standard_normal(len(coords))
+        y = ((theta + eps * xi) / eps) ** 2 - 1.0
+        rows.append([float(omega @ y[idx]) for idx, omega in supports])
+    return np.array(rows)
 
 
 def shell_active_stats(engine, comp, rng, size):
@@ -107,12 +100,14 @@ def shell_active_stats(engine, comp, rng, size):
 
     Weights are constant on each squared-norm shell, so the shell sum of
     (mu_l + xi_l)^2 is noncentral chi2(N_rho, lam_rho) with lam_rho the shell
-    sum of mu_l^2 = (theta_l / eps)^2, which ``engine.shell_lam`` gives.
+    sum of mu_l^2 = (theta_l / eps)^2, which ``engine.shell_lam`` gives.  The
+    rows reduce one gemv each, so on one stream they are the engine's k >= 2
+    draws, bit for bit.
     """
     lam = engine.shell_lam(comp)
     counts = engine.counts
     q = rng.noncentral_chisquare(counts, lam, size=(size, len(counts))) - counts
-    return q @ engine.W.T
+    return np.array([engine.W @ row for row in q])
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from anovaselect.extremal import (
 )
 from anovaselect.lattice import log_binomial
 
-from conftest import ball_coords, brute_ball
+from conftest import brute_ball, brute_lattice
 
 PI = math.pi
 
@@ -79,7 +79,7 @@ class TestExtremalSequence:
     def test_radial_symmetry(self):
         # the per-shell profile matches the pointwise closed form at every point
         prof = extremal_sequence(0.1, 2, 1.0)
-        coords, shell = ball_coords(2, prof.support_radius**2)
+        coords, shell = brute_lattice(2, prof.support_radius**2)
         per_point = prof.theta_sq[shell]
         oracle = [profile_oracle(c, 0.1, 2, 1.0) for c in coords.tolist()]
         assert np.allclose(per_point, oracle, rtol=1e-12, atol=0.0)
@@ -285,7 +285,7 @@ class TestWeights:
     def test_sum_sq_oracle(self):
         # per-point sum over the support, not the per-shell count product
         w = weights(0.1, 1, 1.0, 0.01)
-        _, shell = ball_coords(1, float(w.rho[-1]) + 0.5)
+        _, shell = brute_lattice(1, float(w.rho[-1]) + 0.5)
         per_point = w.values[shell]
         assert len(per_point) == 6
         assert sum(v * v for v in per_point) == pytest.approx(0.5, rel=1e-12)
@@ -311,7 +311,7 @@ class TestWeights:
 
     def test_max_abs_coord_matches_table(self):
         w = weights(0.08, 2, 1.0, 0.01)
-        coords, _ = ball_coords(2, float(w.rho[-1]) + 0.5)
+        coords, _ = brute_lattice(2, float(w.rho[-1]) + 0.5)
         assert w.max_abs_coord == int(np.abs(coords).max())
 
 

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import ball_coords, brute_ball, brute_lattice
+from conftest import brute_ball, brute_lattice
 
 from anovaselect import extremal, lattice
 from anovaselect.errors import CapacityError
@@ -25,8 +25,8 @@ from anovaselect.signals import ComponentSpec, build_pattern
 
 
 def ball_points(k, radius):
-    """ball_coords of the open ball of the given radius, as a list of tuples."""
-    coords, _ = ball_coords(k, radius * radius)
+    """brute_lattice's points of the open ball of the given radius, as tuples."""
+    coords, _ = brute_lattice(k, radius * radius)
     return [tuple(int(v) for v in row) for row in coords]
 
 
@@ -100,24 +100,6 @@ class TestLatticeBall:
         pts = ball_points(2, 3.2)
         assert pts == sorted(pts)
 
-    # a few entries per block run both branches of the slab walk: many slabs
-    # of a short tail per piece (k = 1, 2), or a window of one slab (k = 3, 4)
-    @pytest.mark.parametrize("k,r2,entries", [(1, 50.3, 4), (2, 30.0, 25), (3, 26.5, 7),
-                                              (4, 40.5, 64)])
-    def test_pieces_follow_slabs_in_ball_order(self, monkeypatch, k, r2, entries):
-        axis, tail, _, _ = lattice._ball_tail(k, r2)
-        monkeypatch.setattr(lattice, "BLOCK_ENTRIES", entries)
-        pieces = list(lattice._ball_chunks(k, r2))
-        assert all(len(lead) <= entries for lead, _, _ in pieces)
-        assert all(shell.dtype == np.int32 for _, _, shell in pieces)
-        slabs = max(len(np.unique(lead)) for lead, _, _ in pieces)
-        assert (slabs > 1) == (entries >= 2 * len(tail))
-        lead, idx, shell = (np.concatenate(col) for col in zip(*pieces))
-        coords = np.column_stack([axis[lead], tail[idx]])
-        expected, expected_shell = brute_lattice(k, r2, shell_counts(k, r2)[0])
-        assert coords.tolist() == expected.tolist()
-        assert np.array_equal(shell, expected_shell)
-
     def test_shell_list_keeps_no_dense_table(self, monkeypatch):
         # the memoised list copies the table's occupied entries, so the dense
         # table, one entry per squared norm, dies once the list is built
@@ -134,28 +116,10 @@ class TestLatticeBall:
         shell_counts(3, 1000.5)
         assert len(refs) == 1 and refs[0]() is None
 
-    def test_tail_is_memoised_and_read_only(self):
-        parts = lattice._ball_tail(3, 26.5)
-        assert lattice._ball_tail(3, 26.5) is parts
-        assert all(not part.flags.writeable for part in parts)
-        axis, tail, tail_rho, _ = parts
-        assert tail.tolist() == sorted(list(p) for p in brute_ball(2, math.sqrt(25.5)))
-        assert tail_rho.tolist() == [a * a + b * b for a, b in tail.tolist()]
-        assert axis.tolist() == [-4, -3, -2, -1, 1, 2, 3, 4]
-        # k = 1 streams from one empty tail point
-        assert lattice._ball_tail(1, 50.3)[1].shape == (1, 0)
-
-    def test_tail_guard_where_tail_is_allocated(self, monkeypatch):
-        # the ball of radius^2 26.25 at k = 3 has a 60-point tail
-        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 59)
-        lattice._ball_tail.cache_clear()
-        with pytest.raises(CapacityError, match="2-dimensional tail of 60 points"):
-            lattice._ball_tail(3, 26.25)
-
     def test_radius_validation(self):
         # no admissible point below the smallest shell: an empty (0, k) array
         for r2 in (-1.0, 0.0, 2.0):
-            coords, shell = ball_coords(3, r2)
+            coords, shell = brute_lattice(3, r2)
             assert coords.shape == (0, 3) and len(shell) == 0
 
 
@@ -189,6 +153,14 @@ class TestShellCounts:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 1
 
+    def test_int64_count_guard(self):
+        # shell rho = k holds the 2^k points with every |l_j| = 1: 2^62 fits
+        # in int64, 2^63 does not
+        rho, counts = shell_counts(62, 64.0)
+        assert rho.tolist() == [62] and counts.tolist() == [2**62]
+        with pytest.raises(CapacityError, match="int64"):
+            shell_counts(63, 64.0)
+
     def test_one_shell_list_per_order_and_size(self, monkeypatch):
         # calibration asks for thousands of supports; each (k, size) shell
         # list is built once, and every profile's shells are views of it
@@ -217,13 +189,6 @@ class TestShellCounts:
                 assert not prof.rho.flags.writeable and not prof.counts.flags.writeable
                 assert any(prof.rho.base is rho and prof.counts.base is counts
                            for rho, counts in lists)
-
-    def test_ball_coords_agree(self):
-        coords, shell = ball_coords(2, 30.0)
-        assert len(coords) == len(brute_ball(2, math.sqrt(30.0)))
-        rho = (coords.astype(np.int64) ** 2).sum(axis=1)
-        assert np.all(shell_counts(2, 30.0)[0][shell] == rho)
-
 
 class TestSubsets:
     def test_full_enumeration_small(self):

@@ -1,20 +1,18 @@
-"""Property tests: lattice shells, lattice balls, shell convolution, subset
+"""Property tests: lattice shells, shell convolution, subset
 ranks, weight normalisation, the inactive-rank pool and the substream key
 derivation against brute force or numpy's SeedSequence over generated inputs,
 and the monotonicity of the statistic means in the signal amplitude."""
 
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_coords, brute_ball, brute_lattice
+from conftest import brute_ball
 
-from anovaselect import lattice
 from anovaselect.extremal import admissible_r_max, weights
 from anovaselect.lattice import Subset, shell_convolve, shell_counts, subset_rank
 from anovaselect.risk import _OrderEngine, _inactive_ranks
@@ -34,46 +32,6 @@ def test_shell_counts_match_bruteforce(k, radius):
         expected[r2] = expected.get(r2, 0) + 1
     assert rho.tolist() == sorted(expected)
     assert counts.tolist() == [expected[r] for r in sorted(expected)]
-
-
-@FAST
-@given(k=st.integers(1, 3), radius=st.floats(0.0, math.sqrt(60.0)))
-def test_ball_coords_match_bruteforce(k, radius):
-    coords, shell = ball_coords(k, radius * radius)
-    assert coords.tolist() == sorted(list(p) for p in brute_ball(k, radius))
-    assert coords.shape == (len(shell), k) and shell.dtype == np.int32
-    rho = (coords.astype(np.int64) ** 2).sum(axis=1)
-    assert np.array_equal(shell_counts(k, radius * radius)[0][shell], rho)
-    if len(coords):
-        assert np.iinfo(coords.dtype).max >= int(np.abs(coords.astype(np.int64)).max())
-
-
-@FAST
-@given(k=st.integers(1, 4), r2=st.floats(0.0, 40.0), entries=st.integers(1, 300))
-def test_ball_chunks_concatenate_to_the_ball(k, r2, entries):
-    # list() holds every piece, so a buffer refilled after its yield shows here
-    axis, tail, _, _ = lattice._ball_tail(k, r2)
-    with mock.patch.object(lattice, "BLOCK_ENTRIES", entries):
-        pieces = list(lattice._ball_chunks(k, r2))
-    for lead, idx, shell in pieces:
-        assert len(lead) == len(idx) == len(shell) <= entries
-        assert (lead.dtype, idx.dtype, shell.dtype) == (np.intp, np.intp, np.int32)
-    expected, expected_shell = brute_lattice(k, r2, shell_counts(k, r2)[0])
-    if not pieces:
-        assert len(expected) == 0
-        return
-    lead, idx, shell = (np.concatenate(col) for col in zip(*pieces))
-    assert np.column_stack([axis[lead], tail[idx]]).tolist() == expected.tolist()
-    assert np.array_equal(shell, expected_shell)
-
-
-@pytest.mark.parametrize("limit", [127, 128, 32767, 32768, 40000])
-def test_ball_coords_dtype_holds_largest_coordinate(limit):
-    # the one-dimensional ball of radius limit + 1/2 reaches |l| = limit exactly
-    coords, shell = ball_coords(1, (limit + 0.5) ** 2)
-    assert coords[0, 0] == -limit and coords[-1, 0] == limit
-    assert len(coords) == 2 * limit and shell[-1] == limit - 1
-    assert np.iinfo(coords.dtype).min <= -limit and np.iinfo(coords.dtype).max >= limit
 
 
 @FAST

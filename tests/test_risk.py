@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -8,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import engine_ball, fake_cpus, manual_config
+from conftest import engine_ball, engine_means, fake_cpus, manual_config, shell_active_stats
 
 from anovaselect import lattice, risk
 from anovaselect.errors import CapacityError
@@ -27,9 +26,9 @@ from anovaselect.risk import (
     selection_boundary,
 )
 from anovaselect.extremal import a_exact, admissible_r_max, solve_r_star
-from anovaselect.lattice import log_binomial, shell_counts
+from anovaselect.lattice import log_binomial
 from anovaselect.selector import _resolve_threads, build_selector_config, observation_stream
-from anovaselect.signals import ComponentSpec, build_pattern, coeff_vector
+from anovaselect.signals import ComponentSpec, build_pattern, coeff_vector, shell_energy
 
 
 def explicit_pattern(d, s, components, epsilon=0.01, beta=0.6):
@@ -158,26 +157,12 @@ class TestEstimateRisk:
         with pytest.raises(ValueError, match="dimensions"):
             estimate_risk(pattern, tiny_config, J=1, seed=0)
 
-    def test_active_order_five_exceeds_ball_cap(self, order_five, monkeypatch):
-        # an active k = 5 component streams its ball from a 973696-point tail;
-        # below that bound the guard refuses it before any draw
-        config, pattern = order_five
-        draws = []
-        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
-        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 500_000)
-        lattice._ball_tail.cache_clear()
-        with pytest.raises(CapacityError, match="lattice ball for k=5"):
-            estimate_risk(pattern, config, J=1, seed=0)
-        assert draws == []
-
     def test_active_order_five_runs(self, order_five):
-        # the 21.6M-point k = 5 ball is streamed, never stored
+        # the 21.6M-point k = 5 ball is drawn per shell, never walked
         config, pattern = order_five
         rep = estimate_risk(pattern, config, J=1, seed=0, pool_inactive=4)
         assert rep.evaluated_inactive[5] == 4 and rep.misses in (0, 1)
-        engine = _OrderEngine(config, 5)
-        assert int(shell_counts(5, engine.r2_max)[1].sum()) == 21_592_448
-        assert lattice._ball_tail(5, engine.r2_max)[1].shape == (973_696, 4)
+        assert int(_OrderEngine(config, 5).counts.sum()) == 21_592_448
 
 
 @pytest.fixture(scope="module")
@@ -226,149 +211,125 @@ class TestThreadsAndBallCache:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _resolve_threads() == 1
 
-    def test_one_ball_per_active_order(self, tiny_config, monkeypatch):
-        # one tail build per active order, through the cache: the attenuated
-        # k = 1 subset reuses the k = 1 tail built for the cycles
-        calls = []
-        build = lattice._ball_tail.__wrapped__
-
-        @functools.cache
-        def counting(k, *args, **kwargs):
-            calls.append(k)
-            return build(k, *args, **kwargs)
-
-        monkeypatch.setattr(lattice, "_ball_tail", counting)
-        monkeypatch.setattr(risk, "_ball_tail", counting)
-        pattern = explicit_pattern(12, 2, [
-            ComponentSpec(Subset((1,)), (1,)),
-            ComponentSpec(Subset((2,)), (2,)),
-            ComponentSpec(Subset((1, 2)), (1, 2)),
-        ])
-        fake_cpus(monkeypatch, 4)
-        attenuation_experiment([0.5, 1.0], pattern, tiny_config, J=3, seed=5, pool_inactive=20)
-        assert sorted(calls) == [1, 2]
-
-
 def one_shot_stats(engine, comp, rng):
-    """The unchunked active statistic: per-point means and normals of the whole
-    ball, enumerated by brute force rather than by the slab walk under test."""
+    """The unchunked first-order statistic: per-point means and normals of the
+    whole ball, enumerated by brute force."""
     coords, shell = engine_ball(engine)
-    n = engine.truncation
-    mu = np.full(coords.shape[0], comp.amplitude / engine.epsilon)
-    for p, fid in enumerate(comp.factor_ids):
-        mu *= coeff_vector(fid, n)[coords[:, p].astype(np.int64) + n]
     xi = rng.standard_normal(coords.shape[0])
-    q = np.bincount(shell, weights=(mu + xi) ** 2 - 1.0, minlength=len(engine.rho))
-    return engine.W @ q
+    y = (engine_means(engine, comp) + xi) ** 2 - 1.0
+    return engine.W @ np.bincount(shell, weights=y, minlength=len(engine.rho))
 
 
 ACTIVE_CASES = [
     ("tiny_config", ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.3)),
     ("bench_config", ComponentSpec(Subset((4, 17, 30)), (1, 5, 8))),
-    ("bench_config", ComponentSpec(Subset((7,)), (3,))),  # k = 1: an empty tail
+    ("bench_config", ComponentSpec(Subset((7,)), (3,))),  # k = 1: drawn per point
     ("k4_config", ComponentSpec(Subset((2, 5, 6, 11)), (1, 2, 3, 4), amplitude=3.0)),
 ]
 
 
 class TestStreamedActivePath:
-    # the pieces follow the block size: 7 entries cut every slab longer than
-    # 7, and 1000 hold 1000 of the k = 1 ball's one-point slabs
+    # at k = 1 the pieces follow the block size: 7 entries cut the 1240-point
+    # ball into 178 pieces, 1000 into two; k >= 2 draws per shell at any size
     @pytest.mark.parametrize("chunk", [7, lattice.BLOCK_ENTRIES, 1000])
     @pytest.mark.parametrize("config_name,comp", ACTIVE_CASES)
     def test_bit_identical_to_one_shot(self, request, monkeypatch, config_name, comp, chunk):
-        monkeypatch.setattr(lattice, "BLOCK_ENTRIES", chunk)
+        monkeypatch.setattr(risk, "BLOCK_ENTRIES", chunk)
         engine = _OrderEngine(request.getfixturevalue(config_name), comp.subset.k)
         rng, same = (observation_stream(5, 2, comp.subset.k, 17) for _ in range(2))
-        streamed = engine.active_stats([rng], engine.component_means(comp))[0]
-        assert np.array_equal(streamed, one_shot_stats(engine, comp, same))
+        drawn = engine.active_stats([rng], engine.active_means(comp))[0]
+        if comp.subset.k == 1:
+            expected = one_shot_stats(engine, comp, same)
+        else:
+            expected = shell_active_stats(engine, comp, same, 1)[0]
+        assert np.array_equal(drawn, expected)
 
     def test_rows_independent_of_companion_streams(self, tiny_config):
         comp = ACTIVE_CASES[0][1]
         engine = _OrderEngine(tiny_config, 2)
+        lam = engine.active_means(comp)
         rngs = [observation_stream(5, j, 2, 17) for j in range(4)]
-        joint = engine.active_stats(rngs, engine.component_means(comp))
+        joint = engine.active_stats(rngs, lam)
         for j in range(4):
-            solo = engine.active_stats(
-                [observation_stream(5, j, 2, 17)], engine.component_means(comp)
-            )[0]
+            solo = engine.active_stats([observation_stream(5, j, 2, 17)], lam)[0]
             assert np.array_equal(joint[j], solo)
         assert not np.array_equal(joint[0], joint[1])
 
     def test_active_block_memory_below_one_point_array(self, bench_config):
-        # one float64 per ball point is 8.4 MB at d = 50, k = 3; the streamed
-        # block must stay below it (the unchunked path allocated several)
+        # one float64 per ball point is 8.4 MB at d = 50, k = 3; the shell
+        # draw holds a few rows of the 3349 shells
         comp = ACTIVE_CASES[1][1]
         engine = _OrderEngine(bench_config, 3)
-        points = int(shell_counts(3, engine.r2_max)[1].sum())
+        points = int(engine.counts.sum())
         assert points == 1_050_552
-        for fid in comp.factor_ids:
-            coeff_vector(fid, engine.truncation)  # memoised before the trace
+        lam = engine.active_means(comp)
         tracemalloc.start()
         try:
-            risk._active_block(engine, comp, rank=0, J=2, seed=5)
+            risk._active_block(engine, lam, rank=0, J=2, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * points
 
     def test_active_block_k3_holds_no_chunk_buffers(self, bench_config):
-        # with the tail and the vectors built, one k = 3 block at J = 8 holds
-        # about 9.7 float64 blocks; copying the slab pieces into chunk buffers
-        # took 12.4
+        # with the streams keyed once, one k = 3 block at J = 8 holds its
+        # eight rows of 3349 shells, below one float64 block
         comp = ACTIVE_CASES[1][1]
         engine = _OrderEngine(bench_config, 3)
-        risk._active_block(engine, comp, rank=0, J=1, seed=5)  # tail, vectors, imports
+        lam = engine.active_means(comp)
+        risk._active_block(engine, lam, rank=0, J=1, seed=5)  # stream keys, imports
         tracemalloc.start()
         try:
-            risk._active_block(engine, comp, rank=0, J=8, seed=5)
+            risk._active_block(engine, lam, rank=0, J=8, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10.5 * 8 * lattice.BLOCK_ENTRIES
+        assert peak < 8 * lattice.BLOCK_ENTRIES
 
     def test_active_block_k4_peak_below_16_mb(self, bench_config):
-        # a stored k = 4 ball would take 51.5 MB; the streamed block, tail
-        # build included, stays below 16 MB
+        # a stored k = 4 ball would take 51.5 MB; the shell draw, its
+        # noncentralities' shell convolution included, stays below 1 MB
         comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
         engine = _OrderEngine(bench_config, 4)
         for fid in comp.factor_ids:
             coeff_vector(fid, engine.truncation)  # memoised before the trace
-        lattice._ball_tail.cache_clear()
         tracemalloc.start()
         try:
-            risk._active_block(engine, comp, rank=0, J=1, seed=5)
+            risk._active_block(engine, engine.active_means(comp), rank=0, J=1, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2**20
 
     def test_active_block_k4_holds_no_tail_sized_array(self, bench_config):
-        # with the tail and the vectors built, one k = 4 block at J = 8 holds
-        # about 11 float64 blocks; three tail-length float64 factors (7.5
-        # blocks of the 162848-point tail) and straddle copies took 19.5
+        # one k = 4 block at J = 8 holds its eight rows of 1178 shells, below
+        # one float64 block
         comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
         engine = _OrderEngine(bench_config, 4)
-        assert len(lattice._ball_tail(4, engine.r2_max)[1]) == 162_848
-        for fid in comp.factor_ids:
-            coeff_vector(fid, engine.truncation)  # memoised before the trace
+        lam = engine.active_means(comp)
         tracemalloc.start()
         try:
-            risk._active_block(engine, comp, rank=0, J=8, seed=5)
+            risk._active_block(engine, lam, rank=0, J=8, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 14 * 8 * lattice.BLOCK_ENTRIES
+        assert peak < 8 * lattice.BLOCK_ENTRIES
 
-    def test_tail_bound_refused_before_any_draw(self, bench_dim, bench_config, monkeypatch):
-        # the k = 4 tail holds 162848 points: a lower bound stops the run on the
-        # main thread before the first draw
+    def test_active_means_fail_before_any_draw(self, bench_dim, bench_config, monkeypatch):
+        # every active's means are computed on the calling thread, so a
+        # failure stops the run before the pool draws anything
         pattern = build_pattern(bench_dim)
         draws = []
         monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
-        monkeypatch.setattr(lattice, "MAX_BALL_POINTS", 100_000)
-        lattice._ball_tail.cache_clear()
+
+        def refuse(factor_ids, n):
+            if len(factor_ids) == 4:
+                raise CapacityError("refused")
+            return shell_energy(factor_ids, n)
+
+        monkeypatch.setattr(risk, "shell_energy", refuse)
         fake_cpus(monkeypatch, 2)
-        with pytest.raises(CapacityError, match="lattice ball for k=4"):
+        with pytest.raises(CapacityError, match="refused"):
             risk._run_cycles(pattern, bench_config, 2, 5, "pool", 8)
         assert draws == []
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    ball_coords,
+    brute_lattice,
     dense_active_stats,
     engine_ball,
     engine_means,
@@ -95,7 +95,7 @@ class TestTruncation:
         for k, profiles in tiny_config.profiles.items():
             n = truncation_radius(k, profiles, mode="rule")
             for prof in profiles:
-                coords, _ = ball_coords(k, float(prof.rho[-1]) + 0.5)
+                coords, _ = brute_lattice(k, float(prof.rho[-1]) + 0.5)
                 assert int(np.abs(coords).max()) <= n
 
 
@@ -175,7 +175,7 @@ class TestSimulateObservations:
         comp = ComponentSpec(Subset((1,)), (1,))
         engine = _OrderEngine(config, 1)
         coords, _ = engine_ball(engine)
-        mu = engine_means(engine, comp)
+        mu = engine.active_means(comp)
         for row, m in zip(coords.tolist(), mu):
             assert m * epsilon == pytest.approx(product_coeff(comp, row), abs=1e-11)
 
@@ -183,10 +183,9 @@ class TestSimulateObservations:
 class TestStatistic:
     def test_constant_epsilon_values_give_zero(self, tiny_config):
         # |X_l| = eps at every point: each term (X/eps)^2 - 1 vanishes
-        engine = _OrderEngine(tiny_config, 2)
-        _, shell = engine_ball(engine)
-        mu = 1.0 - pinned_xi(2, 7, len(shell))
-        stats = engine.active_stats([observation_stream(0, 0, 2, 7)], [(shell, mu)])[0]
+        engine = _OrderEngine(tiny_config, 1)
+        mu = 1.0 - pinned_xi(1, 7, 2 * len(engine.rho))
+        stats = engine.active_stats([observation_stream(0, 0, 1, 7)], mu)[0]
         assert np.allclose(stats, 0.0, atol=1e-12)
 
     def test_missing_index_raises(self, tiny_config):
@@ -215,7 +214,7 @@ class TestStatistic:
         epsilon = 0.01
         w = weights(0.1, 1, 1.0, epsilon)
         table = {(-2,): 0.004, (-1,): -0.006, (1,): 0.008, (2,): 0.002, (3,): 0.001}
-        coords, shell = ball_coords(1, float(w.rho[-1]) + 0.5)
+        coords, shell = brute_lattice(1, float(w.rho[-1]) + 0.5)
         coords = [tuple(row) for row in coords.tolist()]
         omega = w.values[shell]
         mu = np.array([table.get(c, 0.0) / epsilon for c in coords])
@@ -241,31 +240,25 @@ class TestSelect:
 
     def test_monotone_in_single_coordinate(self, tiny_config):
         # pushing any one X_l away from zero never lowers a statistic
-        engine = _OrderEngine(tiny_config, 2)
-        comp = ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.3)
-        _, shell = engine_ball(engine)
-        mu = engine_means(engine, comp)
-        x = mu + pinned_xi(2, 11, len(mu))
-        base = engine.active_stats([observation_stream(0, 0, 2, 11)], [(shell, mu)])[0]
-        for i in range(0, len(mu), 7):
+        engine = _OrderEngine(tiny_config, 1)
+        comp = ComponentSpec(Subset((3,)), (2,), amplitude=0.3)
+        mu = engine.active_means(comp)
+        x = mu + pinned_xi(1, 11, len(mu))
+        base = engine.active_stats([observation_stream(0, 0, 1, 11)], mu)[0]
+        for i in range(len(mu)):
             bumped = mu.copy()
             bumped[i] += 2.0 * x[i] + np.sign(x[i]) * 5.0
-            stats = engine.active_stats(
-                [observation_stream(0, 0, 2, 11)], [(shell, bumped)]
-            )[0]
+            stats = engine.active_stats([observation_stream(0, 0, 1, 11)], bumped)[0]
             assert np.all(stats >= base - 1e-12)
 
     def test_scaling_all_values_never_decreases_stats(self, tiny_config):
         # X -> 1.7 X at every point raises every statistic (weights are >= 0)
-        engine = _OrderEngine(tiny_config, 2)
-        comp = ComponentSpec(Subset((1, 4)), (6, 7))
-        _, shell = engine_ball(engine)
-        mu = engine_means(engine, comp)
-        xi = pinned_xi(2, 4, len(mu))
-        base = engine.active_stats([observation_stream(0, 0, 2, 4)], [(shell, mu)])[0]
-        scaled = engine.active_stats(
-            [observation_stream(0, 0, 2, 4)], [(shell, 1.7 * mu + 0.7 * xi)]
-        )[0]
+        engine = _OrderEngine(tiny_config, 1)
+        comp = ComponentSpec(Subset((4,)), (6,))
+        mu = engine.active_means(comp)
+        xi = pinned_xi(1, 4, len(mu))
+        base = engine.active_stats([observation_stream(0, 0, 1, 4)], mu)[0]
+        scaled = engine.active_stats([observation_stream(0, 0, 1, 4)], 1.7 * mu + 0.7 * xi)[0]
         assert np.all(scaled >= base)
 
     def test_threshold_identity(self, tiny_config, tiny_dim):
@@ -290,6 +283,20 @@ class TestSelect:
             if engine.null_stats(rng).max() > t:
                 hits += 1
         assert hits / n <= 1e-3
+
+
+def assert_same_law(a, b, n_se=5.0):
+    """Per column, two samples' means and variances agree within n_se standard errors."""
+    se_mean = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
+    assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= n_se * se_mean)
+
+    def var_and_se2(x):
+        c = x - x.mean(axis=0)
+        v = (c**2).mean(axis=0)
+        return v, ((c**4).mean(axis=0) - v**2) / len(x)
+
+    (va, sa), (vb, sb) = var_and_se2(a), var_and_se2(b)
+    assert np.all(np.abs(va - vb) <= n_se * np.sqrt(sa + sb))
 
 
 def philox_key(rng):
@@ -413,21 +420,28 @@ class TestAuditBatches:
 
 class TestShellFastPathConsistency:
     def test_engine_stats_match_dense_statistic(self, tiny_config):
-        # same substream, statistic computed per point vs per shell
-        comp = ComponentSpec(Subset((1, 2)), (1, 2))
+        # k = 1 draws per point: the same draws as the dense statistic, to
+        # rounding; k = 2 draws per shell: the same law
+        comp = ComponentSpec(Subset((4,)), (3,), amplitude=0.4)
         pattern = explicit_pattern(12, 2, [comp], 0.01)
-        rank = subset_rank(comp.subset, 12)
-        for cycle in (0, 3):
+        dense = dense_active_stats(tiny_config, comp, 21, (0, 3), subset_rank(comp.subset, 12))
+        for cycle, row in zip((0, 3), dense):
             fast = select(pattern, tiny_config, [comp.subset], seed=21, cycle=cycle)
-            dense = dense_active_stats(tiny_config, comp, 21, cycle, rank)
-            assert np.allclose(fast.decisions[comp.subset].stats, dense, rtol=1e-12, atol=1e-10)
+            assert np.allclose(fast.decisions[comp.subset].stats, row, rtol=1e-12, atol=1e-10)
+        comp = ComponentSpec(Subset((1, 2)), (1, 2), amplitude=0.33)
+        rank, n = subset_rank(comp.subset, 12), 600
+        engine = _OrderEngine(tiny_config, 2)
+        rngs = [observation_stream(21, cycle, 2, rank) for cycle in range(n)]
+        shell = engine.active_stats(rngs, engine.active_means(comp))
+        dense = dense_active_stats(tiny_config, comp, 21, range(n), rank)
+        assert_same_law(shell, dense)
 
     def test_mean_stats_identity(self, tiny_config):
         comp = ComponentSpec(Subset((3, 9)), (2, 5), amplitude=0.7)
         engine = _OrderEngine(tiny_config, 2)
         means = engine.W @ engine.shell_lam(comp)
         for m, prof in enumerate(tiny_config.profiles[2]):
-            coords, shell = ball_coords(2, float(prof.rho[-1]) + 0.5)
+            coords, shell = brute_lattice(2, float(prof.rho[-1]) + 0.5, prof.rho)
             omega = prof.values[shell]
             theta = np.array([product_coeff(comp, c) for c in coords.tolist()])
             expected = float(omega @ (theta / 0.01) ** 2)
@@ -443,7 +457,7 @@ class TestShellFastPathConsistency:
         ids=["k1", "k2", "k4"],
     )
     def test_shell_lam_matches_ball_walk(self, request, config_name, k, comp):
-        # the shell energies give the means the ball walk's per-point
+        # the shell energies give the means the brute-force ball's per-point
         # squares give; at k = 1 the energies sit on root-indexed shells
         engine = _OrderEngine(request.getfixturevalue(config_name), k)
         lam = engine.shell_lam(comp)
@@ -457,13 +471,9 @@ class TestShellFastPathConsistency:
         # per-point active draws against noncentral chi-square draws per shell
         comp = ComponentSpec(Subset((1,)), (1,), amplitude=0.001)
         engine = _OrderEngine(bench_k1_config, 1)
-        _, shell = engine_ball(engine)
-        mu = engine_means(engine, comp)
+        mu = engine.active_means(comp)
         n = 2000
-        point = np.array([
-            engine.active_stats([observation_stream(3, j, 1, 0)], [(shell, mu)])[0]
-            for j in range(n)
-        ])
+        point = engine.active_stats([observation_stream(3, j, 1, 0) for j in range(n)], mu)
         shell = shell_active_stats(engine, comp, np.random.default_rng(3), n)
         miss_point = float(np.mean(point.max(axis=1) <= engine.threshold))
         miss_shell = float(np.mean(shell.max(axis=1) <= engine.threshold))
@@ -473,3 +483,41 @@ class TestShellFastPathConsistency:
         assert abs(miss_point - miss_shell) <= 5.0 * se_miss
         se = np.sqrt((point.var(axis=0) + shell.var(axis=0)) / n)
         assert np.all(np.abs(point.mean(axis=0) - shell.mean(axis=0)) <= 5.0 * se)
+
+    # the largest mean statistic sits at t_k, so about half the draws miss;
+    # closed-form variances (W**2) @ (2N + 4 lam) pinned to the fixtures
+    @pytest.mark.parametrize(
+        "config_name,comp,variances",
+        [
+            ("tiny_config", ComponentSpec(Subset((1, 2)), (1, 2)), [4.03, 3.77, 3.05]),
+            ("k4_config", ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4)), [1.218]),
+        ],
+        ids=["k2", "k4"],
+    )
+    def test_shell_draw_exact_in_distribution(self, request, config_name, comp, variances):
+        engine = _OrderEngine(request.getfixturevalue(config_name), comp.subset.k)
+        t = engine.threshold
+        comp = comp.scaled(math.sqrt(t / (engine.W @ engine.shell_lam(comp)).max()))
+        lam = engine.active_means(comp)
+        mean, var = engine.W @ lam, (engine.W**2) @ (2.0 * engine.counts + 4.0 * lam)
+        assert mean.max() == pytest.approx(t, rel=1e-12)
+        np.testing.assert_allclose(var, variances, rtol=2e-3)
+        n = 6000
+        shell = engine.active_stats([np.random.default_rng(8)] * n, lam)
+        se = np.sqrt(var / n)
+        assert np.all(np.abs(shell.mean(axis=0) - mean) <= 5.0 * se)
+        centred = shell - shell.mean(axis=0)
+        se_var = np.sqrt(((centred**4).mean(axis=0) - var**2) / n)
+        assert np.all(np.abs(shell.var(axis=0) - var) <= 5.0 * se_var)
+        # per-point oracle: every ball point drawn, in blocks of 100 rows
+        _, ball_shell = engine_ball(engine)
+        mu, w = engine_means(engine, comp), engine.W[:, ball_shell].T
+        rng = np.random.default_rng(9)
+        point = np.concatenate([
+            ((mu + rng.standard_normal((100, len(mu)))) ** 2 - 1.0) @ w for _ in range(n // 100)
+        ])
+        miss_shell = float(np.mean(shell.max(axis=1) <= t))
+        miss_point = float(np.mean(point.max(axis=1) <= t))
+        pooled = 0.5 * (miss_shell + miss_point)
+        assert 0.1 < pooled < 0.9
+        assert abs(miss_shell - miss_point) <= 5.0 * math.sqrt(pooled * (1 - pooled) * 2 / n)

@@ -387,3 +387,10 @@ class TestSparsityPattern:
         comp = ComponentSpec(Subset((1,)), (1,))
         with pytest.raises(ValueError, match="duplicate"):
             SparsityPattern(d=5, s=1, components={1: (comp, comp)})
+
+    def test_components_above_s_rejected(self):
+        # they would never be drawn: risk reports no miss for them
+        spec = DimensionSpec(d=12, s=1, beta=0.6, sigma=1.0, epsilon=0.01)
+        comp = ComponentSpec(Subset((1, 2)), (1, 2))
+        with pytest.raises(ValueError, match="order 2 above the maximal order s=1"):
+            build_pattern(spec, "explicit", [comp])
