@@ -20,9 +20,8 @@ of Z^k with every coordinate nonzero.  This module provides
   bounds every per-shell array that :func:`shell_counts` builds, and an
   integer :func:`shell_convolve` refuses a count beyond int64;
   ``BLOCK_ENTRIES`` is the package's one block size, bounding every
-  temporary of a blocked loop (the first-order active draw's pieces, the
-  audit's null-draw rows and the coefficient vectors' cos/sin rows) at
-  512 kB of float64,
+  temporary of a blocked loop (the audit's null-draw rows and the
+  coefficient vectors' cos/sin rows) at 512 kB of float64,
 * lexicographic subset ranking, which keys the per-subset random substreams
   so that full and pooled enumeration agree on shared subsets.
 """
@@ -119,9 +118,9 @@ def active_count(d: int, k: int, beta: float) -> int:
 # per root, isqrt(m) of them).
 MAX_SHELL_INDEX = 5_000_000
 
-# Entries per block of every blocked loop: the pieces in which a first-order
-# active draws its points, the audit's null-draw rows and the coefficient
-# vectors' cos/sin rows.  A float64 block is 512 kB, so it stays in cache.
+# Entries per block of every blocked loop: the audit's null-draw rows and the
+# coefficient vectors' cos/sin rows.  A float64 block is 512 kB, so it stays
+# in cache.
 BLOCK_ENTRIES = 1 << 16
 
 INT64_MAX = np.iinfo(np.int64).max

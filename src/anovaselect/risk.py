@@ -2,27 +2,27 @@
 attenuation experiment, and classification against the selection and
 detection boundaries.
 
-One engine evaluates the statistics S_{u,m} for :func:`select` and the risk
-estimators alike, with the config's weight matrix of its order as it is.
-Every weight is radial, so a subset's statistics depend on its noise only
-through per-shell sums: a null subset's are drawn as chi-square variates,
-and an active subset of order k >= 2 draws each shell sum of
-(mu_l + xi_l)^2 as one noncentral chi-square variate
-(:meth:`_OrderEngine.active_stats`).  A first-order active subset is drawn
-point by point over its 2n points, in pieces of at most
-``lattice.BLOCK_ENTRIES``, so its draws are those of one call of 2n normals;
-the acceptance gate freezes the attenuated first-order component's draws.
-Both paths draw from the same per-(cycle, order, subset-rank) substreams, so
-results are bit-reproducible, full and pooled enumeration agree on shared
-subsets, :func:`select` sees exactly the draws of the matching risk cycle,
-and re-running a single subset (as the attenuation experiment does)
-reproduces exactly what a full rerun would see.  The risk driver runs each
-active component and each block of inactive ranks as one job on the worker
-pool of ``selector._run_jobs``, which also runs the audit's batches and has
-one thread per CPU this process may run on, at most 8 (``taskset`` sets
-fewer); the jobs' counts add, in job order, into per-cycle misses and
-per-order, per-cycle false positives, from which one function builds every
-:class:`RiskReport`, so no result depends on the worker count.
+One engine method, :meth:`_OrderEngine.stats`, draws the statistics S_{u,m}
+of every subset for :func:`select` and the risk estimators alike, with the
+config's weight matrix of its order as it is.  Every weight is radial, so a
+subset's statistics depend on its noise only through per-shell sums, and
+only their law differs: chi-square for a null subset, and for an active
+subset of order k >= 2 noncentral chi-square, one variate per shell; both
+are exact in distribution.  A first-order active is drawn point by point
+over its 2n points, because the acceptance gate freezes the attenuated
+first-order component's draws.  Every subset draws from its own
+(cycle, order, subset-rank) substream, so results are bit-reproducible, full
+and pooled enumeration agree on shared subsets, :func:`select` sees exactly
+the draws of the matching risk cycle, and re-running a single subset (as
+the attenuation experiment does) reproduces exactly what a full rerun would
+see.  One block loop, :func:`_selected`, counts the selections of a block
+of subset ranks per cycle; the risk driver runs each active component and
+each block of inactive ranks as one job on the worker pool of
+``selector._run_jobs``, which also runs the audit's batches and has one
+thread per CPU this process may run on, at most 8 (``taskset`` sets fewer);
+the jobs' counts add, in job order, into per-cycle selections of actives
+and per-order, per-cycle false positives, from which one function builds
+every :class:`RiskReport`, so no result depends on the worker count.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
 tables) are memoised where they are computed.
@@ -37,8 +37,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .extremal import a_exact, admissible_r_max
-from .lattice import BLOCK_ENTRIES, DimensionSpec, Subset, log_binomial, subset_rank
+from .extremal import a_exact
+from .lattice import INT64_MAX, DimensionSpec, Subset, log_binomial, subset_rank
 from .selector import (
     SelectorConfig,
     _run_jobs,
@@ -67,12 +67,8 @@ class _OrderEngine:
         self.counts = widest.counts.astype(np.float64)
         self.W = config.weight_matrix[k]  # the config's own, read-only
 
-    def null_stats(self, rng: np.random.Generator) -> np.ndarray:
-        q = null_shell_draw(rng, self.counts, 1)[0]
-        return self.W @ q
-
     def active_means(self, comp: ComponentSpec) -> np.ndarray:
-        """What :meth:`active_stats` draws an active component from.
+        """The means :meth:`stats` draws an active component from.
 
         At k = 1, theta_l / eps at the 2n points l = -n..-1, 1..n, where n is
         the number of shells (shell l^2 holds -l and l); at k >= 2 the shell
@@ -84,39 +80,33 @@ class _OrderEngine:
         vec = coeff_vector(comp.factor_ids[0], trunc)
         return comp.amplitude / self.epsilon * vec[np.r_[-n:0, 1 : n + 1] + trunc]
 
-    def active_stats(self, rngs: Sequence[np.random.Generator], means: np.ndarray) -> np.ndarray:
-        """One row of S_m per stream for an active component, from its ``active_means``.
+    def stats(self, rng: np.random.Generator, means: np.ndarray | None = None) -> np.ndarray:
+        """One row of S_m = W @ q from ``rng``: a null subset's, or an active
+        one's from its :meth:`active_means`.
 
-        At k >= 2 a stream draws one row, q = chi2(N_rho, lam_rho) - N_rho
-        per shell.  This is exact in distribution: the weights are constant
-        on a shell, so S_m = sum_rho w_m(rho) (Y_rho - N_rho) with Y_rho the
-        shell sum of (mu_l + xi_l)^2 over its N_rho points, and Y_rho is
-        noncentral chi2(N_rho, lam_rho), lam_rho the shell sum of mu_l^2,
-        independently across shells.
-        At k = 1 a stream draws normals over the 2n points, piece by piece
-        into one buffer of at most ``BLOCK_ENTRIES``, which is the sequence
-        one call of 2n normals gives, and ``np.add.at`` adds each piece into
-        the shell sums in point order: the first-order draws, which the
-        acceptance gate freezes, are those of a point-by-point statistic.
+        The weights are constant on a shell, so S_m = sum_rho w_m(rho) q_rho
+        with q_rho = Y_rho - N_rho, where Y_rho is the shell sum of
+        (mu_l + xi_l)^2 over its N_rho points, independent across shells.
+        Drawing Y_rho from its law is therefore exact in distribution: for a
+        null subset chi2(N_rho), by ``null_shell_draw``; for an active one at
+        k >= 2 noncentral chi2(N_rho, lam_rho), lam_rho the shell sum of
+        mu_l^2.  At k = 1 the 2n normals are drawn in point order and each
+        shell sums its two points, because the acceptance gate freezes the
+        draws of the attenuated first-order component's point-by-point
+        statistic.
         """
-        if self.k > 1:
-            rows = [rng.noncentral_chisquare(self.counts, means) - self.counts for rng in rngs]
+        if means is None:
+            q = null_shell_draw(rng, self.counts, 1)[0]
+        elif self.k > 1:
+            q = rng.noncentral_chisquare(self.counts, means) - self.counts
         else:
-            half = len(means) // 2
-            shell = np.concatenate([np.arange(half - 1, -1, -1), np.arange(half)])
-            rows = np.zeros((len(rngs), len(self.rho)))
-            buf = np.empty(min(BLOCK_ENTRIES, len(means)))
-            for start in range(0, len(means), BLOCK_ENTRIES):
-                mu = means[start : start + BLOCK_ENTRIES]
-                y = buf[: len(mu)]
-                for rng, acc in zip(rngs, rows):
-                    rng.standard_normal(out=y)
-                    y += mu
-                    y *= y
-                    y -= 1.0
-                    np.add.at(acc, shell[start : start + BLOCK_ENTRIES], y)
-        # one gemv per row: a blocked matrix product would change the last bits
-        return np.array([self.W @ q for q in rows])
+            n = len(self.rho)
+            y = rng.standard_normal(2 * n)
+            y += means
+            y *= y
+            y -= 1.0
+            q = y[n - 1 :: -1] + y[n:]
+        return self.W @ q
 
     def shell_lam(self, comp: ComponentSpec) -> np.ndarray:
         """Noncentralities lam_rho = sum over shell rho of (theta_l / eps)^2.
@@ -186,10 +176,7 @@ def select(
         engine = engines[k]
         rng = observation_stream(seed, cycle, k, subset_rank(subset, config.dim.d))
         comp = components.get(subset)
-        if comp is None:
-            stats = engine.null_stats(rng)
-        else:
-            stats = engine.active_stats([rng], engine.active_means(comp))[0]
+        stats = engine.stats(rng, None if comp is None else engine.active_means(comp))
         selected = bool(stats.max() > engine.threshold)
         decisions[subset] = SubsetDecision(
             stats=tuple(float(v) for v in stats),
@@ -231,33 +218,24 @@ def _inactive_ranks(
     return np.sort(candidates[~np.isin(candidates, active)][:size])
 
 
-def _null_block(
-    engine: _OrderEngine, ranks: Sequence[int], J: int, seed: int
+def _selected(
+    engine: _OrderEngine, ranks: Sequence[int], means: np.ndarray | None, J: int, seed: int
 ) -> np.ndarray:
-    """False-positive counts per cycle over a block of inactive subsets.
+    """Per cycle, how many of the subsets ``ranks`` the selector picks.
 
-    The block owns one generator and re-keys it to each subset's substream,
+    The subsets are null (``means`` None) or one active with its
+    ``active_means``.  One generator is re-keyed to each subset's substream,
     which draws exactly what a fresh generator on that substream would.
     """
-    fp = np.zeros(J, dtype=np.int64)
+    hits = np.zeros(J, dtype=np.int64)
     t = engine.threshold
     rng = None
     for rank in ranks:
         for j in range(J):
             rng = observation_stream(seed, j, engine.k, int(rank), into=rng)
-            stats = engine.null_stats(rng)
-            if stats.max() > t:
-                fp[j] += 1
-    return fp
-
-
-def _active_block(
-    engine: _OrderEngine, means: np.ndarray, rank: int, J: int, seed: int
-) -> np.ndarray:
-    """Miss indicators per cycle for one active subset, from its ``active_means``."""
-    rngs = [observation_stream(seed, j, engine.k, rank) for j in range(J)]
-    stats = engine.active_stats(rngs, means)
-    return (~(stats.max(axis=1) > engine.threshold)).astype(np.int64)
+            if engine.stats(rng, means).max() > t:
+                hits[j] += 1
+    return hits
 
 
 def _run_cycles(
@@ -272,15 +250,15 @@ def _run_cycles(
     """Shared cycle driver.
 
     Every active component and every block of inactive ranks is one
-    ``(block function, arguments)`` job with a tally: an active block's miss
-    indicators add into the per-cycle miss tally, a null block's counts into
-    its order's per-cycle false-positive tally.  The jobs run on the worker
-    pool of ``selector._run_jobs``, all submitted at once so that no worker
-    idles behind a long active block, and their counts are added in job
-    order, so no result depends on the worker count.  Returns
-    (miss_per_cycle, fp_per_cycle_by_k, n_inactive, engines).  Each active
-    job's ``active_means`` are computed here, on the calling thread, so a
-    failure surfaces before the pool starts.
+    :func:`_selected` job with a tally: an active's hits add into the
+    per-cycle ``found`` tally, and misses are the actives drawn less those
+    found; a null block's hits add into its order's per-cycle false-positive
+    tally.  The jobs run on the worker pool of ``selector._run_jobs``, all
+    submitted at once, and their counts are added in job order, so no
+    result depends on the worker count.  Returns (miss_per_cycle,
+    fp_per_cycle_by_k, n_inactive, engines).  Each active job's
+    ``active_means`` and each order's subset count are checked here, on the
+    calling thread, so a failure surfaces before anything is drawn.
     """
     d = config.dim.d
     _check_pattern(pattern, config)
@@ -291,21 +269,28 @@ def _run_cycles(
     if mode not in ("full", "pool"):
         raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
 
-    miss = np.zeros(J, dtype=np.int64)
+    found = np.zeros(J, dtype=np.int64)
+    drawn = 0
     fp: dict[int, np.ndarray] = {}
     n_inactive: dict[int, int] = {}
     engines: dict[int, _OrderEngine] = {}
     jobs = []
     tallies = []
     for k in range(1, pattern.s + 1):
+        total = math.comb(d, k)
+        if total > INT64_MAX:
+            raise CapacityError(
+                f"order k={k} at d={d} has {total} subsets, "
+                f"beyond the int64 limit {INT64_MAX} of subset ranks"
+            )
         engine = engines[k] = _OrderEngine(config, k)
         for comp in pattern.active(k):
             if comp.subset in skip_subsets:
                 continue
             rank = subset_rank(comp.subset, d)
-            jobs.append((_active_block, (engine, engine.active_means(comp), rank, J, seed)))
-            tallies.append(miss)
-        total = math.comb(d, k)
+            jobs.append((_selected, (engine, [rank], engine.active_means(comp), J, seed)))
+            tallies.append(found)
+            drawn += 1
         if mode == "full" and total > MAX_FULL_SUBSETS:
             raise CapacityError(
                 f"full enumeration at k={k} needs {total} subsets, "
@@ -319,12 +304,12 @@ def _run_cycles(
         chunk = max(64, len(ranks) // 32 or 1)
         for start in range(0, len(ranks), chunk):
             block = ranks[start : start + chunk]
-            jobs.append((_null_block, (engine, block, J, seed)))
+            jobs.append((_selected, (engine, block, None, J, seed)))
             tallies.append(fp[k])
 
     for counts, tally in zip(_run_jobs(jobs), tallies):
         tally += counts
-    return miss, fp, n_inactive, engines
+    return drawn - found, fp, n_inactive, engines
 
 
 def _report(
@@ -402,7 +387,7 @@ def attenuation_experiment(
     reports = []
     for alpha in alphas:
         means = engines[1].active_means(designated.scaled(alpha))
-        miss = base_miss + _active_block(engines[1], means, rank, J, seed)
+        miss = base_miss + 1 - _selected(engines[1], [rank], means, J, seed)
         reports.append(_report(pattern, miss, fp, n_inactive, float(alpha)))
     return reports
 
@@ -482,17 +467,15 @@ def boundary_sweep(
     ks: Sequence[int],
     band: float = 0.05,
 ) -> list[SweepRow]:
-    """Phase data over a (beta, r) grid; rows only for admissible radii.
+    """Phase data over a (beta, r) grid.
 
-    The ratio a(r)/sqrt(log C(d,k)) does not depend on beta, so it is computed
+    A radius outside (0, admissible_r_max(k, sigma)) raises ``ValueError``,
+    as in :func:`classify_regime`.  The ratio a(r)/sqrt(log C(d,k)) does not depend on beta, so it is computed
     once per (k, r) and classified against each beta's thresholds.
     """
     rows: list[SweepRow] = []
     for k in ks:
-        r_hi = admissible_r_max(k, spec.sigma)
         for r in radii:
-            if not 0.0 < r < r_hi:
-                continue
             ratio = _boundary_ratio(r, k, spec)
             for beta in betas:
                 sel = selection_boundary(beta)

@@ -1,4 +1,5 @@
 import argparse
+import math
 import re
 from pathlib import Path
 
@@ -100,6 +101,18 @@ class TestConfigHandling:
             tmp_path, "d = 10\ns = 1\nepsilon = 1e-12\ngrid_m = 2\ntruncation = rule\n"
         )
         assert run(["calibrate", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+
+    def test_order_beyond_int64_ranks_exits_3(self, tmp_path, capsys):
+        # C(200, 13) subsets: calibration succeeds, the rank sampler cannot hold them
+        path = write_config(
+            tmp_path,
+            "d = 200\ns = 13\nbeta = 0.5\nsigma = 1\nepsilon = 5e-6\ngrid_m = 3\n"
+            "truncation = rule\npattern = none\npool_size = 5\ncycles = 1\n",
+        )
+        assert run(["risk", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"numeric error: order k=13 at d=200 has {math.comb(200, 13)} subsets" in err
+        assert "int64" in err
 
     def test_environment_ignored_and_flag_precedence(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, SMALL_RISK_CFG)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import engine_ball, engine_means, fake_cpus, manual_config, shell_active_stats
 
-from anovaselect import lattice, risk
+from anovaselect import risk
 from anovaselect.errors import CapacityError
 from anovaselect.lattice import DimensionSpec, Subset
 from anovaselect.risk import (
@@ -102,6 +102,17 @@ class TestEstimateRisk:
         rep = estimate_risk(small_pattern, tiny_config, J=5, seed=3, mode="full")
         assert rep.err == pytest.approx(sum(rep.per_cycle_losses) / 5, rel=1e-15)
         assert len(rep.per_cycle_losses) == 5
+
+    def test_order_beyond_int64_ranks_fails_before_any_draw(self, monkeypatch):
+        # C(200, 13) is about 8.8e19 subsets, whose ranks int64 cannot hold
+        dim = DimensionSpec(d=200, s=13, beta=0.5, sigma=1.0, epsilon=5e-6)
+        config = build_selector_config(dim, M=3, truncation="rule")
+        pattern = explicit_pattern(200, 13, [], epsilon=5e-6, beta=0.5)
+        draws = []
+        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
+        with pytest.raises(CapacityError, match=f"k=13 at d=200 has {math.comb(200, 13)} subsets"):
+            estimate_risk(pattern, config, J=1, seed=0, pool_inactive=5)
+        assert draws == []
 
     def test_strong_signal_never_missed(self, small_pattern, tiny_config):
         # at full amplitude the statistic means sit far above both thresholds
@@ -229,15 +240,17 @@ ACTIVE_CASES = [
 
 
 class TestStreamedActivePath:
-    # at k = 1 the pieces follow the block size: 7 entries cut the 1240-point
-    # ball into 178 pieces, 1000 into two; k >= 2 draws per shell at any size
-    @pytest.mark.parametrize("chunk", [7, lattice.BLOCK_ENTRIES, 1000])
+    # the block loop re-keys one generator from subset to subset, so the
+    # generator first draws ``before`` normals on another stream
+    @pytest.mark.parametrize("before", [7, 1 << 16, 1000])
     @pytest.mark.parametrize("config_name,comp", ACTIVE_CASES)
-    def test_bit_identical_to_one_shot(self, request, monkeypatch, config_name, comp, chunk):
-        monkeypatch.setattr(risk, "BLOCK_ENTRIES", chunk)
+    def test_bit_identical_to_one_shot(self, request, config_name, comp, before):
         engine = _OrderEngine(request.getfixturevalue(config_name), comp.subset.k)
-        rng, same = (observation_stream(5, 2, comp.subset.k, 17) for _ in range(2))
-        drawn = engine.active_stats([rng], engine.active_means(comp))[0]
+        rng = observation_stream(5, 3, comp.subset.k, 18)
+        rng.standard_normal(before)
+        rng = observation_stream(5, 2, comp.subset.k, 17, into=rng)
+        same = observation_stream(5, 2, comp.subset.k, 17)
+        drawn = engine.stats(rng, engine.active_means(comp))
         if comp.subset.k == 1:
             expected = one_shot_stats(engine, comp, same)
         else:
@@ -245,19 +258,38 @@ class TestStreamedActivePath:
         assert np.array_equal(drawn, expected)
 
     def test_rows_independent_of_companion_streams(self, tiny_config):
+        # one generator re-keyed per cycle draws what a fresh stream per cycle would
         comp = ACTIVE_CASES[0][1]
         engine = _OrderEngine(tiny_config, 2)
         lam = engine.active_means(comp)
-        rngs = [observation_stream(5, j, 2, 17) for j in range(4)]
-        joint = engine.active_stats(rngs, lam)
+        rng = None
+        rows = []
         for j in range(4):
-            solo = engine.active_stats([observation_stream(5, j, 2, 17)], lam)[0]
-            assert np.array_equal(joint[j], solo)
-        assert not np.array_equal(joint[0], joint[1])
+            rng = observation_stream(5, j, 2, 17, into=rng)
+            rows.append(engine.stats(rng, lam))
+        for j, row in enumerate(rows):
+            assert np.array_equal(row, engine.stats(observation_stream(5, j, 2, 17), lam))
+        assert not np.array_equal(rows[0], rows[1])
+
+    @pytest.mark.parametrize("factor_ids", [(4,), (2, 5)], ids=["k1", "k2"])
+    def test_selected_counts_misses_of_fresh_streams(self, tiny_config, factor_ids):
+        # J - _selected over one active equals, cycle by cycle, its misses on
+        # fresh streams; the mean statistic peaks at t_k, so some cycles miss
+        k, J, seed, rank = len(factor_ids), 40, 5, 17
+        engine = _OrderEngine(tiny_config, k)
+        comp = ComponentSpec(Subset(tuple(range(3, 3 + k))), factor_ids)
+        peak = (engine.W @ engine.shell_lam(comp)).max()
+        means = engine.active_means(comp.scaled(math.sqrt(engine.threshold / peak)))
+        misses = np.array([
+            engine.stats(observation_stream(seed, j, k, rank), means).max() <= engine.threshold
+            for j in range(J)
+        ])
+        assert 0 < misses.sum() < J
+        assert np.array_equal(1 - risk._selected(engine, [rank], means, J, seed), misses)
 
     def test_active_block_memory_below_one_point_array(self, bench_config):
         # one float64 per ball point is 8.4 MB at d = 50, k = 3; the shell
-        # draw holds a few rows of the 3349 shells
+        # draw holds one row of the 3349 shells at a time
         comp = ACTIVE_CASES[1][1]
         engine = _OrderEngine(bench_config, 3)
         points = int(engine.counts.sum())
@@ -265,55 +297,55 @@ class TestStreamedActivePath:
         lam = engine.active_means(comp)
         tracemalloc.start()
         try:
-            risk._active_block(engine, lam, rank=0, J=2, seed=5)
+            risk._selected(engine, [0], lam, 2, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * points
 
     def test_active_block_k3_holds_no_chunk_buffers(self, bench_config):
-        # with the streams keyed once, one k = 3 block at J = 8 holds its
-        # eight rows of 3349 shells, below one float64 block
+        # one generator re-keyed per cycle: a k = 3 block at J = 8 holds two
+        # rows of 3349 shells (the draw and q) at a time, whatever J is
         comp = ACTIVE_CASES[1][1]
         engine = _OrderEngine(bench_config, 3)
         lam = engine.active_means(comp)
-        risk._active_block(engine, lam, rank=0, J=1, seed=5)  # stream keys, imports
+        risk._selected(engine, [0], lam, 8, 5)  # memoised stream keys, imports
         tracemalloc.start()
         try:
-            risk._active_block(engine, lam, rank=0, J=8, seed=5)
+            risk._selected(engine, [0], lam, 8, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * lattice.BLOCK_ENTRIES
+        assert peak < 2 * 8 * len(engine.rho) + 2**14  # two rows and generator state
 
     def test_active_block_k4_peak_below_16_mb(self, bench_config):
         # a stored k = 4 ball would take 51.5 MB; the shell draw, its
-        # noncentralities' shell convolution included, stays below 1 MB
+        # noncentralities' shell convolution included, stays below 256 kB
         comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
         engine = _OrderEngine(bench_config, 4)
         for fid in comp.factor_ids:
             coeff_vector(fid, engine.truncation)  # memoised before the trace
         tracemalloc.start()
         try:
-            risk._active_block(engine, engine.active_means(comp), rank=0, J=1, seed=5)
+            risk._selected(engine, [0], engine.active_means(comp), 1, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak < 2**18
 
     def test_active_block_k4_holds_no_tail_sized_array(self, bench_config):
-        # one k = 4 block at J = 8 holds its eight rows of 1178 shells, below
-        # one float64 block
+        # a k = 4 block at J = 8 holds two rows of 1178 shells at a time
         comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
         engine = _OrderEngine(bench_config, 4)
         lam = engine.active_means(comp)
+        risk._selected(engine, [0], lam, 8, 5)  # memoised stream keys, imports
         tracemalloc.start()
         try:
-            risk._active_block(engine, lam, rank=0, J=8, seed=5)
+            risk._selected(engine, [0], lam, 8, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * lattice.BLOCK_ENTRIES
+        assert peak < 2 * 8 * len(engine.rho) + 2**14  # two rows and generator state
 
     def test_active_means_fail_before_any_draw(self, bench_dim, bench_config, monkeypatch):
         # every active's means are computed on the calling thread, so a
@@ -488,8 +520,10 @@ class TestBoundarySweep:
         with pytest.raises(ValueError, match="k=3, d=3"):
             boundary_sweep(spec, [0.5], [r], [3])
 
-    def test_inadmissible_radii_skipped(self):
+    def test_inadmissible_radii_raise(self):
+        # as in classify_regime: nothing is dropped silently
         spec = DimensionSpec(d=50, s=1, beta=0.5, sigma=1.0, epsilon=0.01)
         hi = admissible_r_max(1, 1.0)
-        rows = boundary_sweep(spec, [0.5], [hi * 1.5, hi * 0.5], [1])
-        assert len(rows) == 1 and rows[0].r == pytest.approx(hi * 0.5)
+        for r in (hi * 1.5, 0.0):
+            with pytest.raises(ValueError, match="outside the admissible interval"):
+                boundary_sweep(spec, [0.5], [hi * 0.5, r], [1])

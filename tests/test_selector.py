@@ -185,7 +185,7 @@ class TestStatistic:
         # |X_l| = eps at every point: each term (X/eps)^2 - 1 vanishes
         engine = _OrderEngine(tiny_config, 1)
         mu = 1.0 - pinned_xi(1, 7, 2 * len(engine.rho))
-        stats = engine.active_stats([observation_stream(0, 0, 1, 7)], mu)[0]
+        stats = engine.stats(observation_stream(0, 0, 1, 7), mu)
         assert np.allclose(stats, 0.0, atol=1e-12)
 
     def test_missing_index_raises(self, tiny_config):
@@ -244,11 +244,11 @@ class TestSelect:
         comp = ComponentSpec(Subset((3,)), (2,), amplitude=0.3)
         mu = engine.active_means(comp)
         x = mu + pinned_xi(1, 11, len(mu))
-        base = engine.active_stats([observation_stream(0, 0, 1, 11)], mu)[0]
+        base = engine.stats(observation_stream(0, 0, 1, 11), mu)
         for i in range(len(mu)):
             bumped = mu.copy()
             bumped[i] += 2.0 * x[i] + np.sign(x[i]) * 5.0
-            stats = engine.active_stats([observation_stream(0, 0, 1, 11)], bumped)[0]
+            stats = engine.stats(observation_stream(0, 0, 1, 11), bumped)
             assert np.all(stats >= base - 1e-12)
 
     def test_scaling_all_values_never_decreases_stats(self, tiny_config):
@@ -257,8 +257,8 @@ class TestSelect:
         comp = ComponentSpec(Subset((4,)), (6,))
         mu = engine.active_means(comp)
         xi = pinned_xi(1, 4, len(mu))
-        base = engine.active_stats([observation_stream(0, 0, 1, 4)], mu)[0]
-        scaled = engine.active_stats([observation_stream(0, 0, 1, 4)], 1.7 * mu + 0.7 * xi)[0]
+        base = engine.stats(observation_stream(0, 0, 1, 4), mu)
+        scaled = engine.stats(observation_stream(0, 0, 1, 4), 1.7 * mu + 0.7 * xi)
         assert np.all(scaled >= base)
 
     def test_threshold_identity(self, tiny_config, tiny_dim):
@@ -280,7 +280,7 @@ class TestSelect:
         n = 10_000
         for rank in range(n):
             rng = observation_stream(20250810, 0, 1, rank)
-            if engine.null_stats(rng).max() > t:
+            if engine.stats(rng).max() > t:
                 hits += 1
         assert hits / n <= 1e-3
 
@@ -431,8 +431,9 @@ class TestShellFastPathConsistency:
         comp = ComponentSpec(Subset((1, 2)), (1, 2), amplitude=0.33)
         rank, n = subset_rank(comp.subset, 12), 600
         engine = _OrderEngine(tiny_config, 2)
-        rngs = [observation_stream(21, cycle, 2, rank) for cycle in range(n)]
-        shell = engine.active_stats(rngs, engine.active_means(comp))
+        lam = engine.active_means(comp)
+        shell = np.array([engine.stats(observation_stream(21, cycle, 2, rank), lam)
+                          for cycle in range(n)])
         dense = dense_active_stats(tiny_config, comp, 21, range(n), rank)
         assert_same_law(shell, dense)
 
@@ -473,7 +474,7 @@ class TestShellFastPathConsistency:
         engine = _OrderEngine(bench_k1_config, 1)
         mu = engine.active_means(comp)
         n = 2000
-        point = engine.active_stats([observation_stream(3, j, 1, 0) for j in range(n)], mu)
+        point = np.array([engine.stats(observation_stream(3, j, 1, 0), mu) for j in range(n)])
         shell = shell_active_stats(engine, comp, np.random.default_rng(3), n)
         miss_point = float(np.mean(point.max(axis=1) <= engine.threshold))
         miss_shell = float(np.mean(shell.max(axis=1) <= engine.threshold))
@@ -503,7 +504,8 @@ class TestShellFastPathConsistency:
         assert mean.max() == pytest.approx(t, rel=1e-12)
         np.testing.assert_allclose(var, variances, rtol=2e-3)
         n = 6000
-        shell = engine.active_stats([np.random.default_rng(8)] * n, lam)
+        rng = np.random.default_rng(8)
+        shell = np.array([engine.stats(rng, lam) for _ in range(n)])
         se = np.sqrt(var / n)
         assert np.all(np.abs(shell.mean(axis=0) - mean) <= 5.0 * se)
         centred = shell - shell.mean(axis=0)
