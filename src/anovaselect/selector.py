@@ -19,15 +19,15 @@ The statistics themselves are evaluated per shell by ``risk.select`` and the
 risk estimators.
 
 A substream is the stream of ``Philox(SeedSequence(seed, spawn_key=words))``,
-where each key part below 2^64 contributes two 32-bit words.  Its Philox key
-is derived here directly, with SeedSequence's own hash: the pool state after
-the seed and all but the last word is memoised with ``functools.cache``, so a
-new stream mixes in only the low word of its subset rank and hashes the pool
-out to the 128-bit key.  ``substream(..., into=rng)`` re-keys an existing Philox
-generator in place (counter 0, empty buffer, no half-word left) instead of
-building a new one, and the generator then draws exactly what a fresh one
-would; the null blocks of the risk estimators draw every subset and cycle
-through one generator this way.
+where each key part below 2^64 contributes two 32-bit words.  numpy's own
+``SeedSequence`` mixes the seed; each key word is mixed in here, with its hash,
+into the memoised (``functools.cache``) pool of the shorter prefix, so a new
+stream mixes in only its rank's low word before the pool is hashed out to the
+128-bit key.  ``substream(..., into=rng)`` re-keys an existing Philox generator
+in place (counter 0, empty buffer, no half-word left) instead of building a
+new one, and the generator then draws exactly what a fresh one would; the
+null blocks of the risk estimators draw every subset and cycle through one
+generator this way.
 
 The tail audit and the null moments draw S = sum omega Q in batches of
 ``BATCH_ROWS`` rows, and batch ``idx`` owns the audit substream ``offset + idx``,
@@ -68,10 +68,9 @@ PRESET_TRUNCATION = {1: 622, 2: 154, 3: 65, 4: 36}
 BATCH_ROWS = 20_000
 
 
-# Constants of numpy's seed hash (numpy/random/bit_generator.pyx): a pool of
-# four 32-bit words, the mixing hash and the output hash.
+# Constants of numpy's seed hash (numpy/random/bit_generator.pyx): the mixing
+# hash and the output hash of its pool of four 32-bit words.
 _MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -88,23 +87,11 @@ def _uint32_words(n: int) -> tuple[int, ...]:
     return tuple(words)
 
 
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    value ^= h
-    h = (h * _MULT_A) & _MASK32
-    value = (value * h) & _MASK32
-    return value ^ (value >> 16), h
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
 def _absorb(pool: tuple[int, ...], h: int, word: int) -> tuple[tuple[int, ...], int]:
-    """Mix one entropy word beyond the pool size into every pool word.
+    """Mix one more entropy word into every pool word, as SeedSequence does.
 
-    This is ``_mix(x, _hashmix(word, h))`` per pool word, inlined because every
-    stream pays for one call.
+    The key words after the seed are mixed here, by hand, because every stream
+    pays for one; numpy's own ``SeedSequence`` mixes the seed.
     """
     out = []
     for x in pool:
@@ -118,25 +105,16 @@ def _absorb(pool: tuple[int, ...], h: int, word: int) -> tuple[tuple[int, ...], 
 
 @functools.cache
 def _pool_state(seed: int, words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Pool and hash constant after mixing the seed's words, then ``words``."""
+    """Pool and hash constant after SeedSequence mixes the seed, then ``words``.
+
+    numpy mixes the seed in 4 * max(seed words, 4) steps, whatever their values,
+    each multiplying the constant by ``_MULT_A``; a word is absorbed into its prefix.
+    """
     if words:
         return _absorb(*_pool_state(seed, words[:-1]), words[-1])
-    entropy = _uint32_words(seed)
-    entropy += (0,) * (_POOL_SIZE - len(entropy))
-    h = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        v, h = _hashmix(word, h)
-        pool.append(v)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    state = (tuple(pool), h)
-    for word in entropy[_POOL_SIZE:]:
-        state = _absorb(*state, word)
-    return state
+    steps = 4 * max(len(_uint32_words(seed)), 4)
+    pool = np.random.SeedSequence(seed).pool
+    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
 
 
 def _philox_key(seed: int, words: tuple[int, ...]) -> tuple[int, int]:
@@ -161,10 +139,10 @@ def substream(
 
     The stream is the one of ``Philox(SeedSequence(seed, spawn_key=words))``,
     where each key part contributes the words (part >> 32, part & 0xFFFFFFFF);
-    the Philox key is derived directly, with the pool state before the last
-    word memoised.  With ``into``, that Philox generator is re-keyed in place
-    (counter 0, empty buffer) and returned instead of a new one; it then draws
-    exactly what a fresh stream would.
+    the pool before the last word is memoised, and that word is mixed in and
+    the key hashed out directly.  With ``into``, that Philox generator is
+    re-keyed in place (counter 0, empty buffer) and returned instead of a new
+    one; it then draws exactly what a fresh stream would.
     """
     seed = int(seed)
     if seed < 0:

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_ball
@@ -114,6 +114,13 @@ KEYS = st.lists(st.integers(0, 2**64), min_size=0, max_size=4)
 
 @FAST
 @given(seed=SEEDS, key=KEYS)
+# Entropy lengths the hash constant's step count must get right: a one-word
+# seed and no key, the observation layout, a five-word seed and no key, and a
+# key part of 2^64 (a three-word part) after a six-word seed.
+@example(seed=0, key=[])
+@example(seed=10, key=[1, 3, 2, 77])
+@example(seed=2**128 + 1, key=[])
+@example(seed=2**160, key=[2**64])
 def test_substream_key_matches_seed_sequence(seed, key):
     got = substream(seed, *key).bit_generator.state
     want = seed_sequence_stream(seed, key).bit_generator.state
@@ -123,6 +130,10 @@ def test_substream_key_matches_seed_sequence(seed, key):
 
 @FAST
 @given(seed=SEEDS, key=KEYS, odd=st.integers(0, 4), size=st.integers(1, 9))
+@example(seed=0, key=[], odd=1, size=5)
+@example(seed=10, key=[1, 3, 2, 77], odd=1, size=5)
+@example(seed=2**128 + 1, key=[], odd=1, size=5)
+@example(seed=2**160, key=[2**64], odd=1, size=5)
 def test_rekeyed_generator_draws_like_a_fresh_stream(seed, key, odd, size):
     rng = substream(seed + 1, 5)
     rng.standard_normal(3)
