@@ -21,7 +21,6 @@ from .extremal import (
     calibration_target,
     extremal_sequence,
     solve_r_star,
-    weights,
 )
 from .signals import (
     ComponentSpec,
@@ -44,7 +43,6 @@ from .selector import (
 from .risk import (
     RegimeVerdict,
     RiskReport,
-    SelectionResult,
     attenuation_experiment,
     boundary_sweep,
     classify_regime,
@@ -69,7 +67,6 @@ __all__ = [
     "calibration_target",
     "extremal_sequence",
     "solve_r_star",
-    "weights",
     "ComponentSpec",
     "SparsityPattern",
     "build_pattern",
@@ -86,7 +83,6 @@ __all__ = [
     "truncation_radius",
     "RegimeVerdict",
     "RiskReport",
-    "SelectionResult",
     "attenuation_experiment",
     "boundary_sweep",
     "classify_regime",

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import CalibrationError, CapacityError
+from .errors import CapacityError
 from .extremal import admissible_r_max
 from .lattice import DimensionSpec, active_count
 from .risk import attenuation_experiment, boundary_sweep, estimate_risk
@@ -52,7 +52,6 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
     "out": ("str", "out", None),
     "mode": ("str", "pool", ("full", "pool")),
     "pool_size": ("int", 2000, "[0, inf)"),
-    "quiet": ("bool", False, None),
     "cycles": ("int", 15, "[1, inf)"),
     "alpha": ("float", 1.0, "(0, inf)"),
     "alphas": ("flist", [0.0001, 0.0005, 0.0009, 0.001, 0.0011, 0.0012, 0.005, 0.5, 1.0],
@@ -76,7 +75,8 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
 }
 
 # Manifest bookkeeping keys, ignored when a manifest is read back as a config.
-_RESERVED_KEYS = {"command", "version", "wall_time_s"}
+# Older manifests also hold ``quiet = false``, from when the flag was a key.
+_RESERVED_KEYS = {"command", "version", "wall_time_s", "quiet"}
 
 # The boundary sweep is about ratios, not the benchmark noise level.  Supports
 # do not depend on epsilon, but a(r) scales as 1/epsilon^2, so this default
@@ -92,12 +92,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         if kind == "flist":
             return [float(v) for v in raw.split(",") if v.strip()]
         if kind == "ilist":
@@ -149,7 +143,7 @@ def _check_allowed(key: str, cfg: dict) -> None:
 
 
 def resolve_config(args: argparse.Namespace) -> dict[str, object]:
-    """Defaults < subcommand defaults < config file < ``--seed``, ``--out``, ``--quiet``.
+    """Defaults < subcommand defaults < config file < ``--seed``, ``--out``.
 
     Every key is then checked against its allowed values in ``_KEY_SPECS``.
     """
@@ -161,8 +155,6 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
         value = getattr(args, flag, None)
         if value is not None:
             cfg[flag] = value
-    if getattr(args, "quiet", False):
-        cfg["quiet"] = True
     for key in _KEY_SPECS:
         _check_allowed(key, cfg)
     return cfg
@@ -424,10 +416,10 @@ def main(argv=None) -> int:
         data_path = out_dir / f"{args.command}.csv"
         write_csv(data_path, header, rows)
         write_manifest(out_dir / f"{args.command}_manifest.txt", args.command, cfg, wall)
-        if not cfg["quiet"]:
+        if not args.quiet:
             print(f"wrote {data_path} ({len(rows)} rows, {wall:.2f}s)")
         return 0
-    except (CapacityError, CalibrationError, FloatingPointError, OverflowError) as exc:
+    except (CapacityError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -1,15 +1,17 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is used for domain/precondition violations.  The two
-classes below mark conditions the command line maps to exit code 3:
-resource guards tripping and calibration targets that cannot be reached.
+classes below mark resource guards tripping and calibration targets that
+cannot be reached; the command line maps them, like every other
+``ArithmeticError`` (a division by an underflowed 0, say), to exit code 3.
 """
 
 
 class CapacityError(RuntimeError):
     """A bound was exceeded: a per-shell array (``MAX_SHELL_INDEX``), a shell
-    count beyond int64, or the subsets of one order under full enumeration
-    (``MAX_FULL_SUBSETS``).
+    count beyond int64, an order whose subsets have ranks beyond int64, or the
+    inactive subsets one order would evaluate, in pool or full mode
+    (``MAX_EVALUATED_SUBSETS``).
     """
 
 

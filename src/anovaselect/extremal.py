@@ -160,25 +160,34 @@ def solve_r_star(
     """Solve a(r*) = target_a for r*.
 
     ``mode="asymptotic"`` inverts the closed form.  ``mode="exact"`` brackets
-    around the asymptotic solution and bisects the monotone exact lattice sum
-    until the relative residual in a is below ``RTOL``.
+    around the asymptotic solution, clipped to the admissible interval, and
+    bisects the monotone exact lattice sum until the relative residual in a is
+    below ``RTOL``.  A start radius that is not a positive number inside the
+    interval (the closed form or the interval's end underflowed to 0, say)
+    raises ``CalibrationError``.
     """
     if target_a <= 0:
         raise ValueError(f"target must be positive, got {target_a}")
+    if mode not in ("exact", "asymptotic"):
+        raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
     exponent = 2.0 + k / (2.0 * sigma)
     const = asymp_constant(sigma, k, "fixed_k")
     r_guess = (target_a * epsilon * epsilon / const) ** (1.0 / exponent)
+    r_max = admissible_r_max(k, sigma)
+    r_hi_bound = r_max * (1.0 - 1e-12)
+    hi = r_guess if mode == "asymptotic" else min(r_guess, r_hi_bound)
+    if not 0.0 < hi < r_max:
+        raise CalibrationError(
+            f"no radius for target a={target_a} at k={k}, sigma={sigma}, "
+            f"epsilon={epsilon}: the start radius {hi:.6g} lies outside the "
+            f"admissible interval (0, {r_max:.6g})"
+        )
     if mode == "asymptotic":
         return r_guess
-    if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
-
-    r_hi_bound = admissible_r_max(k, sigma) * (1.0 - 1e-12)
 
     def residual(r: float) -> float:
         return a_exact(r, k, sigma, epsilon) - target_a
 
-    hi = min(r_guess, r_hi_bound)
     f_hi = residual(hi)
     while f_hi < 0.0:
         if hi >= r_hi_bound:
@@ -298,11 +307,6 @@ def order_weights(
         )
     matrix.setflags(write=False)
     return tuple(profiles), matrix
-
-
-def weights(r_star: float, k: int, sigma: float, epsilon: float) -> WeightProfile:
-    """Weight profile omega = theta*^2 / (2 eps^2 a(r*)); sum omega^2 = 1/2."""
-    return order_weights((r_star,), k, sigma, epsilon)[0][0]
 
 
 @dataclass(frozen=True)

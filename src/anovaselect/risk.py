@@ -50,8 +50,9 @@ from .signals import ComponentSpec, SparsityPattern, coeff_vector, shell_energy
 
 SQRT2 = math.sqrt(2.0)
 
-# Largest number of subsets of one order that full enumeration will visit.
-MAX_FULL_SUBSETS = 500_000
+# Largest number of inactive subsets of one order that a run evaluates, in
+# either mode: a pool that covers the population enumerates it as full mode does.
+MAX_EVALUATED_SUBSETS = 500_000
 
 
 class _OrderEngine:
@@ -127,17 +128,10 @@ class SubsetDecision:
     argmax: int | None  # 1-based grid index m of the largest statistic
 
 
-@dataclass(eq=False)
-class SelectionResult:
-    """Selector output: per-subset indicators with all M statistics recorded."""
-
-    decisions: dict[Subset, SubsetDecision]
-
-
-def hamming_loss(estimate: SelectionResult, truth: SparsityPattern) -> int:
+def hamming_loss(estimate: Mapping[Subset, SubsetDecision], truth: SparsityPattern) -> int:
     """Number of evaluated subsets where the selector and the truth disagree."""
     loss = 0
-    for subset, decision in estimate.decisions.items():
+    for subset, decision in estimate.items():
         eta = truth.eta(subset)  # raises on universe mismatch
         loss += abs(int(decision.selected) - eta)
     return loss
@@ -154,7 +148,7 @@ def select(
     subsets: Iterable[Subset],
     seed: int,
     cycle: int = 0,
-) -> SelectionResult:
+) -> dict[Subset, SubsetDecision]:
     """Simulate one cycle of the sequence model and apply the adaptive selector.
 
     u is selected iff max_m S_{u,m} > t_k.  Subset u of order k draws its
@@ -183,7 +177,7 @@ def select(
             selected=selected,
             argmax=int(np.argmax(stats)) + 1 if selected else None,
         )
-    return SelectionResult(decisions=decisions)
+    return decisions
 
 
 @dataclass(eq=False)
@@ -246,7 +240,7 @@ def _run_cycles(
     mode: str,
     pool_inactive: int,
     skip_subsets: frozenset[Subset] = frozenset(),
-) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int], dict[int, _OrderEngine]]:
+) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int]]:
     """Shared cycle driver.
 
     Every active component and every block of inactive ranks is one
@@ -256,9 +250,9 @@ def _run_cycles(
     tally.  The jobs run on the worker pool of ``selector._run_jobs``, all
     submitted at once, and their counts are added in job order, so no
     result depends on the worker count.  Returns (miss_per_cycle,
-    fp_per_cycle_by_k, n_inactive, engines).  Each active job's
-    ``active_means`` and each order's subset count are checked here, on the
-    calling thread, so a failure surfaces before anything is drawn.
+    fp_per_cycle_by_k, n_inactive).  Each active job's ``active_means`` and
+    each order's subset counts are checked here, on the calling thread, so a
+    failure surfaces before anything is drawn or any rank array allocated.
     """
     d = config.dim.d
     _check_pattern(pattern, config)
@@ -273,7 +267,6 @@ def _run_cycles(
     drawn = 0
     fp: dict[int, np.ndarray] = {}
     n_inactive: dict[int, int] = {}
-    engines: dict[int, _OrderEngine] = {}
     jobs = []
     tallies = []
     for k in range(1, pattern.s + 1):
@@ -283,7 +276,7 @@ def _run_cycles(
                 f"order k={k} at d={d} has {total} subsets, "
                 f"beyond the int64 limit {INT64_MAX} of subset ranks"
             )
-        engine = engines[k] = _OrderEngine(config, k)
+        engine = _OrderEngine(config, k)
         for comp in pattern.active(k):
             if comp.subset in skip_subsets:
                 continue
@@ -291,13 +284,14 @@ def _run_cycles(
             jobs.append((_selected, (engine, [rank], engine.active_means(comp), J, seed)))
             tallies.append(found)
             drawn += 1
-        if mode == "full" and total > MAX_FULL_SUBSETS:
-            raise CapacityError(
-                f"full enumeration at k={k} needs {total} subsets, "
-                f"exceeding the cap of {MAX_FULL_SUBSETS}"
-            )
         active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
-        size = total if mode == "full" else pool_inactive
+        inactive = total - len(active_ranks)
+        size = inactive if mode == "full" else min(pool_inactive, inactive)
+        if size > MAX_EVALUATED_SUBSETS:
+            raise CapacityError(
+                f"{mode} mode at k={k} would evaluate {size} inactive subsets, "
+                f"exceeding the cap of {MAX_EVALUATED_SUBSETS}"
+            )
         ranks = _inactive_ranks(d, k, active_ranks, size, seed)
         n_inactive[k] = len(ranks)
         fp[k] = np.zeros(J, dtype=np.int64)
@@ -309,7 +303,7 @@ def _run_cycles(
 
     for counts, tally in zip(_run_jobs(jobs), tallies):
         tally += counts
-    return drawn - found, fp, n_inactive, engines
+    return drawn - found, fp, n_inactive
 
 
 def _report(
@@ -351,7 +345,7 @@ def estimate_risk(
     false-positive rate observed on the pool is extrapolated to the full
     subset population in the report.
     """
-    miss, fp, n_inactive, _ = _run_cycles(pattern, config, J, seed, mode, pool_inactive)
+    miss, fp, n_inactive = _run_cycles(pattern, config, J, seed, mode, pool_inactive)
     return _report(pattern, miss, fp, n_inactive, None)
 
 
@@ -380,14 +374,15 @@ def attenuation_experiment(
         raise ValueError("pattern has no first-order component to attenuate")
     designated = firsts[0]
     rank = subset_rank(designated.subset, pattern.d)
-    base_miss, fp, n_inactive, engines = _run_cycles(
+    base_miss, fp, n_inactive = _run_cycles(
         pattern, config, J, seed, mode, pool_inactive,
         skip_subsets=frozenset({designated.subset}),
     )
+    engine = _OrderEngine(config, 1)
     reports = []
     for alpha in alphas:
-        means = engines[1].active_means(designated.scaled(alpha))
-        miss = base_miss + 1 - _selected(engines[1], [rank], means, J, seed)
+        means = engine.active_means(designated.scaled(alpha))
+        miss = base_miss + 1 - _selected(engine, [rank], means, J, seed)
         reports.append(_report(pattern, miss, fp, n_inactive, float(alpha)))
     return reports
 

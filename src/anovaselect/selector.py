@@ -25,9 +25,9 @@ into the memoised (``functools.cache``) pool of the shorter prefix, so a new
 stream mixes in only its rank's low word before the pool is hashed out to the
 128-bit key.  ``substream(..., into=rng)`` re-keys an existing Philox generator
 in place (counter 0, empty buffer, no half-word left) instead of building a
-new one, and the generator then draws exactly what a fresh one would; the
-null blocks of the risk estimators draw every subset and cycle through one
-generator this way.
+new one, and the generator then draws exactly what a fresh one would; every
+block of the risk estimators, of null ranks or of one active, draws all its
+subsets and cycles through one generator this way.
 
 The tail audit and the null moments draw S = sum omega Q in batches of
 ``BATCH_ROWS`` rows, and batch ``idx`` owns the audit substream ``offset + idx``,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -310,10 +310,8 @@ class SparsityPattern:
     d: int
     s: int
     components: dict[int, tuple[ComponentSpec, ...]]
-    _active: dict[int, frozenset[Subset]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        active: dict[int, frozenset[Subset]] = {}
         for k, comps in self.components.items():
             if comps and k > self.s:
                 raise ValueError(
@@ -327,8 +325,6 @@ class SparsityPattern:
                     raise ValueError(f"component {c.subset} filed under order {k}")
                 if c.subset.indices[-1] > self.d:
                     raise ValueError(f"subset {c.subset} exceeds dimension d={self.d}")
-            active[k] = frozenset(subsets)
-        self._active = active
 
     def active(self, k: int) -> tuple[ComponentSpec, ...]:
         return self.components.get(k, ())
@@ -336,7 +332,7 @@ class SparsityPattern:
     def eta(self, subset: Subset) -> int:
         if subset.indices[-1] > self.d or subset.k > self.s:
             raise ValueError(f"subset {subset} outside the (d={self.d}, s={self.s}) universe")
-        return int(subset in self._active.get(subset.k, frozenset()))
+        return int(any(c.subset == subset for c in self.active(subset.k)))
 
     def counts(self) -> dict[int, int]:
         return {k: len(self.components.get(k, ())) for k in range(1, self.s + 1)}

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import fake_cpus
 
-from anovaselect import cli
+from anovaselect import cli, risk
 from anovaselect.cli import build_parser, main, read_config_file, resolve_config, write_csv
 from anovaselect.extremal import a_exact
 from anovaselect.lattice import DimensionSpec
@@ -55,10 +55,10 @@ class TestConfigHandling:
     def test_parse_types_and_comments(self, tmp_path):
         path = write_config(
             tmp_path,
-            "d = 20   # ambient dimension\nalphas = 0.1,0.5,1\nquiet = true\n",
+            "d = 20   # ambient dimension\nalphas = 0.1,0.5,1\n",
         )
         cfg = read_config_file(path)
-        assert cfg == {"d": 20, "alphas": [0.1, 0.5, 1.0], "quiet": True}
+        assert cfg == {"d": 20, "alphas": [0.1, 0.5, 1.0]}
 
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -113,6 +113,33 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"numeric error: order k=13 at d=200 has {math.comb(200, 13)} subsets" in err
         assert "int64" in err
+
+    @pytest.mark.parametrize(
+        "command,keys",
+        [
+            ("calibrate", "sigma = 1e-3\nepsilon = 0.01\n"),
+            ("calibrate", "epsilon = 1e-200\n"),
+            ("calibrate", "sigma = 1e5\n"),
+            ("boundary", "epsilon = 1e-200\n"),
+            ("risk", "d = 62\ns = 4\npattern = none\ncycles = 1\npool_size = 1000000\n"),
+            ("risk", "d = 62\ns = 4\npattern = none\ncycles = 1\npool_size = 1000000\n"
+                     "mode = full\n"),
+        ],
+        ids=["calibrate-sigma-small", "calibrate-epsilon-underflow", "calibrate-sigma-large",
+             "boundary-epsilon-underflow", "risk-pool-cap", "risk-full-cap"],
+    )
+    def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, keys):
+        # underflows to 0 and the subset cap are numeric errors, met before any draw
+        draws = []
+        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
+        path = write_config(tmp_path, keys)
+        out = tmp_path / "out"
+        assert run([command, "--config", path, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert draws == []
+        assert not (out / f"{command}.csv").exists()
 
     def test_environment_ignored_and_flag_precedence(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, SMALL_RISK_CFG)
@@ -297,6 +324,18 @@ class TestRiskAndReproducibility:
         assert (
             run(["risk", "--config", str(manifest), "--out", str(out2), "--quiet"]) == 0
         )
+        assert (out1 / "risk.csv").read_bytes() == (out2 / "risk.csv").read_bytes()
+
+    def test_manifest_with_quiet_key_reads_back(self, tmp_path):
+        # manifests written while `quiet` was a config key hold `quiet = false`
+        cfg = write_config(tmp_path, SMALL_RISK_CFG)
+        out1 = tmp_path / "orig"
+        assert run(["risk", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
+        lines = (out1 / "risk_manifest.txt").read_text().splitlines()
+        lines.insert(lines.index("pool_size = 2000") + 1, "quiet = false")
+        manifest = write_config(tmp_path, "\n".join(lines) + "\n", name="old_manifest.txt")
+        out2 = tmp_path / "redo"
+        assert run(["risk", "--config", manifest, "--out", str(out2), "--quiet"]) == 0
         assert (out1 / "risk.csv").read_bytes() == (out2 / "risk.csv").read_bytes()
 
     def test_output_round_trips(self, tmp_path):

@@ -17,8 +17,8 @@ from anovaselect.extremal import (
     calibrate_radii,
     calibration_target,
     extremal_sequence,
+    order_weights,
     solve_r_star,
-    weights,
 )
 from anovaselect.lattice import log_binomial
 
@@ -271,7 +271,7 @@ class TestBetaGrid:
 
 class TestWeights:
     def test_example_values(self):
-        w = weights(0.1, 1, 1.0, 0.01)
+        w = order_weights((0.1,), 1, 1.0, 0.01)[0][0]
         assert w.rho.tolist() == [1, 4, 9]
         assert w.values[0] == pytest.approx(0.3891, abs=2e-4)
         assert w.values[1] == pytest.approx(0.2891, abs=2e-4)
@@ -279,19 +279,19 @@ class TestWeights:
 
     def test_normalisation_identity(self):
         for r, k in [(0.1, 1), (0.05, 1), (0.08, 2), (0.05, 3)]:
-            w = weights(r, k, 1.0, 0.01)
+            w = order_weights((r,), k, 1.0, 0.01)[0][0]
             assert abs(w.sum_sq() - 0.5) <= 1e-10 * 0.5
 
     def test_sum_sq_oracle(self):
         # per-point sum over the support, not the per-shell count product
-        w = weights(0.1, 1, 1.0, 0.01)
+        w = order_weights((0.1,), 1, 1.0, 0.01)[0][0]
         _, shell = brute_lattice(1, float(w.rho[-1]) + 0.5)
         per_point = w.values[shell]
         assert len(per_point) == 6
         assert sum(v * v for v in per_point) == pytest.approx(0.5, rel=1e-12)
 
     def test_nonnegative(self):
-        w = weights(0.07, 2, 1.0, 0.01)
+        w = order_weights((0.07,), 2, 1.0, 0.01)[0][0]
         assert (w.values >= 0).all()
 
     def test_order_weights_builds_each_profile_once(self, monkeypatch):
@@ -310,7 +310,7 @@ class TestWeights:
             assert prof.support_radius == extremal_sequence(r, 2, 1.0).support_radius
 
     def test_max_abs_coord_matches_table(self):
-        w = weights(0.08, 2, 1.0, 0.01)
+        w = order_weights((0.08,), 2, 1.0, 0.01)[0][0]
         coords, _ = brute_lattice(2, float(w.rho[-1]) + 0.5)
         assert w.max_abs_coord == int(np.abs(coords).max())
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_ball
 
-from anovaselect.extremal import admissible_r_max, weights
+from anovaselect.extremal import admissible_r_max, order_weights
 from anovaselect.lattice import Subset, shell_convolve, shell_counts, subset_rank
 from anovaselect.risk import _OrderEngine, _inactive_ranks
 from anovaselect.selector import substream
@@ -95,7 +95,7 @@ def test_subset_rank_is_combinations_index(d, k, data):
     epsilon=st.floats(1e-6, 1e-2),
 )
 def test_weights_square_sum_is_half(k, sigma, frac, epsilon):
-    w = weights(frac * admissible_r_max(k, sigma), k, sigma, epsilon)
+    w = order_weights((frac * admissible_r_max(k, sigma),), k, sigma, epsilon)[0][0]
     assert w.sum_sq() == pytest.approx(0.5, rel=1e-10)
 
 

@@ -14,7 +14,6 @@ from anovaselect.errors import CapacityError
 from anovaselect.lattice import DimensionSpec, Subset
 from anovaselect.risk import (
     DETECTION_BOUNDARY,
-    SelectionResult,
     SubsetDecision,
     _OrderEngine,
     attenuation_experiment,
@@ -37,12 +36,10 @@ def explicit_pattern(d, s, components, epsilon=0.01, beta=0.6):
 
 
 def decisions(mapping):
-    return SelectionResult(
-        decisions={
-            subset: SubsetDecision(stats=(), selected=bool(sel), argmax=None)
-            for subset, sel in mapping.items()
-        },
-    )
+    return {
+        subset: SubsetDecision(stats=(), selected=bool(sel), argmax=None)
+        for subset, sel in mapping.items()
+    }
 
 
 class TestHammingLoss:
@@ -114,6 +111,27 @@ class TestEstimateRisk:
             estimate_risk(pattern, config, J=1, seed=0, pool_inactive=5)
         assert draws == []
 
+    @pytest.mark.parametrize("mode", ["pool", "full"])
+    def test_subset_cap_fails_before_any_draw(self, monkeypatch, mode):
+        # C(62, 4) = 557845 inactive subsets: a covering pool enumerates them
+        # all, as full mode does, so both modes meet the same cap
+        dim = DimensionSpec(d=62, s=4, beta=0.5, sigma=1.0, epsilon=5e-5)
+        config = build_selector_config(dim, M=2, truncation="rule")
+        pattern = explicit_pattern(62, 4, [], epsilon=5e-5, beta=0.5)
+        draws, sampled = [], []
+        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
+
+        def no_ranks(d, k, active_ranks, size, seed):
+            sampled.append(k)
+            return np.empty(0, dtype=np.int64)
+
+        monkeypatch.setattr(risk, "_inactive_ranks", no_ranks)
+        with pytest.raises(CapacityError, match=f"k=4 would evaluate {math.comb(62, 4)} "):
+            estimate_risk(pattern, config, J=1, seed=0, mode=mode, pool_inactive=10**6)
+        assert sampled == [1, 2, 3]  # order 4 raised before its ranks were allocated
+        assert draws == []
+        assert risk.MAX_EVALUATED_SUBSETS == 500_000
+
     def test_strong_signal_never_missed(self, small_pattern, tiny_config):
         # at full amplitude the statistic means sit far above both thresholds
         rep = estimate_risk(small_pattern, tiny_config, J=6, seed=11, mode="full")
@@ -135,7 +153,7 @@ class TestEstimateRisk:
         selected = {1: 0, 2: 0}
         for j in range(J):
             result = select(small_pattern, noisy_config, subsets, seed, cycle=j)
-            for subset, decision in result.decisions.items():
+            for subset, decision in result.items():
                 if decision.selected and not small_pattern.eta(subset):
                     selected[subset.k] += 1
         assert min(selected.values()) > 0

@@ -16,7 +16,7 @@ from conftest import (
 )
 
 from anovaselect import selector
-from anovaselect.extremal import a_exact, extremal_sequence, weights
+from anovaselect.extremal import a_exact, extremal_sequence, order_weights
 from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, subset_rank
 from anovaselect.risk import _OrderEngine, select
 from anovaselect.selector import (
@@ -117,7 +117,7 @@ class TestWeightMatrix:
             assert _OrderEngine(config, k).W is W
 
     def test_rows_match_padded_weight_profiles(self, bench_config):
-        # one weights(r) construction per radius, zero-padded to the widest support
+        # one extremal profile per radius, zero-padded to the widest support
         sigma, eps = bench_config.dim.sigma, bench_config.dim.epsilon
         for k in bench_config.orders():
             W = bench_config.weight_matrix[k]
@@ -142,8 +142,8 @@ class TestSimulateObservations:
         first = select(pattern, tiny_config, subsets, seed=3)
         second = select(pattern, tiny_config, subsets, seed=3)
         for u in subsets:
-            assert first.decisions[u] == second.decisions[u]
-        assert select(pattern, tiny_config, subsets, seed=4).decisions != first.decisions
+            assert first[u] == second[u]
+        assert select(pattern, tiny_config, subsets, seed=4) != first
 
     def test_stream_independent_of_companions(self, tiny_config):
         pattern = explicit_pattern(12, 2, [ComponentSpec(Subset((2,)), (1,))], 0.01)
@@ -151,7 +151,7 @@ class TestSimulateObservations:
             solo = select(pattern, tiny_config, [u], seed=9, cycle=1)
             both = select(pattern, tiny_config, [Subset((3, 5)), Subset((1,)), u],
                           seed=9, cycle=1)
-            assert solo.decisions[u] == both.decisions[u]
+            assert solo[u] == both[u]
 
     def test_pure_noise_moments(self, tiny_config):
         # noise-only statistics are standardised: mean 0, variance 1 at every m
@@ -160,8 +160,7 @@ class TestSimulateObservations:
         stats = np.array([
             dec.stats
             for cycle in range(30)
-            for dec in select(pattern, tiny_config, subsets, seed=1, cycle=cycle)
-            .decisions.values()
+            for dec in select(pattern, tiny_config, subsets, seed=1, cycle=cycle).values()
         ])
         n = stats.shape[0]
         assert n == 30 * 66
@@ -212,7 +211,7 @@ class TestStatistic:
     def test_signal_mean_matches_mc(self):
         # toy table: E S = sum omega (theta/eps)^2 against a direct simulation
         epsilon = 0.01
-        w = weights(0.1, 1, 1.0, epsilon)
+        w = order_weights((0.1,), 1, 1.0, epsilon)[0][0]
         table = {(-2,): 0.004, (-1,): -0.006, (1,): 0.008, (2,): 0.002, (3,): 0.001}
         coords, shell = brute_lattice(1, float(w.rho[-1]) + 0.5)
         coords = [tuple(row) for row in coords.tolist()]
@@ -234,7 +233,7 @@ class TestSelect:
         t = config.thresholds[1]
         u = Subset((2,))
         pattern = explicit_pattern(20, 1, [ComponentSpec(u, (3,))], epsilon)
-        decision = select(pattern, config, [u, Subset((5,))], seed=0).decisions[u]
+        decision = select(pattern, config, [u, Subset((5,))], seed=0)[u]
         assert decision.selected and decision.argmax == 1
         assert max(decision.stats) > 5 * t
 
@@ -334,8 +333,9 @@ class TestSubstreams:
 
 class TestTailAudit:
     def test_reference_squares_when_doubling(self):
-        a = tail_bound_audit(1.5, 10, seed=0, w=weights(0.1, 1, 1.0, 0.01))
-        b = tail_bound_audit(3.0, 10, seed=0, w=weights(0.1, 1, 1.0, 0.01))
+        (w,), _ = order_weights((0.1,), 1, 1.0, 0.01)
+        a = tail_bound_audit(1.5, 10, seed=0, w=w)
+        b = tail_bound_audit(3.0, 10, seed=0, w=w)
         assert b.reference == pytest.approx(a.reference**4, rel=1e-12)
 
     def test_symmetry_at_zero(self, bench_k1_config):
@@ -350,7 +350,7 @@ class TestTailAudit:
         assert audit.empirical_upper <= math.exp(-(3.0**2) / 2.0 * 0.8)
 
     def test_regime_violation_flagged_not_fatal(self):
-        w = weights(0.1, 1, 1.0, 0.01)  # six points, max weight ~ 0.39
+        w = order_weights((0.1,), 1, 1.0, 0.01)[0][0]  # six points, max weight ~ 0.39
         audit = tail_bound_audit(3.0, 1000, seed=1, w=w)
         assert not audit.regime_ok
 
@@ -390,7 +390,7 @@ class TestAuditBatches:
     @pytest.mark.parametrize("trials", [0, -5], ids=lambda v: f"trials-{v}")
     def test_batch_inputs_validated(self, trials):
         # no trials must not run zero batches and report a tail of 0.0
-        w = weights(0.1, 1, 1.0, 0.01)
+        w = order_weights((0.1,), 1, 1.0, 0.01)[0][0]
         with pytest.raises(ValueError, match="trials must be >= 1"):
             list(null_stat_batches(w, trials, 0, 0))
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -427,7 +427,7 @@ class TestShellFastPathConsistency:
         dense = dense_active_stats(tiny_config, comp, 21, (0, 3), subset_rank(comp.subset, 12))
         for cycle, row in zip((0, 3), dense):
             fast = select(pattern, tiny_config, [comp.subset], seed=21, cycle=cycle)
-            assert np.allclose(fast.decisions[comp.subset].stats, row, rtol=1e-12, atol=1e-10)
+            assert np.allclose(fast[comp.subset].stats, row, rtol=1e-12, atol=1e-10)
         comp = ComponentSpec(Subset((1, 2)), (1, 2), amplitude=0.33)
         rank, n = subset_rank(comp.subset, 12), 600
         engine = _OrderEngine(tiny_config, 2)
