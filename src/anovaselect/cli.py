@@ -75,7 +75,8 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
 }
 
 # Manifest bookkeeping keys, ignored when a manifest is read back as a config.
-# Older manifests also hold ``quiet = false``, from when the flag was a key.
+# Older manifests also hold ``quiet = false``, from when the flag was a key;
+# any other ``quiet`` value is refused, because only the flag sets it.
 _RESERVED_KEYS = {"command", "version", "wall_time_s", "quiet"}
 
 # The boundary sweep is about ratios, not the benchmark noise level.  Supports
@@ -112,6 +113,10 @@ def read_config_file(path: str) -> dict[str, object]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if key == "quiet" and raw != "false":
+            raise ValueError(
+                f"{path}:{lineno}: quiet is not a config key; pass the --quiet flag"
+            )
         if key in _RESERVED_KEYS:
             continue
         if key not in _KEY_SPECS:

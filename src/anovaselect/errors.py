@@ -16,4 +16,5 @@ class CapacityError(RuntimeError):
 
 
 class CalibrationError(ArithmeticError):
-    """A calibration equation has no solution in the admissible interval."""
+    """A calibration equation has no solution in the admissible interval, or
+    that interval or a radius's support does not fit in a float."""

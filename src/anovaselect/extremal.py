@@ -38,8 +38,17 @@ RTOL = 1e-8
 
 
 def admissible_r_max(k: int, sigma: float) -> float:
-    """Upper endpoint of the admissible radius interval, (2 pi)^-sigma k^(-sigma/2)."""
-    return (2.0 * math.pi) ** (-sigma) * float(k) ** (-sigma / 2.0)
+    """Upper endpoint of the admissible radius interval, (2 pi)^-sigma k^(-sigma/2).
+
+    Raises ``CalibrationError`` when it underflows to 0, leaving no radius.
+    """
+    r_max = (2.0 * math.pi) ** (-sigma) * float(k) ** (-sigma / 2.0)
+    if r_max == 0.0:
+        raise CalibrationError(
+            f"no admissible radius for k={k} at sigma={sigma}: the interval's end "
+            f"(2 pi)^-sigma k^(-sigma/2) underflows to 0"
+        )
+    return r_max
 
 
 def _check_r(r: float, k: int, sigma: float) -> None:
@@ -81,12 +90,19 @@ def extremal_sequence(r: float, k: int, sigma: float) -> ExtremalProfile:
     ``shell_counts``: ``rho`` and ``counts`` are read-only prefix views of a
     memoised shell list of the order, shared by every radius.  Only per-shell
     arrays are built, so the one capacity guard is ``shell_counts``'s bound
-    on their length.
+    on their length.  A radius whose r^(2/sigma) underflows has no finite
+    support and raises ``CalibrationError``.
     """
     _check_r(r, k, sigma)
     bound = 1.0 + 4.0 * sigma / k
     # support: (4 pi^2 rho)^sigma r^2 < bound  <=>  rho < r2_support
-    r2_support = bound ** (1.0 / sigma) / (FOUR_PI_SQ * r ** (2.0 / sigma))
+    shrink = FOUR_PI_SQ * r ** (2.0 / sigma)
+    r2_support = bound ** (1.0 / sigma) / shrink if shrink > 0.0 else math.inf
+    if r2_support == math.inf:
+        raise CalibrationError(
+            f"radius r={r:.6g} at k={k}, sigma={sigma}: r^(2/sigma) underflows, "
+            f"so the support of the extremal profile is not finite"
+        )
     rho, counts = shell_counts(k, r2_support)
     amp = math.exp(_log_amplitude(r, k, sigma))
     bracket = 1.0 - (FOUR_PI_SQ * rho.astype(np.float64)) ** sigma * (r * r / bound)
@@ -163,8 +179,8 @@ def solve_r_star(
     around the asymptotic solution, clipped to the admissible interval, and
     bisects the monotone exact lattice sum until the relative residual in a is
     below ``RTOL``.  A start radius that is not a positive number inside the
-    interval (the closed form or the interval's end underflowed to 0, say)
-    raises ``CalibrationError``.
+    interval (the closed form underflowed to 0, say) raises
+    ``CalibrationError``.
     """
     if target_a <= 0:
         raise ValueError(f"target must be positive, got {target_a}")

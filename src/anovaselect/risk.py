@@ -16,13 +16,17 @@ and pooled enumeration agree on shared subsets, :func:`select` sees exactly
 the draws of the matching risk cycle, and re-running a single subset (as
 the attenuation experiment does) reproduces exactly what a full rerun would
 see.  One block loop, :func:`_selected`, counts the selections of a block
-of subset ranks per cycle; the risk driver runs each active component and
-each block of inactive ranks as one job on the worker pool of
+of subset ranks per cycle; the risk driver makes each active component and
+each block of inactive ranks one job.  The jobs of orders whose statistic
+draws at least ``POOL_MIN_SHELLS`` shells run on the worker pool of
 ``selector._run_jobs``, which also runs the audit's batches and has one
-thread per CPU this process may run on, at most 8 (``taskset`` sets fewer);
-the jobs' counts add, in job order, into per-cycle selections of actives
-and per-order, per-cycle false positives, from which one function builds
-every :class:`RiskReport`, so no result depends on the worker count.
+thread per CPU this process may run on, at most 8 (``taskset`` sets fewer).
+The jobs of the other orders run on the calling thread first: their one-row
+draws are so short that a second thread spends more time handing the
+interpreter lock back and forth than it saves.  The jobs' counts are integer
+sums into per-cycle selections of actives and per-order, per-cycle false
+positives, from which one function builds every :class:`RiskReport`, so no
+result depends on the worker count or on which thread ran a job.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
 tables) are memoised where they are computed.
@@ -53,6 +57,12 @@ SQRT2 = math.sqrt(2.0)
 # Largest number of inactive subsets of one order that a run evaluates, in
 # either mode: a pool that covers the population enumerates it as full mode does.
 MAX_EVALUATED_SUBSETS = 500_000
+
+# Orders whose statistic draws fewer shells than this run on the calling
+# thread, the others on the worker pool.  On 2 CPUs the pool lost to one
+# thread at 1178 shells (k = 4, d = 50) and gained from 3022 shells (k = 3,
+# d = 200) up; CHANGES.md holds the per-order timings.
+POOL_MIN_SHELLS = 2048
 
 
 class _OrderEngine:
@@ -247,12 +257,14 @@ def _run_cycles(
     :func:`_selected` job with a tally: an active's hits add into the
     per-cycle ``found`` tally, and misses are the actives drawn less those
     found; a null block's hits add into its order's per-cycle false-positive
-    tally.  The jobs run on the worker pool of ``selector._run_jobs``, all
-    submitted at once, and their counts are added in job order, so no
-    result depends on the worker count.  Returns (miss_per_cycle,
-    fp_per_cycle_by_k, n_inactive).  Each active job's ``active_means`` and
-    each order's subset counts are checked here, on the calling thread, so a
-    failure surfaces before anything is drawn or any rank array allocated.
+    tally.  The jobs of orders with fewer than ``POOL_MIN_SHELLS`` shells run
+    here, one after another; then the others run on the worker pool of
+    ``selector._run_jobs``, all submitted at once.  The tallies are integer
+    sums, so no result depends on the worker count or on where a job ran.
+    Returns (miss_per_cycle, fp_per_cycle_by_k, n_inactive).  Each active
+    job's ``active_means`` and each order's subset counts are checked here,
+    on the calling thread, so a failure surfaces before anything is drawn or
+    any rank array allocated.
     """
     d = config.dim.d
     _check_pattern(pattern, config)
@@ -267,8 +279,8 @@ def _run_cycles(
     drawn = 0
     fp: dict[int, np.ndarray] = {}
     n_inactive: dict[int, int] = {}
-    jobs = []
-    tallies = []
+    inline: list[tuple[tuple, np.ndarray]] = []
+    pooled: list[tuple[tuple, np.ndarray]] = []
     for k in range(1, pattern.s + 1):
         total = math.comb(d, k)
         if total > INT64_MAX:
@@ -277,12 +289,12 @@ def _run_cycles(
                 f"beyond the int64 limit {INT64_MAX} of subset ranks"
             )
         engine = _OrderEngine(config, k)
+        jobs = inline if len(engine.counts) < POOL_MIN_SHELLS else pooled
         for comp in pattern.active(k):
             if comp.subset in skip_subsets:
                 continue
             rank = subset_rank(comp.subset, d)
-            jobs.append((_selected, (engine, [rank], engine.active_means(comp), J, seed)))
-            tallies.append(found)
+            jobs.append(((engine, [rank], engine.active_means(comp), J, seed), found))
             drawn += 1
         active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
         inactive = total - len(active_ranks)
@@ -298,11 +310,13 @@ def _run_cycles(
         chunk = max(64, len(ranks) // 32 or 1)
         for start in range(0, len(ranks), chunk):
             block = ranks[start : start + chunk]
-            jobs.append((_selected, (engine, block, None, J, seed)))
-            tallies.append(fp[k])
+            jobs.append(((engine, block, None, J, seed), fp[k]))
 
-    for counts, tally in zip(_run_jobs(jobs), tallies):
-        tally += counts
+    for args, tally in inline:
+        tally += _selected(*args)
+    counts = _run_jobs((_selected, args) for args, _ in pooled)
+    for hits, (_, tally) in zip(counts, pooled):
+        tally += hits
     return drawn - found, fp, n_inactive
 
 

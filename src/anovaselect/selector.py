@@ -32,10 +32,13 @@ subsets and cycles through one generator this way.
 The tail audit and the null moments draw S = sum omega Q in batches of
 ``BATCH_ROWS`` rows, and batch ``idx`` owns the audit substream ``offset + idx``,
 so batches are independent and may run in any order.  ``null_stat_batches``
-runs them through :func:`_run_jobs`, the one worker pool that also runs the
-risk driver's blocks, with one thread per CPU in the process's affinity set
-(at most 8; ``taskset`` sets fewer), and yields their S vectors in batch
-order, so callers sum in a fixed order.  Each batch draws its stream in row
+runs them through :func:`_run_jobs`, the one worker pool, with one thread per
+CPU in the process's affinity set (at most 8; ``taskset`` sets fewer), and
+yields their S vectors in batch order, so callers sum in a fixed order.  The
+pool also runs the risk driver's blocks of orders with at least
+``risk.POOL_MIN_SHELLS`` shells; a one-row draw over fewer shells is too short
+to pay for handing the interpreter lock between threads, so the driver runs
+those blocks on its own thread.  Each batch draws its stream in row
 blocks of at most ``lattice.BLOCK_ENTRIES`` entries, 512 kB of float64 (numpy
 fills C-order rows from one stream, so the variates are those of one call),
 and reduces each block with ``np.einsum("ij,j->i", ...)``: a fixed-order loop
@@ -327,10 +330,12 @@ def null_shell_draw(rng: np.random.Generator, counts: np.ndarray, size: int) -> 
     Every shell holds at least one point (``shell_counts`` returns occupied
     shells only).  k = 1 shells hold two points each, and chi2(2) is a doubled
     exponential: numpy draws the same bytes either way, and the exponential
-    path is about twice as fast (one-row draw of 620 shells).
+    path is about twice as fast (one-row draw of 620 shells).  The first
+    shell is tested alone before the whole list: at k >= 2 it holds 2^k >= 4
+    points, so a one-row draw there skips a compare over thousands of shells.
     """
     df = np.asarray(counts, dtype=np.float64)
-    if (df == 2.0).all():
+    if df[0] == 2.0 and (df == 2.0).all():
         q = rng.standard_exponential(size=(size, len(counts)))
         q *= 2.0
     else:

@@ -115,21 +115,27 @@ class TestConfigHandling:
         assert "int64" in err
 
     @pytest.mark.parametrize(
-        "command,keys",
+        "command,keys,named",
         [
-            ("calibrate", "sigma = 1e-3\nepsilon = 0.01\n"),
-            ("calibrate", "epsilon = 1e-200\n"),
-            ("calibrate", "sigma = 1e5\n"),
-            ("boundary", "epsilon = 1e-200\n"),
-            ("risk", "d = 62\ns = 4\npattern = none\ncycles = 1\npool_size = 1000000\n"),
+            # the bisection halves the radius until r^(2/sigma) underflows
+            ("calibrate", "sigma = 1e-3\nepsilon = 0.01\n", ["k=1", "sigma=0.001", "r="]),
+            ("calibrate", "epsilon = 1e-200\n", ["k=1", "epsilon=1e-200"]),
+            # (2 pi)^-sigma underflows: no admissible radius at any order
+            ("calibrate", "sigma = 1e5\n", ["k=1", "sigma=100000.0"]),
+            ("boundary", "sigma = 1e5\n", ["k=1", "sigma=100000.0"]),
+            ("boundary", "epsilon = 1e-200\n", []),
+            ("risk", "d = 62\ns = 4\npattern = none\ncycles = 1\npool_size = 1000000\n",
+             ["k=4"]),
             ("risk", "d = 62\ns = 4\npattern = none\ncycles = 1\npool_size = 1000000\n"
-                     "mode = full\n"),
+                     "mode = full\n", ["k=4"]),
         ],
         ids=["calibrate-sigma-small", "calibrate-epsilon-underflow", "calibrate-sigma-large",
-             "boundary-epsilon-underflow", "risk-pool-cap", "risk-full-cap"],
+             "boundary-sigma-large", "boundary-epsilon-underflow", "risk-pool-cap",
+             "risk-full-cap"],
     )
-    def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, keys):
-        # underflows to 0 and the subset cap are numeric errors, met before any draw
+    def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, keys, named):
+        # underflows to 0 and the subset cap are numeric errors, met before any
+        # draw, and the message names the keys and the order behind them
         draws = []
         monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
         path = write_config(tmp_path, keys)
@@ -138,6 +144,8 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        for part in named:
+            assert part in err
         assert draws == []
         assert not (out / f"{command}.csv").exists()
 
@@ -337,6 +345,16 @@ class TestRiskAndReproducibility:
         out2 = tmp_path / "redo"
         assert run(["risk", "--config", manifest, "--out", str(out2), "--quiet"]) == 0
         assert (out1 / "risk.csv").read_bytes() == (out2 / "risk.csv").read_bytes()
+
+    def test_quiet_key_set_to_true_exits_2(self, tmp_path, capsys):
+        # only the flag quiets a run; a manifest's `quiet = false` still reads back
+        path = write_config(tmp_path, "d = 12\nquiet = true\n")
+        assert run(["table1", "--config", path, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "run.cfg:2: quiet is not a config key" in captured.err
+        assert "--quiet" in captured.err
+        assert not (tmp_path / "table1.csv").exists()
 
     def test_output_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RISK_CFG)

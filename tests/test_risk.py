@@ -240,6 +240,33 @@ class TestThreadsAndBallCache:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _resolve_threads() == 1
 
+    def test_inline_orders_give_the_pooled_reports(self, bench_dim, bench_config, monkeypatch):
+        # bench_config has orders on both sides of POOL_MIN_SHELLS: k = 1 and
+        # k = 4 (620 and 1178 shells) run inline, k = 2 and k = 3 on the pool
+        pattern = build_pattern(bench_dim)
+        pooled_orders = []
+        run_jobs = risk._run_jobs
+
+        def recording(jobs):
+            jobs = list(jobs)
+            pooled_orders.append(sorted({args[0].k for _, args in jobs}))
+            return run_jobs(jobs)
+
+        monkeypatch.setattr(risk, "_run_jobs", recording)
+        results = []
+        for min_shells in (0, risk.POOL_MIN_SHELLS, 10**9):
+            monkeypatch.setattr(risk, "POOL_MIN_SHELLS", min_shells)
+            for cpus in (1, 2):
+                fake_cpus(monkeypatch, cpus)
+                reports = [estimate_risk(pattern, bench_config, J=2, seed=7, pool_inactive=40)]
+                reports += attenuation_experiment(
+                    [0.001, 1.0], pattern, bench_config, J=2, seed=7, pool_inactive=40
+                )
+                results.append([dataclasses.astuple(rep) for rep in reports])
+        assert all(result == results[0] for result in results)
+        assert results[0][1][4] > 0  # the attenuated component is missed
+        assert pooled_orders == [[1, 2, 3, 4]] * 4 + [[2, 3]] * 4 + [[]] * 4
+
 def one_shot_stats(engine, comp, rng):
     """The unchunked first-order statistic: per-point means and normals of the
     whole ball, enumerated by brute force."""

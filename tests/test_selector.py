@@ -17,7 +17,7 @@ from conftest import (
 
 from anovaselect import selector
 from anovaselect.extremal import a_exact, extremal_sequence, order_weights
-from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, subset_rank
+from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, shell_counts, subset_rank
 from anovaselect.risk import _OrderEngine, select
 from anovaselect.selector import (
     SelectorConfig,
@@ -199,6 +199,23 @@ class TestStatistic:
                 thresholds=tiny_config.thresholds,
                 truncation={**tiny_config.truncation, 2: 1},
             )
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.full(620, 2),
+            np.array([2, 2, 4, 2, 8, 2]),
+            shell_counts(3, 40.0)[1],
+        ],
+        ids=["all-two", "two-first-not-all", "k3-shells"],
+    )
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_null_shell_draw_draws_chisquare_bytes(self, counts, rows):
+        # the exponential path and the first-shell test move no byte
+        q = null_shell_draw(substream(4, 31), counts, rows)
+        expected = substream(4, 31).chisquare(counts, size=(rows, len(counts))) - counts
+        assert q.shape == (rows, len(counts))
+        np.testing.assert_array_equal(q, expected)
 
     def test_null_moments_small_mc(self, bench_k1_config):
         prof = bench_k1_config.profiles[1][9]
