@@ -24,7 +24,7 @@ from .errors import CapacityError
 from .extremal import admissible_r_max
 from .lattice import DimensionSpec, active_count
 from .risk import attenuation_experiment, boundary_sweep, estimate_risk
-from .selector import build_selector_config, null_stat_batches, tail_bound_audit
+from .selector import build_selector_config, null_moments, tail_bound_audit
 from .signals import build_pattern, has_benchmark_bank, sobolev_norm
 
 import numpy as np
@@ -50,7 +50,6 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
     "eps_hat_rule": ("str", "fixed", ("fixed", "growing_s")),
     "seed": ("int", DEFAULT_SEED, "[0, inf)"),
     "out": ("str", "out", None),
-    "mode": ("str", "pool", ("full", "pool")),
     "pool_size": ("int", 2000, "[0, inf)"),
     "cycles": ("int", 15, "[1, inf)"),
     "alpha": ("float", 1.0, "(0, inf)"),
@@ -75,9 +74,12 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
 }
 
 # Manifest bookkeeping keys, ignored when a manifest is read back as a config.
-# Older manifests also hold ``quiet = false``, from when the flag was a key;
-# any other ``quiet`` value is refused, because only the flag sets it.
-_RESERVED_KEYS = {"command", "version", "wall_time_s", "quiet"}
+_RESERVED_KEYS = {"command", "version", "wall_time_s"}
+
+# Keys of older manifests: the one value each may hold, which is ignored, and
+# what replaced the key, which the error for any other value names.
+_RETIRED_KEYS = {"quiet": ("false", "pass the --quiet flag"),
+                 "mode": ("pool", "a pool_size at or above C(d,k) draws all subsets")}
 
 # The boundary sweep is about ratios, not the benchmark noise level.  Supports
 # do not depend on epsilon, but a(r) scales as 1/epsilon^2, so this default
@@ -113,11 +115,10 @@ def read_config_file(path: str) -> dict[str, object]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key == "quiet" and raw != "false":
-            raise ValueError(
-                f"{path}:{lineno}: quiet is not a config key; pass the --quiet flag"
-            )
-        if key in _RESERVED_KEYS:
+        if key in _RETIRED_KEYS and raw != _RETIRED_KEYS[key][0]:
+            raise ValueError(f"{path}:{lineno}: {key} is not a config key; "
+                             f"{_RETIRED_KEYS[key][1]}")
+        if key in _RESERVED_KEYS or key in _RETIRED_KEYS:
             continue
         if key not in _KEY_SPECS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
@@ -253,7 +254,6 @@ def run_table2(cfg: dict):
         config,
         J=cfg["cycles"],
         seed=cfg["seed"],
-        mode=cfg["mode"],
         pool_inactive=cfg["pool_size"],
     )
     header = ["alpha", "err", "false_positives"] + _loss_header(cfg["cycles"])
@@ -275,7 +275,6 @@ def run_risk(cfg: dict):
         config,
         J=cfg["cycles"],
         seed=cfg["seed"],
-        mode=cfg["mode"],
         pool_inactive=cfg["pool_size"],
     )
     header = ["alpha", "err", "false_positives", "misses"] + _loss_header(cfg["cycles"])
@@ -346,7 +345,7 @@ def run_audit(cfg: dict):
     k_a = cfg["audit_k"]
     m_a = cfg["audit_m"] or (len(config.grid.betas) + 1) // 2
     prof = config.profiles[k_a][m_a - 1]
-    moments = _null_moments(prof, cfg["trials_null"], cfg["seed"])
+    moments = null_moments(prof, cfg["trials_null"], cfg["seed"])
     rows.append(["null_mean", k_a, m_a, moments[0], 0.02, abs(moments[0]) <= 0.02])
     rows.append(["null_var", k_a, m_a, moments[1], 0.05, abs(moments[1] - 1.0) <= 0.05])
 
@@ -364,18 +363,6 @@ def run_audit(cfg: dict):
                 norm = sobolev_norm(comp, config.truncation[k], cfg["sigma"])
                 rows.append(["ellipsoid_membership", k, i, norm, 1.0, norm <= 1.0])
     return header, rows
-
-
-def _null_moments(profile, trials: int, seed: int):
-    """Sample mean and variance of the null statistic over `trials` draws."""
-    total = 0.0
-    total_sq = 0.0
-    for s in null_stat_batches(profile, trials, seed, offset=1_000_000):
-        total += float(s.sum())
-        total_sq += float((s * s).sum())
-    mean = total / trials
-    var = total_sq / trials - mean * mean
-    return mean, var
 
 
 _RUNNERS = {

@@ -10,11 +10,10 @@ cannot be reached; the command line maps them, like every other
 class CapacityError(RuntimeError):
     """A bound was exceeded: a per-shell array (``MAX_SHELL_INDEX``), a shell
     count beyond int64, an order whose subsets have ranks beyond int64, or the
-    inactive subsets one order would evaluate, in pool or full mode
-    (``MAX_EVALUATED_SUBSETS``).
+    inactive subsets one order would evaluate (``MAX_EVALUATED_SUBSETS``).
     """
 
 
 class CalibrationError(ArithmeticError):
     """A calibration equation has no solution in the admissible interval, or
-    that interval or a radius's support does not fit in a float."""
+    that interval, a radius's support or a(r) does not fit in a float."""

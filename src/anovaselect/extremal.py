@@ -115,6 +115,16 @@ def extremal_sequence(r: float, k: int, sigma: float) -> ExtremalProfile:
     )
 
 
+def _over_eps2(value: float, k: int, epsilon: float) -> float:
+    """``value / (epsilon * epsilon)``, the 1/eps^2 scaling of a(r); raises
+    ``CalibrationError`` when eps^2 underflows to 0 or the quotient is not finite."""
+    eps2 = epsilon * epsilon
+    a = value / eps2 if eps2 else math.inf
+    if not math.isfinite(a):
+        raise CalibrationError(f"a(r) at k={k}, epsilon={epsilon} is beyond the float range")
+    return a
+
+
 def a_exact(
     r: float,
     k: int,
@@ -128,7 +138,7 @@ def a_exact(
     if profile is None:
         profile = extremal_sequence(r, k, sigma)
     quartic = float(np.dot(profile.counts.astype(np.float64), profile.theta_sq**2))
-    return math.sqrt(quartic / 2.0) / (epsilon * epsilon)
+    return _over_eps2(math.sqrt(quartic / 2.0), k, epsilon)
 
 
 def asymp_constant(sigma: float, k: int, regime: str = "fixed_k") -> float:
@@ -163,7 +173,7 @@ def a_asymp(
     if r == 0.0:
         return 0.0
     const = asymp_constant(sigma, k, regime)
-    return const * r ** (2.0 + k / (2.0 * sigma)) / (epsilon * epsilon)
+    return _over_eps2(const * r ** (2.0 + k / (2.0 * sigma)), k, epsilon)
 
 
 def solve_r_star(

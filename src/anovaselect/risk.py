@@ -17,14 +17,8 @@ the draws of the matching risk cycle, and re-running a single subset (as
 the attenuation experiment does) reproduces exactly what a full rerun would
 see.  One block loop, :func:`_selected`, counts the selections of a block
 of subset ranks per cycle; the risk driver makes each active component and
-each block of inactive ranks one job.  The jobs of orders whose statistic
-draws at least ``POOL_MIN_SHELLS`` shells run on the worker pool of
-``selector._run_jobs``, which also runs the audit's batches and has one
-thread per CPU this process may run on, at most 8 (``taskset`` sets fewer).
-The jobs of the other orders run on the calling thread first: their one-row
-draws are so short that a second thread spends more time handing the
-interpreter lock back and forth than it saves.  The jobs' counts are integer
-sums into per-cycle selections of actives and per-order, per-cycle false
+each block of inactive ranks one job.  The jobs' counts are integer sums
+into per-cycle selections of actives and per-order, per-cycle false
 positives, from which one function builds every :class:`RiskReport`, so no
 result depends on the worker count or on which thread ran a job.
 
@@ -54,8 +48,8 @@ from .signals import ComponentSpec, SparsityPattern, coeff_vector, shell_energy
 
 SQRT2 = math.sqrt(2.0)
 
-# Largest number of inactive subsets of one order that a run evaluates, in
-# either mode: a pool that covers the population enumerates it as full mode does.
+# Largest number of inactive subsets of one order that a run evaluates: a pool
+# that covers the population enumerates it, as full mode does.
 MAX_EVALUATED_SUBSETS = 500_000
 
 # Orders whose statistic draws fewer shells than this run on the calling
@@ -208,16 +202,16 @@ def _inactive_ranks(
 ) -> np.ndarray:
     """Sorted uniform sample of ``size`` inactive subset ranks, fixed across cycles.
 
-    When ``size`` covers the inactive population, every inactive rank.
-    Otherwise the first ``size`` inactive ranks of a uniformly ordered sample
-    of ``size + len(active_ranks)`` distinct ranks: the sample holds at least
+    ``size`` is first clamped to the inactive count.  The result is the first
+    ``size`` inactive ranks of a uniformly ordered sample of
+    ``size + len(active_ranks)`` distinct ranks: the sample holds at least
     ``size`` of them, and the first ``size`` inactive entries of a uniform
-    ordering form a uniform ``size``-subset of the inactive ranks.
+    ordering form a uniform ``size``-subset of the inactive ranks.  A covering
+    ``size`` samples every rank, so every inactive rank comes back.
     """
     total = math.comb(d, k)
     active = np.fromiter(active_ranks, dtype=np.int64, count=len(active_ranks))
-    if size >= total - len(active):
-        return np.setdiff1d(np.arange(total, dtype=np.int64), active)
+    size = min(size, total - len(active))
     candidates = pool_stream(seed, k).choice(total, size + len(active), replace=False)
     return np.sort(candidates[~np.isin(candidates, active)][:size])
 
@@ -297,8 +291,7 @@ def _run_cycles(
             jobs.append(((engine, [rank], engine.active_means(comp), J, seed), found))
             drawn += 1
         active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
-        inactive = total - len(active_ranks)
-        size = inactive if mode == "full" else min(pool_inactive, inactive)
+        size = min(total if mode == "full" else pool_inactive, total - len(active_ranks))
         if size > MAX_EVALUATED_SUBSETS:
             raise CapacityError(
                 f"{mode} mode at k={k} would evaluate {size} inactive subsets, "

@@ -30,20 +30,16 @@ block of the risk estimators, of null ranks or of one active, draws all its
 subsets and cycles through one generator this way.
 
 The tail audit and the null moments draw S = sum omega Q in batches of
-``BATCH_ROWS`` rows, and batch ``idx`` owns the audit substream ``offset + idx``,
-so batches are independent and may run in any order.  ``null_stat_batches``
-runs them through :func:`_run_jobs`, the one worker pool, with one thread per
-CPU in the process's affinity set (at most 8; ``taskset`` sets fewer), and
-yields their S vectors in batch order, so callers sum in a fixed order.  The
-pool also runs the risk driver's blocks of orders with at least
-``risk.POOL_MIN_SHELLS`` shells; a one-row draw over fewer shells is too short
-to pay for handing the interpreter lock between threads, so the driver runs
-those blocks on its own thread.  Each batch draws its stream in row
-blocks of at most ``lattice.BLOCK_ENTRIES`` entries, 512 kB of float64 (numpy
-fills C-order rows from one stream, so the variates are those of one call),
-and reduces each block with ``np.einsum("ij,j->i", ...)``: a fixed-order loop
-per row, with no BLAS, so the S bits depend neither on the block size nor on
-the CPU count.
+``BATCH_ROWS`` rows.  Batch ``idx`` owns the audit substream ``offset + idx``,
+from ``TAIL_OFFSET`` for the tail and ``MOMENTS_OFFSET`` for the moments, so
+batches are independent and may run in any order.  ``null_stat_batches``
+runs them through :func:`_run_jobs`, the one worker pool, and yields their S
+vectors in batch order, so callers sum in a fixed order.  Each batch draws
+its stream in row blocks of at most ``lattice.BLOCK_ENTRIES`` entries, 512 kB
+of float64 (numpy fills C-order rows from one stream, so the variates are
+those of one call), and reduces each block with ``np.einsum("ij,j->i", ...)``:
+a fixed-order loop per row, with no BLAS, so no S bit depends on the block
+size, the worker count or the thread that ran a batch.
 """
 
 from __future__ import annotations
@@ -69,6 +65,10 @@ PRESET_TRUNCATION = {1: 622, 2: 154, 3: 65, 4: 36}
 
 # Rows per audit batch: the unit of work a worker takes and of the substreams.
 BATCH_ROWS = 20_000
+
+# First audit substream of the tail audit's batches and of the null moments'.
+TAIL_OFFSET = 0
+MOMENTS_OFFSET = 1_000_000
 
 
 # Constants of numpy's seed hash (numpy/random/bit_generator.pyx): the mixing
@@ -415,10 +415,20 @@ def tail_bound_audit(T: float, trials: int, seed: int, w: WeightProfile) -> Tail
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
     upper_hits = 0
-    for stats in null_stat_batches(w, trials, seed, 0):
+    for stats in null_stat_batches(w, trials, seed, TAIL_OFFSET):
         upper_hits += int(np.count_nonzero(stats > T))
     return TailAudit(
         empirical_upper=upper_hits / trials,
         reference=math.exp(-T * T / 2.0),
         regime_ok=T * w.max_weight <= 0.1,
     )
+
+
+def null_moments(w: WeightProfile, trials: int, seed: int) -> tuple[float, float]:
+    """Sample mean and variance of the null statistic over ``trials`` draws."""
+    total = total_sq = 0.0
+    for s in null_stat_batches(w, trials, seed, MOMENTS_OFFSET):
+        total += float(s.sum())
+        total_sq += float((s * s).sum())
+    mean = total / trials
+    return mean, total_sq / trials - mean * mean

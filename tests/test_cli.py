@@ -36,7 +36,7 @@ def forbid_calibration(monkeypatch):
 BENCH_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "tests" / "fixtures"
 
 SMALL_RISK_CFG = """
-# small full-enumeration configuration
+# small full-enumeration configuration: the pool covers all 78 subsets
 d = 12
 s = 2
 beta = 0.6
@@ -46,7 +46,7 @@ grid_m = 3
 truncation = rule
 pattern = none
 cycles = 2
-mode = full
+pool_size = 100000
 seed = 5
 """
 
@@ -123,15 +123,15 @@ class TestConfigHandling:
             # (2 pi)^-sigma underflows: no admissible radius at any order
             ("calibrate", "sigma = 1e5\n", ["k=1", "sigma=100000.0"]),
             ("boundary", "sigma = 1e5\n", ["k=1", "sigma=100000.0"]),
-            ("boundary", "epsilon = 1e-200\n", []),
+            ("boundary", "epsilon = 1e-200\n", ["k=1", "epsilon=1e-200"]),
+            # epsilon^2 is subnormal, so a(r) = .../epsilon^2 overflows
+            ("boundary", "epsilon = 1e-160\n", ["k=1", "epsilon=1e-160"]),
             ("risk", "d = 62\ns = 4\npattern = none\ncycles = 1\npool_size = 1000000\n",
              ["k=4"]),
-            ("risk", "d = 62\ns = 4\npattern = none\ncycles = 1\npool_size = 1000000\n"
-                     "mode = full\n", ["k=4"]),
         ],
         ids=["calibrate-sigma-small", "calibrate-epsilon-underflow", "calibrate-sigma-large",
-             "boundary-sigma-large", "boundary-epsilon-underflow", "risk-pool-cap",
-             "risk-full-cap"],
+             "boundary-sigma-large", "boundary-epsilon-underflow", "boundary-epsilon-overflow",
+             "risk-pool-cap"],
     )
     def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, keys, named):
         # underflows to 0 and the subset cap are numeric errors, met before any
@@ -189,7 +189,6 @@ class TestValidation:
             "grid_m = 1",
             "cycles = 0",
             "seed = -3",
-            "mode = everything",
             "calibration = fast",
             "pattern = random",
             "alphas = 0.5,0",
@@ -334,13 +333,14 @@ class TestRiskAndReproducibility:
         )
         assert (out1 / "risk.csv").read_bytes() == (out2 / "risk.csv").read_bytes()
 
-    def test_manifest_with_quiet_key_reads_back(self, tmp_path):
-        # manifests written while `quiet` was a config key hold `quiet = false`
+    @pytest.mark.parametrize("line", ["quiet = false", "mode = pool"])
+    def test_manifest_with_quiet_key_reads_back(self, tmp_path, line):
+        # manifests written while `quiet` and `mode` were config keys hold these lines
         cfg = write_config(tmp_path, SMALL_RISK_CFG)
         out1 = tmp_path / "orig"
         assert run(["risk", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
         lines = (out1 / "risk_manifest.txt").read_text().splitlines()
-        lines.insert(lines.index("pool_size = 2000") + 1, "quiet = false")
+        lines.insert(lines.index("pool_size = 100000"), line)
         manifest = write_config(tmp_path, "\n".join(lines) + "\n", name="old_manifest.txt")
         out2 = tmp_path / "redo"
         assert run(["risk", "--config", manifest, "--out", str(out2), "--quiet"]) == 0
@@ -355,6 +355,18 @@ class TestRiskAndReproducibility:
         assert "run.cfg:2: quiet is not a config key" in captured.err
         assert "--quiet" in captured.err
         assert not (tmp_path / "table1.csv").exists()
+
+    @pytest.mark.parametrize("value", ["full", "everything"])
+    def test_mode_key_other_than_pool_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        # a pool_size at or above C(d, k) is what full enumeration was
+        forbid_calibration(monkeypatch)
+        path = write_config(tmp_path, f"d = 12\nmode = {value}\n")
+        out = tmp_path / "out"
+        assert run(["risk", "--config", path, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "run.cfg:2: mode is not a config key" in err
+        assert "pool_size" in err
+        assert not (out / "risk.csv").exists()
 
     def test_output_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RISK_CFG)

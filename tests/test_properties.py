@@ -54,27 +54,29 @@ def test_shell_convolve_matches_bruteforce(masses, size):
 
 @st.composite
 def pool_requests(draw):
-    d = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 30))
     k = draw(st.integers(1, min(d, 4)))
     total = math.comb(d, k)
-    active = draw(st.sets(st.integers(0, total - 1), max_size=min(total, 6)))
-    size = draw(st.integers(0, total + 2))
+    active = draw(st.sets(st.integers(0, total - 1), max_size=min(total, 10)))
+    inactive = total - len(active)
+    covering = draw(st.integers(inactive, inactive + 50))
+    size = draw(st.integers(0, max(inactive - 1, 0)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return d, k, active, size, seed
+    return d, k, active, covering, size, seed
 
 
 @FAST
 @given(pool_requests())
 def test_inactive_ranks_properties(request):
-    d, k, active, size, seed = request
-    ranks = _inactive_ranks(d, k, active, size, seed).tolist()
-    inactive = [r for r in range(math.comb(d, k)) if r not in active]
-    assert all(a < b for a, b in zip(ranks, ranks[1:]))  # sorted and distinct
-    assert not active & set(ranks)
-    assert set(ranks) <= set(inactive)
-    assert len(ranks) == min(size, len(inactive))
-    if size >= len(inactive):
-        assert ranks == inactive
+    # a covering size returns the complement of the actives; a smaller one
+    # returns that many sorted, distinct inactive ranks
+    d, k, active, covering, size, seed = request
+    expected = np.setdiff1d(np.arange(math.comb(d, k)), np.fromiter(active, dtype=np.int64))
+    np.testing.assert_array_equal(_inactive_ranks(d, k, active, covering, seed), expected)
+    ranks = _inactive_ranks(d, k, active, size, seed)
+    assert len(ranks) == min(size, len(expected))
+    assert (np.diff(ranks) > 0).all()  # sorted and distinct
+    assert np.isin(ranks, expected).all()
 
 
 @FAST

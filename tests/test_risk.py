@@ -137,6 +137,27 @@ class TestEstimateRisk:
         rep = estimate_risk(small_pattern, tiny_config, J=6, seed=11, mode="full")
         assert rep.misses == 0
 
+    def test_covering_pool_equals_full_mode(self, small_pattern, tiny_config, noisy_config):
+        # a pool at or above the population draws every inactive subset, so both
+        # modes report the same fields, false positives included
+        for config in (tiny_config, noisy_config):
+            full = estimate_risk(small_pattern, config, J=3, seed=23, mode="full")
+            pool = estimate_risk(
+                small_pattern, config, J=3, seed=23, mode="pool", pool_inactive=10**6
+            )
+            assert dataclasses.asdict(pool) == dataclasses.asdict(full)
+            series = [
+                attenuation_experiment(
+                    [0.05, 1.0], small_pattern, config, J=3, seed=23, mode=mode,
+                    pool_inactive=10**6,
+                )
+                for mode in ("full", "pool")
+            ]
+            assert [dataclasses.asdict(r) for r in series[1]] == [
+                dataclasses.asdict(r) for r in series[0]
+            ]
+        assert full.false_positives > 0  # the lowered thresholds do select nulls
+
     def test_pool_mode_counts(self, small_pattern, tiny_config):
         rep = estimate_risk(
             small_pattern, tiny_config, J=2, seed=11, mode="pool", pool_inactive=6
