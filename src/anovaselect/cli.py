@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flat key = value configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--quiet", action="store_true", help="do not print the final 'wrote ...' line")
+        p.add_argument("--quiet", action="store_true",
+                       help="do not print the final 'wrote ...' line")
     return parser
 
 

@@ -17,10 +17,10 @@ the draws of the matching risk cycle, and re-running a single subset (as
 the attenuation experiment does) reproduces exactly what a full rerun would
 see.  One block loop, :func:`_selected`, counts the selections of a block
 of subset ranks per cycle; the risk driver makes each active component and
-each block of inactive ranks one job.  The jobs' counts are integer sums
-into per-cycle selections of actives and per-order, per-cycle false
-positives, from which one function builds every :class:`RiskReport`, so no
-result depends on the worker count or on which thread ran a job.
+each block of inactive ranks one job.  Each active keeps its own per-cycle
+hits, and each order's null blocks sum into its per-cycle false positives;
+one function builds every :class:`RiskReport` from these integer tallies, so
+no result depends on the worker count or on which thread ran a job.
 
 There is no module-level cache: pure inputs (coefficient vectors, shell
 tables) are memoised where they are computed.
@@ -243,22 +243,20 @@ def _run_cycles(
     seed: int,
     mode: str,
     pool_inactive: int,
-    skip_subsets: frozenset[Subset] = frozenset(),
-) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int]]:
+) -> tuple[dict[Subset, np.ndarray], dict[int, np.ndarray], dict[int, int]]:
     """Shared cycle driver.
 
     Every active component and every block of inactive ranks is one
-    :func:`_selected` job with a tally: an active's hits add into the
-    per-cycle ``found`` tally, and misses are the actives drawn less those
-    found; a null block's hits add into its order's per-cycle false-positive
-    tally.  The jobs of orders with fewer than ``POOL_MIN_SHELLS`` shells run
-    here, one after another; then the others run on the worker pool of
-    ``selector._run_jobs``, all submitted at once.  The tallies are integer
-    sums, so no result depends on the worker count or on where a job ran.
-    Returns (miss_per_cycle, fp_per_cycle_by_k, n_inactive).  Each active
-    job's ``active_means`` and each order's subset counts are checked here,
-    on the calling thread, so a failure surfaces before anything is drawn or
-    any rank array allocated.
+    :func:`_selected` job with a tally.  The jobs of orders with fewer than
+    ``POOL_MIN_SHELLS`` shells run here, one after another; then the others
+    run on the worker pool of ``selector._run_jobs``, all submitted at once.
+    The tallies are integer sums, so no result depends on the worker count or
+    on where a job ran.  Returns (hits, fp, n_inactive): ``hits[subset]`` is
+    an active's per-cycle selections (0 or 1), ``fp[k]`` order k's per-cycle
+    false positives and ``n_inactive[k]`` its evaluated inactive subsets.
+    Each active job's ``active_means`` and each order's subset counts are
+    checked here, on the calling thread, so a failure surfaces before
+    anything is drawn or any rank array allocated.
     """
     d = config.dim.d
     _check_pattern(pattern, config)
@@ -269,8 +267,7 @@ def _run_cycles(
     if mode not in ("full", "pool"):
         raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
 
-    found = np.zeros(J, dtype=np.int64)
-    drawn = 0
+    hits: dict[Subset, np.ndarray] = {}
     fp: dict[int, np.ndarray] = {}
     n_inactive: dict[int, int] = {}
     inline: list[tuple[tuple, np.ndarray]] = []
@@ -285,17 +282,15 @@ def _run_cycles(
         engine = _OrderEngine(config, k)
         jobs = inline if len(engine.counts) < POOL_MIN_SHELLS else pooled
         for comp in pattern.active(k):
-            if comp.subset in skip_subsets:
-                continue
+            hits[comp.subset] = np.zeros(J, dtype=np.int64)
             rank = subset_rank(comp.subset, d)
-            jobs.append(((engine, [rank], engine.active_means(comp), J, seed), found))
-            drawn += 1
+            jobs.append(((engine, [rank], engine.active_means(comp), J, seed), hits[comp.subset]))
         active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
         size = min(total if mode == "full" else pool_inactive, total - len(active_ranks))
         if size > MAX_EVALUATED_SUBSETS:
             raise CapacityError(
-                f"{mode} mode at k={k} would evaluate {size} inactive subsets, "
-                f"exceeding the cap of {MAX_EVALUATED_SUBSETS}"
+                f"order k={k} would evaluate {size} inactive subsets, exceeding the cap "
+                f"of {MAX_EVALUATED_SUBSETS}; draw a pool of at most {MAX_EVALUATED_SUBSETS}"
             )
         ranks = _inactive_ranks(d, k, active_ranks, size, seed)
         n_inactive[k] = len(ranks)
@@ -308,19 +303,21 @@ def _run_cycles(
     for args, tally in inline:
         tally += _selected(*args)
     counts = _run_jobs((_selected, args) for args, _ in pooled)
-    for hits, (_, tally) in zip(counts, pooled):
-        tally += hits
-    return drawn - found, fp, n_inactive
+    for selected, (_, tally) in zip(counts, pooled):
+        tally += selected
+    return hits, fp, n_inactive
 
 
 def _report(
-    pattern: SparsityPattern, miss: np.ndarray, fp: Mapping[int, np.ndarray],
+    pattern: SparsityPattern, hits: Mapping[Subset, np.ndarray], fp: Mapping[int, np.ndarray],
     n_inactive: dict[int, int], alpha: float | None,
 ) -> RiskReport:
-    """The report of the tallies; each order's false-positive rate over its
-    evaluated inactive subsets is extrapolated to all its inactive subsets."""
-    J = len(miss)
+    """The report of the tallies: a cycle's misses are its unselected actives,
+    and each order's false-positive rate over its evaluated inactive subsets
+    is extrapolated to all its inactive subsets."""
     fp_per_cycle = sum(fp.values())
+    J = len(fp_per_cycle)
+    miss = sum((1 - h for h in hits.values()), np.zeros(J, dtype=np.int64))
     losses = miss + fp_per_cycle
     extrapolated = {}
     for k, n_eval in n_inactive.items():
@@ -352,8 +349,8 @@ def estimate_risk(
     false-positive rate observed on the pool is extrapolated to the full
     subset population in the report.
     """
-    miss, fp, n_inactive = _run_cycles(pattern, config, J, seed, mode, pool_inactive)
-    return _report(pattern, miss, fp, n_inactive, None)
+    hits, fp, n_inactive = _run_cycles(pattern, config, J, seed, mode, pool_inactive)
+    return _report(pattern, hits, fp, n_inactive, None)
 
 
 def attenuation_experiment(
@@ -367,30 +364,27 @@ def attenuation_experiment(
 ) -> list[RiskReport]:
     """Hamming risk as one first-order component is attenuated by alpha.
 
-    Only the designated component changes across alpha, and every subset owns
-    its own substream, so the shared part of each cycle is computed once; the
-    resulting reports are identical to independent :func:`estimate_risk` runs
-    on ``pattern.with_attenuated(alpha)``.
+    Only the designated component, the one ``pattern.with_attenuated``
+    scales, changes across alpha, and every subset owns its own substream:
+    the cycles run once at the first alpha, and each later alpha redraws only
+    that component's hits.  The reports are therefore identical to
+    independent :func:`estimate_risk` runs on ``pattern.with_attenuated(alpha)``.
     """
     if not alphas:
         raise ValueError("alphas must hold at least one value")
     if any(not 0.0 < a <= 1.0 for a in alphas):
         raise ValueError("alphas must lie in (0, 1]")
-    firsts = pattern.active(1)
-    if not firsts:
-        raise ValueError("pattern has no first-order component to attenuate")
-    designated = firsts[0]
-    rank = subset_rank(designated.subset, pattern.d)
-    base_miss, fp, n_inactive = _run_cycles(
-        pattern, config, J, seed, mode, pool_inactive,
-        skip_subsets=frozenset({designated.subset}),
-    )
+    first = pattern.with_attenuated(alphas[0])
+    hits, fp, n_inactive = _run_cycles(first, config, J, seed, mode, pool_inactive)
     engine = _OrderEngine(config, 1)
-    reports = []
-    for alpha in alphas:
-        means = engine.active_means(designated.scaled(alpha))
-        miss = base_miss + 1 - _selected(engine, [rank], means, J, seed)
-        reports.append(_report(pattern, miss, fp, n_inactive, float(alpha)))
+    reports = [_report(pattern, hits, fp, n_inactive, float(alphas[0]))]
+    for alpha in alphas[1:]:
+        designated = pattern.with_attenuated(alpha).active(1)[0]
+        rank = subset_rank(designated.subset, pattern.d)
+        hits[designated.subset] = _selected(
+            engine, [rank], engine.active_means(designated), J, seed
+        )
+        reports.append(_report(pattern, hits, fp, n_inactive, float(alpha)))
     return reports
 
 
@@ -471,9 +465,10 @@ def boundary_sweep(
 ) -> list[SweepRow]:
     """Phase data over a (beta, r) grid.
 
-    A radius outside (0, admissible_r_max(k, sigma)) raises ``ValueError``,
-    as in :func:`classify_regime`.  The ratio a(r)/sqrt(log C(d,k)) does not depend on beta, so it is computed
-    once per (k, r) and classified against each beta's thresholds.
+    A radius outside (0, admissible_r_max(k, sigma)) raises ``ValueError``, as
+    in :func:`classify_regime`.  The ratio a(r)/sqrt(log C(d,k)) does not
+    depend on beta, so it is computed once per (k, r) and classified against
+    each beta's thresholds.
     """
     rows: list[SweepRow] = []
     for k in ks:

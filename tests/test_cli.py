@@ -127,7 +127,7 @@ class TestConfigHandling:
             # epsilon^2 is subnormal, so a(r) = .../epsilon^2 overflows
             ("boundary", "epsilon = 1e-160\n", ["k=1", "epsilon=1e-160"]),
             ("risk", "d = 62\ns = 4\npattern = none\ncycles = 1\npool_size = 1000000\n",
-             ["k=4"]),
+             ["k=4", "557845", "500000", "pool of at most"]),
         ],
         ids=["calibrate-sigma-small", "calibrate-epsilon-underflow", "calibrate-sigma-large",
              "boundary-sigma-large", "boundary-epsilon-underflow", "boundary-epsilon-overflow",

@@ -433,8 +433,14 @@ class TestStreamedActivePath:
 
 
 class TestAttenuation:
-    def test_matches_independent_runs(self, small_pattern, tiny_config, noisy_config):
-        alphas = [0.05, 0.4, 1.0]
+    # the first alpha runs through the cycle driver and each later one redraws
+    # only the designated component, so unsorted, repeated and single alphas
+    # must each give the independent runs' reports
+    @pytest.mark.parametrize(
+        "alphas", [[0.05, 0.4, 1.0], [1.0, 0.05, 0.4], [0.4, 0.4], [0.05]],
+        ids=["sorted", "unsorted", "repeated", "single"],
+    )
+    def test_matches_independent_runs(self, small_pattern, tiny_config, noisy_config, alphas):
         for config in (tiny_config, noisy_config):
             series = attenuation_experiment(
                 alphas, small_pattern, config, J=5, seed=29, mode="full"
@@ -454,6 +460,27 @@ class TestAttenuation:
                 assert rep.evaluated_inactive == solo.evaluated_inactive
                 assert rep.extrapolated_fp == solo.extrapolated_fp
         assert series[0].false_positives > 0  # the lowered thresholds do select nulls
+
+    def test_draws_each_subset_once_per_cycle_plus_each_later_alpha(
+        self, small_pattern, tiny_config, monkeypatch
+    ):
+        # the bench's risk.stat_evals: every active and every evaluated inactive
+        # subset once per cycle, plus the designated component once per later alpha
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return observation_stream(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "observation_stream", counted)
+        alphas, J = [0.05, 0.4, 1.0], 3
+        series = attenuation_experiment(
+            alphas, small_pattern, tiny_config, J=J, seed=4, pool_inactive=20
+        )
+        actives = sum(len(small_pattern.active(k)) for k in (1, 2))
+        inactive = sum(series[0].evaluated_inactive.values())
+        assert series[0].evaluated_inactive == {1: 11, 2: 20}
+        assert len(calls) == J * (actives + inactive + len(alphas) - 1)
 
     def test_alpha_validation(self, small_pattern, tiny_config):
         with pytest.raises(ValueError):
