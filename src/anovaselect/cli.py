@@ -74,7 +74,7 @@ _KEY_SPECS: dict[str, tuple[str, object, object]] = {
 }
 
 # Manifest bookkeeping keys, ignored when a manifest is read back as a config.
-_RESERVED_KEYS = {"command", "version", "wall_time_s"}
+_RESERVED_KEYS = {"command", "version", "numpy", "wall_time_s"}
 
 # Keys of older manifests: the one value each may hold, which is ignored, and
 # what replaced the key, which the error for any other value names.
@@ -185,7 +185,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def write_manifest(path: Path, command: str, cfg: dict, wall_time: float) -> None:
-    lines = [f"command = {command}", f"version = {__version__}"]
+    lines = [f"command = {command}", f"version = {__version__}", f"numpy = {np.__version__}"]
     lines.extend(f"{key} = {_fmt(cfg[key])}" for key in sorted(_KEY_SPECS))
     lines.append(f"wall_time_s = {wall_time:.3f}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -8,17 +8,17 @@ config's weight matrix of its order as it is.  Every weight is radial, so a
 subset's statistics depend on its noise only through per-shell sums, and
 only their law differs: chi-square for a null subset, and for an active
 subset of order k >= 2 noncentral chi-square, one variate per shell; both
-are exact in distribution.  A first-order active is drawn point by point
-over its 2n points, because the acceptance gate freezes the attenuated
-first-order component's draws.  Every subset draws from its own
+are exact in distribution.  A first-order active is drawn point by point,
+as the acceptance gate freezes its draws.  Every subset draws from its own
 (cycle, order, subset-rank) substream, so results are bit-reproducible, full
 and pooled enumeration agree on shared subsets, :func:`select` sees exactly
 the draws of the matching risk cycle, and re-running a single subset (as
 the attenuation experiment does) reproduces exactly what a full rerun would
 see.  One block loop, :func:`_selected`, counts the selections of a block
-of subset ranks per cycle; the risk driver makes each active component and
-each block of inactive ranks one job.  Each active keeps its own per-cycle
-hits, and each order's null blocks sum into its per-cycle false positives;
+of subset ranks per cycle.  The risk driver takes each order's actives as
+(subset rank, means) pairs, whatever signal the means come from, and makes
+each active and each block of inactive ranks one job.  Each active keeps its
+per-cycle hits, each order's null blocks sum into its false positives, and
 one function builds every :class:`RiskReport` from these integer tallies, so
 no result depends on the worker count or on which thread ran a job.
 
@@ -87,18 +87,16 @@ class _OrderEngine:
 
     def stats(self, rng: np.random.Generator, means: np.ndarray | None = None) -> np.ndarray:
         """One row of S_m = W @ q from ``rng``: a null subset's, or an active
-        one's from its :meth:`active_means`.
+        one's from ``means``, laid out as :meth:`active_means` lays them out.
 
         The weights are constant on a shell, so S_m = sum_rho w_m(rho) q_rho
         with q_rho = Y_rho - N_rho, where Y_rho is the shell sum of
         (mu_l + xi_l)^2 over its N_rho points, independent across shells.
         Drawing Y_rho from its law is therefore exact in distribution: for a
         null subset chi2(N_rho), by ``null_shell_draw``; for an active one at
-        k >= 2 noncentral chi2(N_rho, lam_rho), lam_rho the shell sum of
-        mu_l^2.  At k = 1 the 2n normals are drawn in point order and each
-        shell sums its two points, because the acceptance gate freezes the
-        draws of the attenuated first-order component's point-by-point
-        statistic.
+        k >= 2 noncentral chi2(N_rho, lam_rho), lam_rho = ``means`` the shell
+        sum of mu_l^2.  At k = 1 the 2n normals are drawn in point order, as
+        the acceptance gate's frozen draws need, and each shell sums its two.
         """
         if means is None:
             q = null_shell_draw(rng, self.counts, 1)[0]
@@ -141,9 +139,14 @@ def hamming_loss(estimate: Mapping[Subset, SubsetDecision], truth: SparsityPatte
     return loss
 
 
-def _check_pattern(pattern: SparsityPattern, config: SelectorConfig) -> None:
-    if pattern.d != config.dim.d or pattern.s > config.dim.s:
+def _pattern_actives(pattern: SparsityPattern, config: SelectorConfig) -> dict[int, dict]:
+    """Per order 1..pattern.s, each active subset's rank mapped to its ``active_means``."""
+    d = config.dim.d
+    if pattern.d != d or pattern.s > config.dim.s:
         raise ValueError("pattern dimensions do not match the selector configuration")
+    engines = {k: _OrderEngine(config, k) for k in range(1, pattern.s + 1)}
+    return {k: {subset_rank(c.subset, d): e.active_means(c) for c in pattern.active(k)}
+            for k, e in engines.items()}
 
 
 def select(
@@ -156,13 +159,12 @@ def select(
     """Simulate one cycle of the sequence model and apply the adaptive selector.
 
     u is selected iff max_m S_{u,m} > t_k.  Subset u of order k draws its
-    noise from the (seed, cycle, k, rank) substream, through the same engine
-    and the same draws as :func:`estimate_risk`; over all subsets of orders
-    1..pattern.s, ``hamming_loss`` of the result is that cycle's loss under
-    ``estimate_risk(mode="full")``.
+    noise from the (seed, cycle, k, rank) substream, and an active one the
+    means of :func:`_pattern_actives`, as in :func:`estimate_risk`; over all
+    subsets of orders 1..pattern.s, ``hamming_loss`` of the result is that
+    cycle's loss under ``estimate_risk(mode="full")``.
     """
-    _check_pattern(pattern, config)
-    components = {c.subset: c for k in range(1, pattern.s + 1) for c in pattern.active(k)}
+    actives = _pattern_actives(pattern, config)
     engines: dict[int, _OrderEngine] = {}
     decisions: dict[Subset, SubsetDecision] = {}
     for subset in subsets:
@@ -172,9 +174,9 @@ def select(
                 raise ValueError(f"config carries no grid for order k={k}")
             engines[k] = _OrderEngine(config, k)
         engine = engines[k]
-        rng = observation_stream(seed, cycle, k, subset_rank(subset, config.dim.d))
-        comp = components.get(subset)
-        stats = engine.stats(rng, None if comp is None else engine.active_means(comp))
+        rank = subset_rank(subset, config.dim.d)
+        rng = observation_stream(seed, cycle, k, rank)
+        stats = engine.stats(rng, actives.get(k, {}).get(rank))
         selected = bool(stats.max() > engine.threshold)
         decisions[subset] = SubsetDecision(
             stats=tuple(float(v) for v in stats),
@@ -237,42 +239,36 @@ def _selected(
 
 
 def _run_cycles(
-    pattern: SparsityPattern,
     config: SelectorConfig,
+    actives: Mapping[int, Mapping[int, np.ndarray]],
     J: int,
     seed: int,
-    mode: str,
     pool_inactive: int,
-) -> tuple[dict[Subset, np.ndarray], dict[int, np.ndarray], dict[int, int]]:
-    """Shared cycle driver.
+) -> tuple[dict[tuple[int, int], np.ndarray], dict[int, np.ndarray], dict[int, int]]:
+    """Shared cycle driver over the orders k that ``actives`` holds.
 
-    Every active component and every block of inactive ranks is one
-    :func:`_selected` job with a tally.  The jobs of orders with fewer than
-    ``POOL_MIN_SHELLS`` shells run here, one after another; then the others
-    run on the worker pool of ``selector._run_jobs``, all submitted at once.
-    The tallies are integer sums, so no result depends on the worker count or
-    on where a job ran.  Returns (hits, fp, n_inactive): ``hits[subset]`` is
-    an active's per-cycle selections (0 or 1), ``fp[k]`` order k's per-cycle
-    false positives and ``n_inactive[k]`` its evaluated inactive subsets.
-    Each active job's ``active_means`` and each order's subset counts are
-    checked here, on the calling thread, so a failure surfaces before
-    anything is drawn or any rank array allocated.
+    ``actives[k]`` maps each active subset's rank to the means that
+    :meth:`_OrderEngine.stats` draws it from, whatever the signal, and each
+    order draws ``pool_inactive`` inactive ranks, or all of them.  Each
+    active and each block of inactive ranks is one :func:`_selected` job with
+    an integer tally; orders below ``POOL_MIN_SHELLS`` shells run here, the
+    others on the worker pool of ``selector._run_jobs``.  Returns (hits, fp,
+    n_inactive): ``hits[k, rank]`` is an active's per-cycle selections,
+    ``fp[k]`` order k's per-cycle false positives and ``n_inactive[k]`` its
+    evaluated inactive subsets.  Subset counts are checked before any draw.
     """
     d = config.dim.d
-    _check_pattern(pattern, config)
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
     if pool_inactive < 0:
         raise ValueError(f"pool_inactive must be >= 0, got {pool_inactive}")
-    if mode not in ("full", "pool"):
-        raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
 
-    hits: dict[Subset, np.ndarray] = {}
+    hits: dict[tuple[int, int], np.ndarray] = {}
     fp: dict[int, np.ndarray] = {}
     n_inactive: dict[int, int] = {}
     inline: list[tuple[tuple, np.ndarray]] = []
     pooled: list[tuple[tuple, np.ndarray]] = []
-    for k in range(1, pattern.s + 1):
+    for k, order_actives in actives.items():
         total = math.comb(d, k)
         if total > INT64_MAX:
             raise CapacityError(
@@ -281,18 +277,16 @@ def _run_cycles(
             )
         engine = _OrderEngine(config, k)
         jobs = inline if len(engine.counts) < POOL_MIN_SHELLS else pooled
-        for comp in pattern.active(k):
-            hits[comp.subset] = np.zeros(J, dtype=np.int64)
-            rank = subset_rank(comp.subset, d)
-            jobs.append(((engine, [rank], engine.active_means(comp), J, seed), hits[comp.subset]))
-        active_ranks = {subset_rank(c.subset, d) for c in pattern.active(k)}
-        size = min(total if mode == "full" else pool_inactive, total - len(active_ranks))
+        for rank, means in order_actives.items():
+            hits[k, rank] = np.zeros(J, dtype=np.int64)
+            jobs.append(((engine, [rank], means, J, seed), hits[k, rank]))
+        size = min(pool_inactive, total - len(order_actives))
         if size > MAX_EVALUATED_SUBSETS:
             raise CapacityError(
                 f"order k={k} would evaluate {size} inactive subsets, exceeding the cap "
                 f"of {MAX_EVALUATED_SUBSETS}; draw a pool of at most {MAX_EVALUATED_SUBSETS}"
             )
-        ranks = _inactive_ranks(d, k, active_ranks, size, seed)
+        ranks = _inactive_ranks(d, k, set(order_actives), size, seed)
         n_inactive[k] = len(ranks)
         fp[k] = np.zeros(J, dtype=np.int64)
         chunk = max(64, len(ranks) // 32 or 1)
@@ -309,8 +303,8 @@ def _run_cycles(
 
 
 def _report(
-    pattern: SparsityPattern, hits: Mapping[Subset, np.ndarray], fp: Mapping[int, np.ndarray],
-    n_inactive: dict[int, int], alpha: float | None,
+    d: int, actives: Mapping[int, Mapping], hits: Mapping[tuple[int, int], np.ndarray],
+    fp: Mapping[int, np.ndarray], n_inactive: dict[int, int], alpha: float | None,
 ) -> RiskReport:
     """The report of the tallies: a cycle's misses are its unselected actives,
     and each order's false-positive rate over its evaluated inactive subsets
@@ -321,7 +315,7 @@ def _report(
     losses = miss + fp_per_cycle
     extrapolated = {}
     for k, n_eval in n_inactive.items():
-        population = math.comb(pattern.d, k) - len(pattern.active(k))
+        population = math.comb(d, k) - len(actives[k])
         extrapolated[k] = int(fp[k].sum()) / (n_eval * J) * population if n_eval else 0.0
     return RiskReport(
         err=float(losses.mean()),
@@ -332,6 +326,13 @@ def _report(
         evaluated_inactive=n_inactive,
         extrapolated_fp=extrapolated,
     )
+
+
+def _pool_size(mode: str, pool_inactive: int) -> int:
+    """``pool_inactive``, or in full mode a pool that covers every order."""
+    if mode not in ("full", "pool"):
+        raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
+    return INT64_MAX if mode == "full" else pool_inactive
 
 
 def estimate_risk(
@@ -349,8 +350,9 @@ def estimate_risk(
     false-positive rate observed on the pool is extrapolated to the full
     subset population in the report.
     """
-    hits, fp, n_inactive = _run_cycles(pattern, config, J, seed, mode, pool_inactive)
-    return _report(pattern, hits, fp, n_inactive, None)
+    actives = _pattern_actives(pattern, config)
+    hits, fp, n_inactive = _run_cycles(config, actives, J, seed, _pool_size(mode, pool_inactive))
+    return _report(pattern.d, actives, hits, fp, n_inactive, None)
 
 
 def attenuation_experiment(
@@ -374,17 +376,15 @@ def attenuation_experiment(
         raise ValueError("alphas must hold at least one value")
     if any(not 0.0 < a <= 1.0 for a in alphas):
         raise ValueError("alphas must lie in (0, 1]")
-    first = pattern.with_attenuated(alphas[0])
-    hits, fp, n_inactive = _run_cycles(first, config, J, seed, mode, pool_inactive)
+    actives = _pattern_actives(pattern.with_attenuated(alphas[0]), config)
+    hits, fp, n_inactive = _run_cycles(config, actives, J, seed, _pool_size(mode, pool_inactive))
     engine = _OrderEngine(config, 1)
-    reports = [_report(pattern, hits, fp, n_inactive, float(alphas[0]))]
+    reports = [_report(pattern.d, actives, hits, fp, n_inactive, float(alphas[0]))]
     for alpha in alphas[1:]:
         designated = pattern.with_attenuated(alpha).active(1)[0]
         rank = subset_rank(designated.subset, pattern.d)
-        hits[designated.subset] = _selected(
-            engine, [rank], engine.active_means(designated), J, seed
-        )
-        reports.append(_report(pattern, hits, fp, n_inactive, float(alpha)))
+        hits[1, rank] = _selected(engine, [rank], engine.active_means(designated), J, seed)
+        reports.append(_report(pattern.d, actives, hits, fp, n_inactive, float(alpha)))
     return reports
 
 

@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import fake_cpus
@@ -327,6 +328,8 @@ class TestRiskAndReproducibility:
         out1 = tmp_path / "orig"
         assert run(["risk", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
         manifest = out1 / "risk_manifest.txt"
+        # byte identity holds per numpy version (NEP 19), so the manifest names it
+        assert f"numpy = {np.__version__}" in manifest.read_text().splitlines()
         out2 = tmp_path / "redo"
         assert (
             run(["risk", "--config", str(manifest), "--out", str(out2), "--quiet"]) == 0

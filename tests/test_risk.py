@@ -414,8 +414,8 @@ class TestStreamedActivePath:
         assert peak < 2 * 8 * len(engine.rho) + 2**14  # two rows and generator state
 
     def test_active_means_fail_before_any_draw(self, bench_dim, bench_config, monkeypatch):
-        # every active's means are computed on the calling thread, so a
-        # failure stops the run before the pool draws anything
+        # every active's means are computed before the cycle driver starts,
+        # so a failure stops the run before anything is drawn
         pattern = build_pattern(bench_dim)
         draws = []
         monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
@@ -428,8 +428,23 @@ class TestStreamedActivePath:
         monkeypatch.setattr(risk, "shell_energy", refuse)
         fake_cpus(monkeypatch, 2)
         with pytest.raises(CapacityError, match="refused"):
-            risk._run_cycles(pattern, bench_config, 2, 5, "pool", 8)
+            estimate_risk(pattern, bench_config, J=2, seed=5, pool_inactive=8)
+        with pytest.raises(CapacityError, match="refused"):
+            attenuation_experiment([0.5, 1.0], pattern, bench_config, J=2, seed=5, pool_inactive=8)
         assert draws == []
+
+    def test_driver_draws_means_of_any_signal(self, tiny_config):
+        # lam = c * counts at k = 2 is no ComponentSpec's shell energy; the
+        # driver draws it as it draws any active, with a mean statistic that
+        # peaks at t_2, so some cycles miss
+        J, seed, rank = 40, 5, 17
+        engine = _OrderEngine(tiny_config, 2)
+        means = engine.threshold / (engine.W @ engine.counts).max() * engine.counts
+        hits, fp, n_inactive = risk._run_cycles(tiny_config, {1: {}, 2: {rank: means}}, J, seed, 4)
+        assert list(hits) == [(2, rank)]
+        assert np.array_equal(hits[2, rank], risk._selected(engine, [rank], means, J, seed))
+        assert 0 < hits[2, rank].sum() < J
+        assert n_inactive == {1: 4, 2: 4} and set(fp) == {1, 2}
 
 
 class TestAttenuation:
@@ -497,13 +512,18 @@ class TestAttenuation:
             attenuation_experiment([], small_pattern, tiny_config, J=1, seed=0)
         assert draws == []
 
-    @pytest.mark.parametrize("key,bad", [("J", 0), ("pool_inactive", -3)])
-    def test_cycle_inputs_validated(self, small_pattern, tiny_config, key, bad):
+    @pytest.mark.parametrize("key,bad", [("J", 0), ("pool_inactive", -3), ("mode", "everything")])
+    def test_cycle_inputs_validated(self, small_pattern, tiny_config, monkeypatch, key, bad):
+        message = {"J": "J must be >= 1", "pool_inactive": "pool_inactive must be >= 0",
+                   "mode": "mode must be 'full' or 'pool'"}[key]
+        draws = []
+        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
         inputs = {"J": 2, "seed": 0, "pool_inactive": 4, key: bad}
-        with pytest.raises(ValueError, match=f"{key} must be >= "):
+        with pytest.raises(ValueError, match=message):
             estimate_risk(small_pattern, tiny_config, **inputs)
-        with pytest.raises(ValueError, match=f"{key} must be >= "):
+        with pytest.raises(ValueError, match=message):
             attenuation_experiment([0.5], small_pattern, tiny_config, **inputs)
+        assert draws == []
 
     def test_err_bounded_by_one_with_single_attenuation(self, tiny_config):
         pattern = explicit_pattern(
