@@ -48,8 +48,8 @@ from .signals import ComponentSpec, SparsityPattern, coeff_vector, shell_energy
 
 SQRT2 = math.sqrt(2.0)
 
-# Largest number of inactive subsets of one order that a run evaluates: a pool
-# that covers the population enumerates it, as full mode does.
+# Largest number of inactive subsets of one order that a run evaluates, also
+# when a pool that covers the population enumerates it.
 MAX_EVALUATED_SUBSETS = 500_000
 
 # Orders whose statistic draws fewer shells than this run on the calling
@@ -139,14 +139,16 @@ def hamming_loss(estimate: Mapping[Subset, SubsetDecision], truth: SparsityPatte
     return loss
 
 
-def _pattern_actives(pattern: SparsityPattern, config: SelectorConfig) -> dict[int, dict]:
-    """Per order 1..pattern.s, each active subset's rank mapped to its ``active_means``."""
+def _pattern_actives(pattern: SparsityPattern, config: SelectorConfig,
+                     subsets: set[Subset] | None = None) -> dict[int, dict]:
+    """Per order 1..pattern.s, each active subset's rank mapped to its
+    ``active_means``, for the actives among ``subsets`` if it is given."""
     d = config.dim.d
     if pattern.d != d or pattern.s > config.dim.s:
         raise ValueError("pattern dimensions do not match the selector configuration")
     engines = {k: _OrderEngine(config, k) for k in range(1, pattern.s + 1)}
-    return {k: {subset_rank(c.subset, d): e.active_means(c) for c in pattern.active(k)}
-            for k, e in engines.items()}
+    return {k: {subset_rank(c.subset, d): e.active_means(c) for c in pattern.active(k)
+                if subsets is None or c.subset in subsets} for k, e in engines.items()}
 
 
 def select(
@@ -162,9 +164,10 @@ def select(
     noise from the (seed, cycle, k, rank) substream, and an active one the
     means of :func:`_pattern_actives`, as in :func:`estimate_risk`; over all
     subsets of orders 1..pattern.s, ``hamming_loss`` of the result is that
-    cycle's loss under ``estimate_risk(mode="full")``.
+    cycle's loss under ``estimate_risk`` with a covering ``pool_inactive``.
     """
-    actives = _pattern_actives(pattern, config)
+    subsets = list(subsets)
+    actives = _pattern_actives(pattern, config, set(subsets))
     engines: dict[int, _OrderEngine] = {}
     decisions: dict[Subset, SubsetDecision] = {}
     for subset in subsets:
@@ -328,11 +331,10 @@ def _report(
     )
 
 
-def _pool_size(mode: str, pool_inactive: int) -> int:
-    """``pool_inactive``, or in full mode a pool that covers every order."""
-    if mode not in ("full", "pool"):
-        raise ValueError(f"mode must be 'full' or 'pool', got {mode!r}")
-    return INT64_MAX if mode == "full" else pool_inactive
+def _check_mode(mode: str) -> None:
+    if mode != "pool":
+        raise ValueError(f"mode must be 'pool', got {mode!r}; "
+                         "a pool_inactive at or above C(d, k) draws all subsets")
 
 
 def estimate_risk(
@@ -345,13 +347,13 @@ def estimate_risk(
 ) -> RiskReport:
     """Estimate the Hamming risk over J independent simulation cycles.
 
-    In pool mode every active subset is evaluated together with a fixed
-    uniform sample of ``pool_inactive`` inactive subsets per order; the
-    false-positive rate observed on the pool is extrapolated to the full
-    subset population in the report.
+    Each order draws its actives and a fixed uniform pool of ``pool_inactive``
+    inactive subsets, all of them at or above C(d, k); the report extrapolates
+    the pool's false-positive rate to the population.  ``mode`` must be "pool".
     """
+    _check_mode(mode)
     actives = _pattern_actives(pattern, config)
-    hits, fp, n_inactive = _run_cycles(config, actives, J, seed, _pool_size(mode, pool_inactive))
+    hits, fp, n_inactive = _run_cycles(config, actives, J, seed, pool_inactive)
     return _report(pattern.d, actives, hits, fp, n_inactive, None)
 
 
@@ -372,12 +374,13 @@ def attenuation_experiment(
     that component's hits.  The reports are therefore identical to
     independent :func:`estimate_risk` runs on ``pattern.with_attenuated(alpha)``.
     """
-    if not alphas:
+    if len(alphas) == 0:
         raise ValueError("alphas must hold at least one value")
     if any(not 0.0 < a <= 1.0 for a in alphas):
         raise ValueError("alphas must lie in (0, 1]")
+    _check_mode(mode)
     actives = _pattern_actives(pattern.with_attenuated(alphas[0]), config)
-    hits, fp, n_inactive = _run_cycles(config, actives, J, seed, _pool_size(mode, pool_inactive))
+    hits, fp, n_inactive = _run_cycles(config, actives, J, seed, pool_inactive)
     engine = _OrderEngine(config, 1)
     reports = [_report(pattern.d, actives, hits, fp, n_inactive, float(alphas[0]))]
     for alpha in alphas[1:]:

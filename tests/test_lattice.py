@@ -196,12 +196,12 @@ class TestSubsets:
         assert [subset_rank(Subset(c), 3) for c in combos] == [0, 1, 2]
 
     def test_full_count(self, tiny_config):
-        # full mode evaluates every inactive subset of every order
+        # a covering pool evaluates every inactive subset of every order
         pattern = build_pattern(
             tiny_config.dim, mode="explicit",
             components=[ComponentSpec(Subset((4,)), (1,)), ComponentSpec(Subset((2, 5)), (1, 2))],
         )
-        rep = estimate_risk(pattern, tiny_config, J=1, seed=0, mode="full")
+        rep = estimate_risk(pattern, tiny_config, J=1, seed=0, pool_inactive=10**6)
         assert rep.evaluated_inactive == {1: 12 - 1, 2: math.comb(12, 2) - 1}
 
     def test_count_matches_log_binomial(self):

@@ -35,6 +35,10 @@ def explicit_pattern(d, s, components, epsilon=0.01, beta=0.6):
     return build_pattern(dim, mode="explicit", components=components)
 
 
+# a pool_inactive at or above every C(d, k) of these tests: all inactive subsets
+ALL = 10**6
+
+
 def decisions(mapping):
     return {
         subset: SubsetDecision(stats=(), selected=bool(sel), argmax=None)
@@ -89,14 +93,14 @@ def noisy_config(tiny_config):
 class TestEstimateRisk:
     def test_bit_reproducible(self, small_pattern, tiny_config, monkeypatch):
         fake_cpus(monkeypatch, 1)
-        a = estimate_risk(small_pattern, tiny_config, J=4, seed=77, mode="full")
+        a = estimate_risk(small_pattern, tiny_config, J=4, seed=77, pool_inactive=ALL)
         fake_cpus(monkeypatch, 2)
-        b = estimate_risk(small_pattern, tiny_config, J=4, seed=77, mode="full")
+        b = estimate_risk(small_pattern, tiny_config, J=4, seed=77, pool_inactive=ALL)
         assert a.per_cycle_losses == b.per_cycle_losses
         assert a.err == b.err
 
     def test_err_is_mean_of_losses(self, small_pattern, tiny_config):
-        rep = estimate_risk(small_pattern, tiny_config, J=5, seed=3, mode="full")
+        rep = estimate_risk(small_pattern, tiny_config, J=5, seed=3, pool_inactive=ALL)
         assert rep.err == pytest.approx(sum(rep.per_cycle_losses) / 5, rel=1e-15)
         assert len(rep.per_cycle_losses) == 5
 
@@ -111,10 +115,9 @@ class TestEstimateRisk:
             estimate_risk(pattern, config, J=1, seed=0, pool_inactive=5)
         assert draws == []
 
-    @pytest.mark.parametrize("mode", ["pool", "full"])
-    def test_subset_cap_fails_before_any_draw(self, monkeypatch, mode):
+    def test_subset_cap_fails_before_any_draw(self, monkeypatch):
         # C(62, 4) = 557845 inactive subsets: a covering pool enumerates them
-        # all, as full mode does, so both modes meet the same cap
+        # all, beyond the cap
         dim = DimensionSpec(d=62, s=4, beta=0.5, sigma=1.0, epsilon=5e-5)
         config = build_selector_config(dim, M=2, truncation="rule")
         pattern = explicit_pattern(62, 4, [], epsilon=5e-5, beta=0.5)
@@ -127,36 +130,15 @@ class TestEstimateRisk:
 
         monkeypatch.setattr(risk, "_inactive_ranks", no_ranks)
         with pytest.raises(CapacityError, match=f"k=4 would evaluate {math.comb(62, 4)} "):
-            estimate_risk(pattern, config, J=1, seed=0, mode=mode, pool_inactive=10**6)
+            estimate_risk(pattern, config, J=1, seed=0, pool_inactive=ALL)
         assert sampled == [1, 2, 3]  # order 4 raised before its ranks were allocated
         assert draws == []
         assert risk.MAX_EVALUATED_SUBSETS == 500_000
 
     def test_strong_signal_never_missed(self, small_pattern, tiny_config):
         # at full amplitude the statistic means sit far above both thresholds
-        rep = estimate_risk(small_pattern, tiny_config, J=6, seed=11, mode="full")
+        rep = estimate_risk(small_pattern, tiny_config, J=6, seed=11, pool_inactive=ALL)
         assert rep.misses == 0
-
-    def test_covering_pool_equals_full_mode(self, small_pattern, tiny_config, noisy_config):
-        # a pool at or above the population draws every inactive subset, so both
-        # modes report the same fields, false positives included
-        for config in (tiny_config, noisy_config):
-            full = estimate_risk(small_pattern, config, J=3, seed=23, mode="full")
-            pool = estimate_risk(
-                small_pattern, config, J=3, seed=23, mode="pool", pool_inactive=10**6
-            )
-            assert dataclasses.asdict(pool) == dataclasses.asdict(full)
-            series = [
-                attenuation_experiment(
-                    [0.05, 1.0], small_pattern, config, J=3, seed=23, mode=mode,
-                    pool_inactive=10**6,
-                )
-                for mode in ("full", "pool")
-            ]
-            assert [dataclasses.asdict(r) for r in series[1]] == [
-                dataclasses.asdict(r) for r in series[0]
-            ]
-        assert full.false_positives > 0  # the lowered thresholds do select nulls
 
     def test_pool_mode_counts(self, small_pattern, tiny_config):
         rep = estimate_risk(
@@ -166,10 +148,10 @@ class TestEstimateRisk:
         assert all(v == 0.0 for v in rep.extrapolated_fp.values())
 
     def test_extrapolated_fp_counts_selected_nulls(self, small_pattern, noisy_config):
-        # in full mode every inactive subset is evaluated, so extrapolated_fp[k]
+        # a covering pool evaluates every inactive subset, so extrapolated_fp[k]
         # * J is the number of (cycle, inactive order-k subset) pairs selected
         J, seed = 3, 41
-        rep = estimate_risk(small_pattern, noisy_config, J=J, seed=seed, mode="full")
+        rep = estimate_risk(small_pattern, noisy_config, J=J, seed=seed, pool_inactive=ALL)
         subsets = [Subset(c) for k in (1, 2) for c in itertools.combinations(range(1, 13), k)]
         selected = {1: 0, 2: 0}
         for j in range(J):
@@ -186,7 +168,7 @@ class TestEstimateRisk:
         epsilon = 1e-12
         config = manual_config(20, {1: (0.1,)}, epsilon)
         pattern = explicit_pattern(20, 1, [ComponentSpec(Subset((2,)), (3,))], epsilon)
-        rep = estimate_risk(pattern, config, J=1, seed=4, mode="full")
+        rep = estimate_risk(pattern, config, J=1, seed=4, pool_inactive=ALL)
         assert rep.err == 0.0
 
     def test_two_seeds_close(self, tiny_config):
@@ -226,13 +208,13 @@ def order_five():
 
 class TestSelectMatchesRisk:
     def test_per_cycle_losses_equal(self, tiny_config):
-        # select over every subset sees exactly the draws of estimate_risk(full);
+        # select over every subset sees exactly the draws of a covering pool;
         # amplitudes near the boundary make the two cycles' losses differ
         pattern = explicit_pattern(12, 2, [
             ComponentSpec(Subset((1,)), (1,), amplitude=0.05),
             ComponentSpec(Subset((1, 2)), (1, 2), amplitude=0.3),
         ])
-        rep = estimate_risk(pattern, tiny_config, J=2, seed=41, mode="full")
+        rep = estimate_risk(pattern, tiny_config, J=2, seed=41, pool_inactive=ALL)
         subsets = [
             Subset(c) for k in (1, 2) for c in itertools.combinations(range(1, 13), k)
         ]
@@ -246,6 +228,24 @@ class TestSelectMatchesRisk:
     def test_rejects_mismatched_pattern(self, tiny_config):
         with pytest.raises(ValueError, match="dimensions"):
             select(explicit_pattern(13, 2, []), tiny_config, [Subset((1,))], seed=0)
+
+    def test_means_only_of_the_given_actives(self, bench_dim, bench_config, monkeypatch):
+        # the README quick start's 5 subsets hold 3 of the benchmark's 14
+        # actives, {1}, {2} and {1, 2}; an iterator is read once
+        pattern = build_pattern(bench_dim)
+        subsets = [Subset((1,)), Subset((2,)), Subset((7,)), Subset((1, 2)), Subset((5, 9))]
+        expected = select(pattern, bench_config, subsets, seed=10)
+        calls = []
+        active_means = _OrderEngine.active_means
+
+        def counted(engine, comp):
+            calls.append(comp.subset)
+            return active_means(engine, comp)
+
+        monkeypatch.setattr(_OrderEngine, "active_means", counted)
+        result = select(pattern, bench_config, iter(subsets), seed=10)
+        assert sorted(calls) == [Subset((1,)), Subset((1, 2)), Subset((2,))]
+        assert list(result) == subsets and result == expected
 
 
 class TestThreadsAndBallCache:
@@ -450,15 +450,16 @@ class TestStreamedActivePath:
 class TestAttenuation:
     # the first alpha runs through the cycle driver and each later one redraws
     # only the designated component, so unsorted, repeated and single alphas
-    # must each give the independent runs' reports
+    # must each give the independent runs' reports, also as a numpy array
     @pytest.mark.parametrize(
-        "alphas", [[0.05, 0.4, 1.0], [1.0, 0.05, 0.4], [0.4, 0.4], [0.05]],
-        ids=["sorted", "unsorted", "repeated", "single"],
+        "alphas",
+        [[0.05, 0.4, 1.0], [1.0, 0.05, 0.4], [0.4, 0.4], [0.05], np.array([0.05, 0.4, 1.0])],
+        ids=["sorted", "unsorted", "repeated", "single", "array"],
     )
     def test_matches_independent_runs(self, small_pattern, tiny_config, noisy_config, alphas):
         for config in (tiny_config, noisy_config):
             series = attenuation_experiment(
-                alphas, small_pattern, config, J=5, seed=29, mode="full"
+                alphas, small_pattern, config, J=5, seed=29, pool_inactive=ALL
             )
             for alpha, rep in zip(alphas, series):
                 solo = estimate_risk(
@@ -466,8 +467,9 @@ class TestAttenuation:
                     config,
                     J=5,
                     seed=29,
-                    mode="full",
+                    pool_inactive=ALL,
                 )
+                assert rep.alpha == alpha
                 assert rep.per_cycle_losses == solo.per_cycle_losses
                 assert rep.err == solo.err
                 assert rep.false_positives == solo.false_positives
@@ -512,10 +514,14 @@ class TestAttenuation:
             attenuation_experiment([], small_pattern, tiny_config, J=1, seed=0)
         assert draws == []
 
-    @pytest.mark.parametrize("key,bad", [("J", 0), ("pool_inactive", -3), ("mode", "everything")])
+    @pytest.mark.parametrize(
+        "key,bad",
+        [("J", 0), ("pool_inactive", -3), ("mode", "everything"), ("mode", "full")],
+    )
     def test_cycle_inputs_validated(self, small_pattern, tiny_config, monkeypatch, key, bad):
+        # the retired mode="full" names its replacement, a covering pool_inactive
         message = {"J": "J must be >= 1", "pool_inactive": "pool_inactive must be >= 0",
-                   "mode": "mode must be 'full' or 'pool'"}[key]
+                   "mode": r"mode must be 'pool'.*pool_inactive at or above C\(d, k\)"}[key]
         draws = []
         monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
         inputs = {"J": 2, "seed": 0, "pool_inactive": 4, key: bad}
