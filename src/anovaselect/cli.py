@@ -81,6 +81,12 @@ _RESERVED_KEYS = {"command", "version", "numpy", "wall_time_s"}
 _RETIRED_KEYS = {"quiet": ("false", "pass the --quiet flag"),
                  "mode": ("pool", "a pool_size at or above C(d,k) draws all subsets")}
 
+# The audit's tail reference exp(-T^2/2) is asymptotic: tail_upper passes
+# below exp(-0.8 T^2/2), and the reference is only meaningful while
+# T * max omega stays below this limit; the tail_regime row flags a run
+# outside it rather than failing it.
+TAIL_REGIME_LIMIT = 0.1
+
 # The boundary sweep is about ratios, not the benchmark noise level.  Supports
 # do not depend on epsilon, but a(r) scales as 1/epsilon^2, so this default
 # moves every ratio and verdict of the sweep.
@@ -349,12 +355,13 @@ def run_audit(cfg: dict):
     rows.append(["null_mean", k_a, m_a, moments[0], 0.02, abs(moments[0]) <= 0.02])
     rows.append(["null_var", k_a, m_a, moments[1], 0.05, abs(moments[1] - 1.0) <= 0.05])
 
-    audit = tail_bound_audit(cfg["tail_t"], cfg["trials_tail"], cfg["seed"], prof)
-    slack_bound = math.exp(-cfg["tail_t"] ** 2 / 2.0 * 0.8)
-    rows.append(["tail_upper", k_a, m_a, audit.empirical_upper, audit.reference,
-                 audit.empirical_upper <= slack_bound])
-    rows.append(["tail_regime", k_a, m_a, cfg["tail_t"] * prof.max_weight, 0.1,
-                 audit.regime_ok])
+    T = cfg["tail_t"]
+    upper = tail_bound_audit(T, cfg["trials_tail"], cfg["seed"], prof).empirical_upper
+    rows.append(["tail_upper", k_a, m_a, upper, math.exp(-T * T / 2.0),
+                 upper <= math.exp(-T ** 2 / 2.0 * 0.8)])
+    regime = T * prof.max_weight
+    rows.append(["tail_regime", k_a, m_a, regime, TAIL_REGIME_LIMIT,
+                 regime <= TAIL_REGIME_LIMIT])
 
     if has_benchmark_bank(cfg["d"], cfg["beta"]) and cfg["s"] == 4:
         pattern = _pattern_for(cfg)

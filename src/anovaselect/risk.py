@@ -63,6 +63,8 @@ class _OrderEngine:
     """Shell-compressed statistics for one interaction order."""
 
     def __init__(self, config: SelectorConfig, k: int):
+        if k not in config.profiles:
+            raise ValueError(f"config carries no grid for order k={k}")
         widest = max(config.profiles[k], key=lambda p: len(p.rho))
         self.k = k
         self.epsilon = config.dim.epsilon
@@ -168,18 +170,13 @@ def select(
     """
     subsets = list(subsets)
     actives = _pattern_actives(pattern, config, set(subsets))
-    engines: dict[int, _OrderEngine] = {}
+    engines = {k: _OrderEngine(config, k) for k in {u.k for u in subsets}}
     decisions: dict[Subset, SubsetDecision] = {}
     for subset in subsets:
-        k = subset.k
-        if k not in engines:
-            if k not in config.profiles:
-                raise ValueError(f"config carries no grid for order k={k}")
-            engines[k] = _OrderEngine(config, k)
-        engine = engines[k]
+        engine = engines[subset.k]
         rank = subset_rank(subset, config.dim.d)
-        rng = observation_stream(seed, cycle, k, rank)
-        stats = engine.stats(rng, actives.get(k, {}).get(rank))
+        rng = observation_stream(seed, cycle, engine.k, rank)
+        stats = engine.stats(rng, actives.get(engine.k, {}).get(rank))
         selected = bool(stats.max() > engine.threshold)
         decisions[subset] = SubsetDecision(
             stats=tuple(float(v) for v in stats),
@@ -292,14 +289,14 @@ def _run_cycles(
         ranks = _inactive_ranks(d, k, set(order_actives), size, seed)
         n_inactive[k] = len(ranks)
         fp[k] = np.zeros(J, dtype=np.int64)
-        chunk = max(64, len(ranks) // 32 or 1)
+        chunk = max(64, len(ranks) // 32)
         for start in range(0, len(ranks), chunk):
             block = ranks[start : start + chunk]
             jobs.append(((engine, block, None, J, seed), fp[k]))
 
     for args, tally in inline:
         tally += _selected(*args)
-    counts = _run_jobs((_selected, args) for args, _ in pooled)
+    counts = _run_jobs(_selected, [args for args, _ in pooled])
     for selected, (_, tally) in zip(counts, pooled):
         tally += selected
     return hits, fp, n_inactive

@@ -92,6 +92,11 @@ class TestConfigHandling:
         path = write_config(tmp_path, "dee = 5\n")
         assert run(["table1", "--config", path, "--out", str(tmp_path)]) == 2
 
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "s = 2\nd 20\n")
+        assert run(["table1", "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"{path}:2: expected 'key = value'" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["tableau"]) == 2
         capsys.readouterr()
@@ -382,6 +387,19 @@ class TestRiskAndReproducibility:
         write_csv(path, header, parsed)
         assert path.read_bytes() == original
 
+    def test_attenuated_risk_matches_table2_row(self, tmp_path):
+        # the benchmark keys at alpha = 0.001, where the attenuated component
+        # is missed in some cycles: risk's row is table2's, plus its misses
+        cfg = write_config(
+            tmp_path, "cycles = 8\npool_size = 40\nalphas = 0.0009,0.001,1.0\nalpha = 0.001\n"
+        )
+        for command in ("table2", "risk"):
+            assert run([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        table2 = (tmp_path / "table2.csv").read_text().splitlines()
+        risk_row = (tmp_path / "risk.csv").read_text().splitlines()[1].split(",")
+        assert risk_row[1] != "0"
+        assert risk_row[:3] + risk_row[4:] == table2[2].split(",")
+
     def test_quiet_suppresses_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_RISK_CFG)
         assert run(["risk", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
@@ -467,10 +485,42 @@ class TestBoundaryAndAudit:
         checks = {row[0] for row in rows}
         assert {"weight_normalization", "truncation_coverage", "null_mean",
                 "null_var", "tail_upper", "tail_regime"} <= checks
-        # tail_regime and ellipsoid_membership rows are informational flags
+        # tail_regime and ellipsoid_membership rows are informational flags:
+        # this config lies outside the tail regime, and the run still exits 0
         failures = [row for row in rows if row[-1] == "false"
                     and row[0] not in ("ellipsoid_membership", "tail_regime")]
         assert failures == []
+        assert "tail_regime,1,2,0.769994016046,0.1,false" in lines
+
+    def test_tail_reference_to_the_fourth_when_t_doubles(self, tmp_path):
+        # exp(-T^2/2) at 2T is its value at T to the fourth power; the CSV
+        # prints 12 significant digits
+        references = []
+        for t in ("1.5", "3.0"):
+            cfg = write_config(
+                tmp_path,
+                "d = 12\ns = 2\nbeta = 0.6\nepsilon = 0.01\ngrid_m = 3\ntruncation = rule\n"
+                f"trials_null = 1000\ntrials_tail = 1000\ntail_t = {t}\n",
+            )
+            out = tmp_path / t
+            assert run(["audit", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            rows = [line.split(",") for line in (out / "audit.csv").read_text().splitlines()]
+            references.append(float(next(row[4] for row in rows if row[0] == "tail_upper")))
+        assert references[1] == pytest.approx(references[0] ** 4, rel=1e-10)
+
+    def test_benchmark_rows_match_fixture(self, tmp_path):
+        # the audit-d50 workload's keys at fewer trials: every row but the
+        # three Monte Carlo values keeps the seed-10 fixture's bytes
+        cfg = write_config(tmp_path, "trials_null = 20000\ntrials_tail = 20000\n")
+        assert run(["audit", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        got = (tmp_path / "audit.csv").read_text().splitlines()
+        fixture = (BENCH_FIXTURES / "seed10" / "audit.csv").read_text().splitlines()
+        monte_carlo = ("null_mean,", "null_var,", "tail_upper,")
+        assert len(got) == len(fixture)
+        assert ([line for line in got if not line.startswith(monte_carlo)]
+                == [line for line in fixture if not line.startswith(monte_carlo)])
+        tail_upper = next(line.split(",") for line in got if line.startswith("tail_upper,"))
+        assert tail_upper[4] == "0.0111089965382"
 
     def test_audit_bytes_independent_of_threads(self, tmp_path, monkeypatch):
         # several 20000-row batches per sample, summed in batch order

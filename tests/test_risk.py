@@ -135,6 +135,25 @@ class TestEstimateRisk:
         assert draws == []
         assert risk.MAX_EVALUATED_SUBSETS == 500_000
 
+    def test_order_without_grid_refused_before_any_draw(self, monkeypatch):
+        # the pattern spans k = 1 and k = 2, and the config calibrated k = 2 alone
+        config = manual_config(12, {2: (0.05,)}, 0.01)
+        pattern = explicit_pattern(12, 2, [
+            ComponentSpec(Subset((1,)), (1,)), ComponentSpec(Subset((1, 2)), (1, 2)),
+        ])
+        draws = []
+        monkeypatch.setattr(risk, "observation_stream", lambda *a, **kw: draws.append(a))
+        calls = [
+            lambda: estimate_risk(pattern, config, J=1, seed=0, pool_inactive=5),
+            lambda: attenuation_experiment([0.5, 1.0], pattern, config, J=1, seed=0,
+                                           pool_inactive=5),
+            lambda: select(pattern, config, [Subset((1, 2)), Subset((1,))], seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="config carries no grid for order k=1"):
+                call()
+        assert draws == []
+
     def test_strong_signal_never_missed(self, small_pattern, tiny_config):
         # at full amplitude the statistic means sit far above both thresholds
         rep = estimate_risk(small_pattern, tiny_config, J=6, seed=11, pool_inactive=ALL)
@@ -248,7 +267,7 @@ class TestSelectMatchesRisk:
         assert list(result) == subsets and result == expected
 
 
-class TestThreadsAndBallCache:
+class TestWorkerPool:
     def test_auto_threads_follow_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -268,10 +287,10 @@ class TestThreadsAndBallCache:
         pooled_orders = []
         run_jobs = risk._run_jobs
 
-        def recording(jobs):
+        def recording(fn, jobs):
             jobs = list(jobs)
-            pooled_orders.append(sorted({args[0].k for _, args in jobs}))
-            return run_jobs(jobs)
+            pooled_orders.append(sorted({args[0].k for args in jobs}))
+            return run_jobs(fn, jobs)
 
         monkeypatch.setattr(risk, "_run_jobs", recording)
         results = []
@@ -289,7 +308,7 @@ class TestThreadsAndBallCache:
         assert pooled_orders == [[1, 2, 3, 4]] * 4 + [[2, 3]] * 4 + [[]] * 4
 
 def one_shot_stats(engine, comp, rng):
-    """The unchunked first-order statistic: per-point means and normals of the
+    """The per-point first-order statistic: per-point means and normals of the
     whole ball, enumerated by brute force."""
     coords, shell = engine_ball(engine)
     xi = rng.standard_normal(coords.shape[0])
@@ -369,11 +388,14 @@ class TestStreamedActivePath:
             tracemalloc.stop()
         assert peak < 8 * points
 
-    def test_active_block_k3_holds_no_chunk_buffers(self, bench_config):
-        # one generator re-keyed per cycle: a k = 3 block at J = 8 holds two
-        # rows of 3349 shells (the draw and q) at a time, whatever J is
-        comp = ACTIVE_CASES[1][1]
-        engine = _OrderEngine(bench_config, 3)
+    @pytest.mark.parametrize("comp", [
+        ACTIVE_CASES[1][1], ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
+    ], ids=["k3", "k4"])
+    def test_active_block_holds_two_shell_rows(self, bench_config, comp):
+        # one generator re-keyed per cycle: a block at J = 8 holds two rows of
+        # its shells (the draw and q; 3349 at k = 3, 1178 at k = 4) at a time,
+        # whatever J is
+        engine = _OrderEngine(bench_config, comp.subset.k)
         lam = engine.active_means(comp)
         risk._selected(engine, [0], lam, 8, 5)  # memoised stream keys, imports
         tracemalloc.start()
@@ -384,7 +406,7 @@ class TestStreamedActivePath:
             tracemalloc.stop()
         assert peak < 2 * 8 * len(engine.rho) + 2**14  # two rows and generator state
 
-    def test_active_block_k4_peak_below_16_mb(self, bench_config):
+    def test_active_block_k4_peak_below_256_kb(self, bench_config):
         # a stored k = 4 ball would take 51.5 MB; the shell draw, its
         # noncentralities' shell convolution included, stays below 256 kB
         comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
@@ -398,20 +420,6 @@ class TestStreamedActivePath:
         finally:
             tracemalloc.stop()
         assert peak < 2**18
-
-    def test_active_block_k4_holds_no_tail_sized_array(self, bench_config):
-        # a k = 4 block at J = 8 holds two rows of 1178 shells at a time
-        comp = ComponentSpec(Subset((1, 2, 3, 4)), (1, 2, 3, 4))
-        engine = _OrderEngine(bench_config, 4)
-        lam = engine.active_means(comp)
-        risk._selected(engine, [0], lam, 8, 5)  # memoised stream keys, imports
-        tracemalloc.start()
-        try:
-            risk._selected(engine, [0], lam, 8, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * len(engine.rho) + 2**14  # two rows and generator state
 
     def test_active_means_fail_before_any_draw(self, bench_dim, bench_config, monkeypatch):
         # every active's means are computed before the cycle driver starts,

@@ -349,12 +349,6 @@ class TestSubstreams:
 
 
 class TestTailAudit:
-    def test_reference_squares_when_doubling(self):
-        (w,), _ = order_weights((0.1,), 1, 1.0, 0.01)
-        a = tail_bound_audit(1.5, 10, seed=0, w=w)
-        b = tail_bound_audit(3.0, 10, seed=0, w=w)
-        assert b.reference == pytest.approx(a.reference**4, rel=1e-12)
-
     def test_symmetry_at_zero(self, bench_k1_config):
         prof = bench_k1_config.profiles[1][9]
         audit = tail_bound_audit(0.0, 50_000, seed=11, w=prof)
@@ -363,13 +357,7 @@ class TestTailAudit:
     def test_upper_tail_within_slack_bound(self, bench_k1_config):
         prof = bench_k1_config.profiles[1][9]
         audit = tail_bound_audit(3.0, 100_000, seed=11, w=prof)
-        assert audit.regime_ok
         assert audit.empirical_upper <= math.exp(-(3.0**2) / 2.0 * 0.8)
-
-    def test_regime_violation_flagged_not_fatal(self):
-        w = order_weights((0.1,), 1, 1.0, 0.01)[0][0]  # six points, max weight ~ 0.39
-        audit = tail_bound_audit(3.0, 1000, seed=1, w=w)
-        assert not audit.regime_ok
 
 
 class TestAuditBatches:
