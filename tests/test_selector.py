@@ -16,6 +16,7 @@ from conftest import (
 )
 
 from anovaselect import selector
+from anovaselect.cli import TAIL_REGIME_LIMIT
 from anovaselect.extremal import a_exact, extremal_sequence, order_weights
 from anovaselect.lattice import BLOCK_ENTRIES, DimensionSpec, Subset, shell_counts, subset_rank
 from anovaselect.risk import _OrderEngine, select
@@ -358,6 +359,14 @@ class TestTailAudit:
         prof = bench_k1_config.profiles[1][9]
         audit = tail_bound_audit(3.0, 100_000, seed=11, w=prof)
         assert audit.empirical_upper <= math.exp(-(3.0**2) / 2.0 * 0.8)
+
+    def test_regime_violation_flagged_not_fatal(self):
+        # six points, max weight ~ 0.39: T * max omega lies outside the
+        # regime the audit's tail_regime row checks, yet the audit still runs
+        w = order_weights((0.1,), 1, 1.0, 0.01)[0][0]
+        assert 3.0 * w.max_weight > TAIL_REGIME_LIMIT
+        audit = tail_bound_audit(3.0, 1000, seed=1, w=w)
+        assert 0.0 <= audit.empirical_upper <= 1.0
 
 
 class TestAuditBatches:
