@@ -111,7 +111,7 @@ def _parse_value(key: str, raw: str):
 
 
 def read_config_file(path: str) -> dict[str, object]:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; '#' starts a comment; a key appears once."""
     out: dict[str, object] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -128,6 +128,8 @@ def read_config_file(path: str) -> dict[str, object]:
             continue
         if key not in _KEY_SPECS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: {key} is given a second time")
         out[key] = _parse_value(key, raw)
     return out
 

@@ -21,13 +21,13 @@ risk estimators.
 A substream is the stream of ``Philox(SeedSequence(seed, spawn_key=words))``,
 where each key part below 2^64 contributes two 32-bit words.  numpy's own
 ``SeedSequence`` mixes the seed; each key word is mixed in here, with its hash,
-into the memoised (``functools.cache``) pool of the shorter prefix, so a new
-stream mixes in only its rank's low word before the pool is hashed out to the
-128-bit key.  ``substream(..., into=rng)`` re-keys an existing Philox generator
-in place (counter 0, empty buffer, no half-word left) instead of building a
-new one, and the generator then draws exactly what a fresh one would; every
-block of the risk estimators, of null ranks or of one active, draws all its
-subsets and cycles through one generator this way.
+into the memoised (bounded ``functools.lru_cache``) pool of the shorter prefix,
+so a new stream mixes in only its rank's low word before the pool is hashed out
+to the 128-bit key.  ``substream(..., into=rng)`` re-keys an existing Philox
+generator in place (counter 0, empty buffer, no half-word left) instead of
+building a new one, and the generator then draws exactly what a fresh one
+would; every block of the risk estimators, of null ranks or of one active,
+draws all its subsets and cycles through one generator this way.
 
 The tail audit and the null moments draw S = sum omega Q in batches of
 ``BATCH_ROWS`` rows.  Batch ``idx`` owns the audit substream ``offset + idx``,
@@ -106,7 +106,14 @@ def _absorb(pool: tuple[int, ...], h: int, word: int) -> tuple[tuple[int, ...], 
     return tuple(out), h
 
 
-@functools.cache
+# Prefixes the stream-key memo keeps.  A risk run keeps 4 + J(2 + 2s) + 2,
+# 2 + 2s per cycle (at most 106 for the benchmark, 30,006 at J = 3000,
+# s = 4), none evicted; at about 525 bytes an entry the memo holds at most
+# 34 MB, and an evicted prefix is recomputed from the same words.
+_POOL_MEMO_ENTRIES = 1 << 16
+
+
+@functools.lru_cache(maxsize=_POOL_MEMO_ENTRIES)
 def _pool_state(seed: int, words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Pool and hash constant after SeedSequence mixes the seed, then ``words``.
 
@@ -307,14 +314,8 @@ def build_selector_config(
         thresholds_map[k] = threshold(dim.d, k, M, eps_hat)
         trunc[k] = truncation_radius(k, profiles[k], mode=truncation)
     grid = GridSpec(betas=betas, targets=targets, a_values=a_values)
-    return SelectorConfig(
-        dim=dim,
-        grid=grid,
-        profiles=profiles,
-        weight_matrix=matrices,
-        thresholds=thresholds_map,
-        truncation=trunc,
-    )
+    return SelectorConfig(dim=dim, grid=grid, profiles=profiles, weight_matrix=matrices,
+                          thresholds=thresholds_map, truncation=trunc)
 
 
 # ---------------------------------------------------------------------------

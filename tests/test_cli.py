@@ -1,6 +1,7 @@
 import argparse
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,14 @@ def forbid_calibration(monkeypatch):
     monkeypatch.setattr(cli, "_config_for", fail)
 
 
-# Read only: the calibrate CSVs of the benchmark's problem keys at d = 50, 200,
-# and each workload's CSVs at seeds 10 and 11.
-BENCH_FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "tests" / "fixtures"
+# The benchmark harness defines each workload once: its keys, its config file
+# and its CLI arguments.  Its fixtures (read only) hold the calibrate CSVs of
+# the problem keys and each workload's CSV at seeds 10 and 11.
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_FIXTURES = BENCH / "tests" / "fixtures"
+sys.path.insert(0, str(BENCH))
+
+import run as bench_run  # noqa: E402
 
 SMALL_RISK_CFG = """
 # small full-enumeration configuration: the pool covers all 78 subsets
@@ -96,6 +102,15 @@ class TestConfigHandling:
         path = write_config(tmp_path, "s = 2\nd 20\n")
         assert run(["table1", "--config", path, "--out", str(tmp_path)]) == 2
         assert f"{path}:2: expected 'key = value'" in capsys.readouterr().err
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the later value would otherwise win silently
+        forbid_calibration(monkeypatch)
+        path = write_config(tmp_path, "d = 12\ns = 2\nd = 13\n")
+        out = tmp_path / "out"
+        assert run(["calibrate", "--config", path, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {path}:3: d is given a second time\n"
+        assert not (out / "calibrate.csv").exists()
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["tableau"]) == 2
@@ -205,7 +220,10 @@ class TestValidation:
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, line):
-        path = write_config(tmp_path, TINY_AUDIT_CFG + line + "\n")
+        # the line takes the place of the tiny config's own value of its key
+        key = line.split()[0]
+        kept = [row for row in TINY_AUDIT_CFG.splitlines() if row.split(" ")[0] != key]
+        path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
         assert run(["audit", "--config", path, "--out", str(tmp_path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: " + line.split()[0])
@@ -282,16 +300,6 @@ class TestCalibrate:
         assert len(lines) == 21
         idx = header.index("residual")
         assert all(float(line.split(",")[idx]) <= 1e-8 for line in lines[1:])
-
-    @pytest.mark.parametrize("d", [50, 200])
-    def test_bytes_match_benchmark_fixture(self, tmp_path, d):
-        # the benchmark's problem keys (bench/run.py PROBLEM)
-        cfg = write_config(
-            tmp_path, f"d = {d}\ns = 4\nbeta = 0.87\nsigma = 1\nepsilon = 5e-5\ngrid_m = 20\n"
-        )
-        assert run(["calibrate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
-        fixture = BENCH_FIXTURES / f"calibrate-d{d}.csv"
-        assert (tmp_path / "calibrate.csv").read_bytes() == fixture.read_bytes()
 
     def test_asymptotic_residual_is_closed_form_error(self, tmp_path):
         # asymptotic radii invert the closed form, but a(r*) is the exact sum
@@ -436,20 +444,6 @@ class TestTable2:
         assert "alphas must hold at least one value" in capsys.readouterr().err
         assert not (out / "table2.csv").exists()
 
-    @pytest.mark.parametrize("seed", [10, 11])
-    def test_bytes_match_benchmark_fixture(self, tmp_path, seed):
-        # the table2-d50 workload's keys (bench/run.py WORKLOADS)
-        cfg = write_config(
-            tmp_path,
-            "d = 50\ns = 4\nbeta = 0.87\nsigma = 1\nepsilon = 5e-5\ngrid_m = 20\n"
-            "pattern = benchmark\npool_size = 2000\ncycles = 8\n"
-            "alphas = 0.0001,0.0005,0.0009,0.001,0.0011,0.0012,0.005,0.5,1.0\n",
-        )
-        args = ["table2", "--config", cfg, "--seed", str(seed), "--out", str(tmp_path), "--quiet"]
-        assert run(args) == 0
-        fixture = BENCH_FIXTURES / f"seed{seed}" / "table2.csv"
-        assert (tmp_path / "table2.csv").read_bytes() == fixture.read_bytes()
-
 
 class TestBoundaryAndAudit:
     def test_boundary_rows(self, tmp_path):
@@ -508,20 +502,6 @@ class TestBoundaryAndAudit:
             references.append(float(next(row[4] for row in rows if row[0] == "tail_upper")))
         assert references[1] == pytest.approx(references[0] ** 4, rel=1e-10)
 
-    def test_benchmark_rows_match_fixture(self, tmp_path):
-        # the audit-d50 workload's keys at fewer trials: every row but the
-        # three Monte Carlo values keeps the seed-10 fixture's bytes
-        cfg = write_config(tmp_path, "trials_null = 20000\ntrials_tail = 20000\n")
-        assert run(["audit", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
-        got = (tmp_path / "audit.csv").read_text().splitlines()
-        fixture = (BENCH_FIXTURES / "seed10" / "audit.csv").read_text().splitlines()
-        monte_carlo = ("null_mean,", "null_var,", "tail_upper,")
-        assert len(got) == len(fixture)
-        assert ([line for line in got if not line.startswith(monte_carlo)]
-                == [line for line in fixture if not line.startswith(monte_carlo)])
-        tail_upper = next(line.split(",") for line in got if line.startswith("tail_upper,"))
-        assert tail_upper[4] == "0.0111089965382"
-
     def test_audit_bytes_independent_of_threads(self, tmp_path, monkeypatch):
         # several 20000-row batches per sample, summed in batch order
         cfg = write_config(
@@ -536,3 +516,32 @@ class TestBoundaryAndAudit:
             assert run(["audit", "--config", cfg, "--out", str(out), "--quiet"]) == 0
             outputs.append((out / "audit.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestBenchmarkFixtures:
+    """Every fixture CSV, rebuilt from the harness's own workload definitions.
+
+    Each workload runs at seeds 10 and 11 with the config ``write_config``
+    writes and the arguments of ``cli_args``, as the fixtures were made, and
+    ``calibrate`` runs on the problem keys at each workload dimension.  CI
+    reruns this class on one CPU (``taskset -c 0``).
+    """
+
+    @pytest.mark.parametrize("seed", [10, 11])
+    @pytest.mark.parametrize("name", list(bench_run.WORKLOADS))
+    def test_workload_csv_matches_fixture(self, tmp_path, name, seed):
+        workload = bench_run.WORKLOADS[name]
+        config = tmp_path / "workload.cfg"
+        bench_run.write_config(config, workload.keys)
+        assert run(bench_run.cli_args(workload.subcommand, config, seed, tmp_path)) == 0
+        csv = f"{workload.subcommand}.csv"
+        assert (tmp_path / csv).read_bytes() == (BENCH_FIXTURES / f"seed{seed}" / csv).read_bytes()
+
+    @pytest.mark.parametrize("d", sorted({w.keys["d"] for w in bench_run.WORKLOADS.values()}))
+    def test_calibrate_matches_fixture(self, tmp_path, d):
+        # the grids are seed-free
+        config = tmp_path / "problem.cfg"
+        bench_run.write_config(config, {**bench_run.PROBLEM, "d": d})
+        assert run(bench_run.cli_args("calibrate", config, 10, tmp_path)) == 0
+        fixture = BENCH_FIXTURES / f"calibrate-d{d}.csv"
+        assert (tmp_path / "calibrate.csv").read_bytes() == fixture.read_bytes()

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import engine_ball, engine_means, fake_cpus, manual_config, shell_active_stats
 
-from anovaselect import risk
+from anovaselect import risk, selector
 from anovaselect.errors import CapacityError
 from anovaselect.lattice import DimensionSpec, Subset
 from anovaselect.risk import (
@@ -103,6 +103,22 @@ class TestEstimateRisk:
         rep = estimate_risk(small_pattern, tiny_config, J=5, seed=3, pool_inactive=ALL)
         assert rep.err == pytest.approx(sum(rep.per_cycle_losses) / 5, rel=1e-15)
         assert len(rep.per_cycle_losses) == 5
+
+    def test_stream_key_memo_is_bounded(self, small_pattern, tiny_config):
+        # a process looping over seeds keeps 4 + J(2 + 2s) + 2 = 1206 stream
+        # prefixes per seed here; past the bound the first seed's are evicted,
+        # and recomputing them from the same words moves no bit
+        memo = selector._pool_state
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None
+        first = estimate_risk(small_pattern, tiny_config, J=200, seed=0, pool_inactive=1)
+        for seed in range(1, maxsize // 1206 + 2):
+            estimate_risk(small_pattern, tiny_config, J=200, seed=seed, pool_inactive=1)
+        assert memo.cache_info().currsize <= maxsize
+        misses = memo.cache_info().misses
+        again = estimate_risk(small_pattern, tiny_config, J=200, seed=0, pool_inactive=1)
+        assert memo.cache_info().misses - misses == 1206
+        assert dataclasses.astuple(again) == dataclasses.astuple(first)
 
     def test_order_beyond_int64_ranks_fails_before_any_draw(self, monkeypatch):
         # C(200, 13) is about 8.8e19 subsets, whose ranks int64 cannot hold
